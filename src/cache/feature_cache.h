@@ -5,8 +5,8 @@
  * Betty's REG partitioning minimizes input-node duplication across
  * micro-batches (§4.3) but cannot eliminate it: every duplicated node
  * is re-gathered and re-transferred each micro-batch, and hot
- * high-degree nodes are re-transferred every epoch. This cache sits
- * between Trainer::gatherFeatures and the TransferModel and tracks
+ * high-degree nodes are re-transferred every epoch. The trainer's
+ * transfer charge consults this cache before the TransferModel; it tracks
  * WHICH input rows are already resident on the device, so a
  * micro-batch only pays transfer cost for the rows it actually misses.
  *
@@ -26,9 +26,10 @@
  *    bytes back mid-run when the resilient trainer needs them.
  *
  *  - Deterministic eviction. All accesses are serialized under one
- *    mutex, and the trainer's pipelined prefetch lane keeps exactly
- *    one gather in flight, so the access sequence — and therefore the
- *    eviction order — is identical across thread counts.
+ *    mutex, and the trainer consults the cache on the training thread
+ *    in micro-batch order (its prefetch lane only gathers rows), so the
+ *    access sequence — and therefore the eviction order — is identical
+ *    across thread counts.
  *
  * Two policies: pure LRU (which has the stack-inclusion property, so
  * misses are monotone non-increasing in capacity) and LRU with a

@@ -56,6 +56,10 @@ SpanGraph
 buildFromLiveTrace()
 {
     SpanGraph graph;
+    // Flows first: a pool task records its spawn edge only after its
+    // span is in the trace, so every edge of this flow snapshot finds
+    // its task in the span snapshot taken after it.
+    const auto flows = Trace::flowSnapshot();
     const auto events = Trace::snapshot();
     graph.spans.reserve(events.size());
     for (const TraceEvent& event : events) {
@@ -68,7 +72,7 @@ buildFromLiveTrace()
         span.durUs = event.durUs;
         graph.spans.push_back(std::move(span));
     }
-    for (const FlowEdge& flow : Trace::flowSnapshot())
+    for (const FlowEdge& flow : flows)
         graph.flows.push_back(
             GraphFlow{flow.fromSpan, flow.toSpan, flow.tsUs});
     graph.droppedEvents = Trace::droppedEvents();

@@ -114,9 +114,10 @@ struct CritpathError
 const char* critpathErrorKindName(CritpathErrorKind kind);
 
 /**
- * Build a SpanGraph from the live obs::Trace buffers (snapshot +
- * flowSnapshot + droppedEvents). Call after worker threads have
- * quiesced, same contract as Trace::snapshot().
+ * Build a SpanGraph from the live obs::Trace buffers (flowSnapshot +
+ * snapshot + droppedEvents). Call once the calling thread's own spans
+ * have closed; pool tasks still running may be left out, but never
+ * leave a dangling spawn edge behind.
  */
 SpanGraph buildFromLiveTrace();
 

@@ -361,9 +361,12 @@ Trace::clear()
 std::string
 Trace::chromeTraceJson()
 {
+    // Flows before spans, as in critpath::buildFromLiveTrace: a pool
+    // task's spawn edge is recorded after its span, so no exported
+    // edge can outrun its endpoint.
+    const auto flows = flowSnapshot();
     const auto events = snapshot();
     const auto counters = counterSnapshot();
-    const auto flows = flowSnapshot();
     const int64_t dropped = droppedEvents();
     std::unordered_map<int32_t, std::string> lane_names;
     size_t ring_capacity = 0;

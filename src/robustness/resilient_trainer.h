@@ -26,8 +26,7 @@
  *
  * Transfer faults are keyed to each micro-batch's logical
  * program-order position (Trainer passes it into the retry protocol),
- * so fault schedules are exact even when a pipelined prefetch worker
- * gathers ahead of the clock — no single-thread workaround needed.
+ * so fault schedules are exact at every thread count.
  */
 #ifndef BETTY_ROBUSTNESS_RESILIENT_TRAINER_H
 #define BETTY_ROBUSTNESS_RESILIENT_TRAINER_H

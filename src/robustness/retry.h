@@ -3,12 +3,11 @@
  * Bounded exponential-backoff retry policy for host-link transfers
  * (docs/ROBUSTNESS.md, "Retry policy").
  *
- * Replaces the ad-hoc "while the injector says fail, pay latency"
- * loop that used to live inside Trainer::gatherFeatures. The policy
- * is explicit and shared: every consumer (the single-device trainer,
- * the multi-device engine's per-device links) prices a failed attempt
- * and its backoff identically, and emits the same `retry.*` metrics
- * and flight-recorder events.
+ * The policy is explicit and shared: the trainer's transfer charge
+ * runs it on whichever link a batch crosses (its own, or one of the
+ * multi-device engine's per-device links), so a failed attempt and
+ * its backoff are priced identically everywhere, with the same
+ * `retry.*` metrics and flight-recorder events.
  *
  * Backoff is charged as *simulated* time on the TransferModel — the
  * link sits idle while the policy waits — so it shows up in the run

@@ -59,7 +59,8 @@ allocationObserver()
  * (parameters, datasets, anything long-lived). Arena-backed storage
  * registers as a live handle so an escape past the owning reset()
  * panics instead of dangling. Either way the buffer is zero-filled
- * and 64-byte aligned.
+ * and 64-byte aligned. An adopted host buffer (Tensor::adopt) is used
+ * as it is and freed with the storage.
  */
 struct Tensor::Storage
 {
@@ -84,13 +85,24 @@ struct Tensor::Storage
             observer->onAlloc(bytes, category);
     }
 
+    explicit Storage(std::vector<float> buffer)
+        : values(buffer.data()),
+          bytes(int64_t(buffer.size() * sizeof(float))),
+          observer(g_observer),
+          category(obs::currentMemCategory()), arena(nullptr),
+          adopted(std::move(buffer))
+    {
+        if (observer)
+            observer->onAlloc(bytes, category);
+    }
+
     ~Storage()
     {
         if (observer)
             observer->onFree(bytes, category);
         if (arena)
             arena->noteLiveDetach();
-        else
+        else if (adopted.empty())
             ::operator delete(
                 values, std::align_val_t(kernels::kArenaAlign));
     }
@@ -103,6 +115,7 @@ struct Tensor::Storage
     AllocationObserver* observer;
     obs::MemCategory category;
     kernels::Arena* arena;
+    std::vector<float> adopted;
 };
 
 Tensor::Tensor(int64_t rows, int64_t cols) : rows_(rows), cols_(cols)
@@ -180,6 +193,21 @@ Tensor::fromValues(int64_t rows, int64_t cols, std::vector<float> values)
                  cols);
     Tensor t(rows, cols);
     std::copy(values.begin(), values.end(), t.data());
+    return t;
+}
+
+Tensor
+Tensor::adopt(int64_t rows, int64_t cols, std::vector<float> values)
+{
+    BETTY_ASSERT(rows >= 0 && cols >= 0 &&
+                     int64_t(values.size()) == rows * cols,
+                 "adopt: ", values.size(), " values for ", rows, "x",
+                 cols);
+    Tensor t;
+    t.rows_ = rows;
+    t.cols_ = cols;
+    if (t.numel() > 0)
+        t.storage_ = std::make_shared<Storage>(std::move(values));
     return t;
 }
 

@@ -121,6 +121,15 @@ class Tensor
     /** Build from an explicit row-major value list (for tests). */
     static Tensor fromValues(int64_t rows, int64_t cols,
                              std::vector<float> values);
+    /**
+     * Take over @p values (row-major) as the storage itself: no copy,
+     * no zero-fill. The bytes are charged to the observer and memory
+     * category current at this call, so a host buffer filled on a
+     * pool lane is charged where the tensor takes it over. Never
+     * arena-backed, and not counted by tensorHeapAllocCount().
+     */
+    static Tensor adopt(int64_t rows, int64_t cols,
+                        std::vector<float> values);
     /** @} */
 
     /** @name Whole-tensor mutation */

@@ -1,29 +1,27 @@
 #include "train/multi_device.h"
 
 #include <algorithm>
-#include <future>
-#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "kernels/arena.h"
-#include "memory/estimator.h"
-#include "obs/memprof.h"
 #include "obs/metrics.h"
 #include "obs/perf/flight_recorder.h"
-#include "obs/residual.h"
 #include "obs/trace.h"
-#include "robustness/retry.h"
-#include "tensor/autograd.h"
 #include "util/fault.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace betty {
 
 namespace {
+
+/** EWMA smoothing of the straggler detector (1 = latest sample). */
+constexpr double kStragglerEwmaAlpha = 0.5;
+
+/** Samples a device needs before it can be flagged or serve as the
+ * healthy reference. */
+constexpr int32_t kMinStragglerSamples = 1;
 
 /** The sharder's per-batch cost: feature bytes + structure bytes —
  * the dominant memory and transfer load of the batch. */
@@ -36,30 +34,6 @@ shardCost(const MultiLayerBatch& batch, int64_t feature_dim)
 }
 
 } // namespace
-
-std::vector<int32_t>
-scheduleLpt(const std::vector<int64_t>& costs, int32_t num_devices)
-{
-    BETTY_ASSERT(num_devices >= 1, "need at least one device");
-    std::vector<int32_t> assignment(costs.size(), 0);
-    if (num_devices == 1)
-        return assignment;
-
-    // Longest processing time first onto the least-loaded device.
-    std::vector<size_t> order(costs.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return costs[a] > costs[b];
-    });
-    std::vector<int64_t> load(size_t(num_devices), 0);
-    for (size_t idx : order) {
-        const int32_t device = int32_t(
-            std::min_element(load.begin(), load.end()) - load.begin());
-        assignment[idx] = device;
-        load[size_t(device)] += costs[idx];
-    }
-    return assignment;
-}
 
 ShardPlan
 shardVertexCut(const std::vector<MultiLayerBatch>& micros,
@@ -200,17 +174,18 @@ MultiDeviceEngine::MultiDeviceEngine(const Dataset& dataset,
                                      Optimizer& optimizer,
                                      MultiDeviceConfig config)
     : dataset_(dataset), model_(model), optimizer_(optimizer),
-      config_(std::move(config)),
-      numerics_(dataset, model, optimizer),
+      config_(std::move(config)), trainer_(dataset, model, optimizer),
       interconnect_(config_.interconnect)
 {
     BETTY_ASSERT(config_.numDevices >= 1, "need at least one device");
+    trainer_.setPipeline(config_.pipeline);
+    trainer_.setArbiter(this);
     const int64_t row_bytes =
         dataset_.featureDim() * int64_t(sizeof(float));
     devices_.reserve(size_t(config_.numDevices));
     for (int32_t d = 0; d < config_.numDevices; ++d) {
-        auto state = std::make_unique<DeviceState>(
-            config_.deviceCapacityBytes, config_.hostLinkBandwidth);
+        auto state =
+            std::make_unique<DeviceState>(config_.deviceCapacityBytes);
         if (config_.cacheBytesPerDevice > 0)
             state->cache = std::make_unique<FeatureCache>(
                 &state->memory, config_.cacheBytesPerDevice,
@@ -239,37 +214,8 @@ MultiDeviceEngine::liveDeviceIds() const
     return live;
 }
 
-Trainer::StagedFeatures
-MultiDeviceEngine::gatherStaged(const MultiLayerBatch& batch,
-                                int32_t device)
-{
-    // The gather lands in the owning device's trace lane whether it
-    // runs on a pool worker (pipelined dispatch) or inline — the
-    // Chrome trace shows one swimlane per device either way.
-    obs::TraceLaneScope lane(1000 + device,
-                             "device" + std::to_string(device));
-    obs::TraceSpan span("multi/gather", "transfer");
-    Trainer::StagedFeatures staged;
-    const auto& inputs = batch.inputNodes();
-    const int64_t dim = dataset_.featureDim();
-    staged.rows = int64_t(inputs.size());
-    staged.values.resize(inputs.size() * size_t(dim));
-    for (size_t i = 0; i < inputs.size(); ++i) {
-        const int64_t node = inputs[i];
-        BETTY_ASSERT(node >= 0 && node < dataset_.numNodes(),
-                     "input node out of range");
-        std::copy_n(dataset_.features.data() + node * dim, dim,
-                    staged.values.data() + int64_t(i) * dim);
-    }
-    staged.traceSpanId = span.id();
-    return staged;
-}
-
 void
-MultiDeviceEngine::consumeDeviceDrops(
-    const std::vector<MultiLayerBatch>& micros,
-    const std::vector<size_t>& active, size_t next_pos,
-    std::vector<int32_t>& owner, int64_t* drops)
+MultiDeviceEngine::consumeDeviceDrops(size_t first_pending)
 {
     int64_t requested = -1;
     while (fault::Injector::takeDeviceDrop(&requested)) {
@@ -295,10 +241,10 @@ MultiDeviceEngine::consumeDeviceDrops(
         lost.dead = true;
         if (lost.cache)
             lost.cache->releaseAll();
-        ++*drops;
+        ++step_.stats.deviceDrops;
         obs::FlightRecorder::record(obs::FrCategory::Recovery,
                                     "multi/device-drop", victim,
-                                    int64_t(next_pos));
+                                    int64_t(first_pending));
         // A dead device leaves the ring; if it was the degraded lane
         // the collective speeds back up.
         refreshInterconnectSlowdown();
@@ -307,21 +253,21 @@ MultiDeviceEngine::consumeDeviceDrops(
         // survivors. Already-executed batches keep their attribution
         // — their gradients are valid contributions, charged where
         // they actually ran.
-        reshardPending(micros, active, next_pos, owner, victim,
-                       liveDeviceIds(), "multi/reshard");
+        reshardPending(first_pending, victim, liveDeviceIds(),
+                       "multi/reshard");
     }
 }
 
 int64_t
-MultiDeviceEngine::reshardPending(
-    const std::vector<MultiLayerBatch>& micros,
-    const std::vector<size_t>& active, size_t next_pos,
-    std::vector<int32_t>& owner, int32_t victim,
-    const std::vector<int32_t>& targets, const char* reason)
+MultiDeviceEngine::reshardPending(size_t first_pending, int32_t victim,
+                                  const std::vector<int32_t>& targets,
+                                  const char* reason)
 {
     // Same overlap-first greedy as shardVertexCut, seeded with the
     // targets' current working sets (inputs of everything they own,
     // executed or pending).
+    const std::vector<MultiLayerBatch>& micros = *step_.micros;
+    std::vector<int32_t>& owner = step_.owner;
     const int64_t dim = dataset_.featureDim();
     std::unordered_map<int32_t, std::unordered_set<int64_t>> inputs;
     std::unordered_map<int32_t, int64_t> load;
@@ -338,8 +284,7 @@ MultiDeviceEngine::reshardPending(
         load[d] += shardCost(micros[i], dim);
     }
     int64_t moved = 0;
-    for (size_t pos = next_pos; pos < active.size(); ++pos) {
-        const size_t index = active[pos];
+    for (size_t index = first_pending; index < micros.size(); ++index) {
         if (owner[index] != victim)
             continue;
         int32_t best = -1;
@@ -401,9 +346,9 @@ MultiDeviceEngine::healExpiredSlowdowns(int64_t epoch)
 }
 
 void
-MultiDeviceEngine::consumeDeviceSlow(int64_t epoch,
-                                     int64_t* slow_faults)
+MultiDeviceEngine::consumeDeviceSlow()
 {
+    const int64_t epoch = step_.epoch;
     double factor = 1.0;
     int64_t requested = -1;
     int64_t duration = 0;
@@ -419,7 +364,7 @@ MultiDeviceEngine::consumeDeviceSlow(int64_t epoch,
                 // tally — the chaos tier cross-checks the two.
                 warnOnce("device-slow fault names device ", requested,
                          " which is not a live device; ignored");
-                ++*slow_faults;
+                ++step_.stats.deviceSlowFaults;
                 obs::FlightRecorder::record(
                     obs::FrCategory::Recovery,
                     "multi/device-slow-ignored", requested, epoch);
@@ -436,7 +381,7 @@ MultiDeviceEngine::consumeDeviceSlow(int64_t epoch,
             duration > 0 ? epoch + duration - 1 : -1;
         state.link.setSlowdown(state.slowFactor);
         refreshInterconnectSlowdown();
-        ++*slow_faults;
+        ++step_.stats.deviceSlowFaults;
         obs::FlightRecorder::record(obs::FrCategory::Recovery,
                                     "multi/device-slow", victim,
                                     int64_t(factor * 1000.0));
@@ -466,8 +411,13 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
                        bool fault_clock, int64_t epoch)
 {
     BETTY_TRACE_SPAN("multi/accumulation_step");
-    MultiDeviceStats stats;
     const size_t num_devices = devices_.size();
+    step_ = Step{};
+    step_.micros = &micros;
+    step_.owner.assign(micros.size(), -1);
+    step_.faultClock = fault_clock;
+    step_.epoch = epoch;
+    MultiDeviceStats& stats = step_.stats;
     stats.batchesPerDevice.assign(num_devices, 0);
     stats.deviceSeconds.assign(num_devices, 0.0);
     stats.deviceComputeSeconds.assign(num_devices, 0.0);
@@ -475,36 +425,21 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
     stats.deviceTransferBytes.assign(num_devices, 0);
     stats.devicePeakBytes.assign(num_devices, 0);
 
-    int64_t total_outputs = 0;
-    for (const auto& batch : micros)
-        total_outputs += int64_t(batch.outputNodes().size());
-    BETTY_ASSERT(total_outputs > 0, "no output nodes to train on");
-
-    std::vector<size_t> active;
-    active.reserve(micros.size());
-    for (size_t i = 0; i < micros.size(); ++i)
-        if (!micros[i].outputNodes().empty())
-            active.push_back(i);
-
-    int64_t drops = 0;
-    int64_t slow_faults = 0;
-    std::vector<int32_t> owner(micros.size(), -1);
     // Epoch-scoped device drops fire BEFORE sharding: the epoch
     // shards directly over the survivors, which is exactly "running
     // on N-1 devices from the start" for this epoch. Epoch-scoped
     // slowdowns also land here, before any transfer is priced.
     if (fault_clock) {
-        consumeDeviceDrops(micros, active, 0, owner, &drops);
-        consumeDeviceSlow(epoch, &slow_faults);
+        consumeDeviceDrops(0);
+        consumeDeviceSlow();
     }
 
     const std::vector<int32_t> live = liveDeviceIds();
     last_plan_ = shardVertexCut(micros, int32_t(live.size()),
-                                dataset_.featureDim(),
-                                config_.balanceSlack);
+                                dataset_.featureDim());
     for (size_t i = 0; i < micros.size(); ++i)
         if (last_plan_.assignment[i] >= 0)
-            owner[i] = live[size_t(last_plan_.assignment[i])];
+            step_.owner[i] = live[size_t(last_plan_.assignment[i])];
 
     // Parameter gradients outlive the per-device memory models'
     // scopes; allocate them under the CALLER's observer (where the
@@ -512,244 +447,41 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
     // to the wrong device.
     for (const auto& p : model_.parameters())
         p->ensureGrad();
-    optimizer_.zeroGrad();
 
+    std::vector<TrainDevice> set;
+    set.reserve(num_devices);
     std::vector<FeatureCacheStats> cache_before(num_devices);
     for (size_t d = 0; d < num_devices; ++d) {
-        devices_[d]->memory.resetPeak();
-        devices_[d]->link.reset();
-        if (devices_[d]->cache)
-            cache_before[d] = devices_[d]->cache->stats();
+        DeviceState& state = *devices_[d];
+        state.memory.resetPeak();
+        state.link.reset();
+        if (state.cache)
+            cache_before[d] = state.cache->stats();
+        set.push_back({&state.memory, &state.link, state.cache.get()});
     }
 
-    // Pipelined dispatch: every active micro-batch's host-side
-    // feature gather is submitted to the pool up front, labelled with
-    // its owning device's lane. Staging buffers are plain host
-    // memory (unobserved), and ALL device charges happen at
-    // consumption time below, on this thread, in canonical order —
-    // so accounting is bit-identical to the inline schedule, for any
-    // thread count and any fault timing.
-    const bool pipelined = config_.pipeline &&
-                           ThreadPool::globalThreads() > 1 &&
-                           active.size() > 1;
-    std::vector<std::future<Trainer::StagedFeatures>> prefetched;
-    // If the loop unwinds early, pool workers would keep touching
-    // micros and dataset_ after this frame is gone; drain first.
-    struct DispatchJoiner
-    {
-        std::vector<std::future<Trainer::StagedFeatures>>& futures;
-        ~DispatchJoiner()
-        {
-            for (auto& future : futures) {
-                if (future.valid()) {
-                    try {
-                        future.get();
-                    } catch (...) {
-                    }
-                }
-            }
-        }
-    } dispatch_joiner{prefetched};
-    if (pipelined) {
-        prefetched.reserve(active.size());
-        for (size_t pos = 0; pos < active.size(); ++pos) {
-            const size_t index = active[pos];
-            const int32_t device = owner[index];
-            obs::FlightRecorder::record(obs::FrCategory::Mark,
-                                        "multi/dispatch",
-                                        int64_t(index), device);
-            const MultiLayerBatch* batch = &micros[index];
-            prefetched.push_back(ThreadPool::global().submit(
-                [this, batch, device] {
-                    return gatherStaged(*batch, device);
-                }));
-        }
-    }
+    // Straggler supervisor: judges SIMULATED link seconds —
+    // deterministic, unlike wall-clock compute — and is only armed in
+    // fault-injected epochs: in fault-free runs the engine must be
+    // invisible (no attribution drift for the report gates).
+    step_.supervise = fault_clock && config_.stragglerFactor > 0.0 &&
+                      fault::Injector::active();
+    step_.ewma.assign(num_devices, 0.0);
+    step_.ewmaSamples.assign(num_devices, 0);
+    step_.flagged.assign(num_devices, 0);
 
-    // Straggler supervisor state: per-device EWMA of SIMULATED link
-    // seconds per micro-batch — deterministic, unlike wall-clock
-    // compute — judged against the fastest healthy device. Only
-    // armed in fault-injected epochs: in fault-free runs the engine
-    // must be invisible (no attribution drift for the report gates).
-    const bool supervise = fault_clock &&
-                           config_.stragglerFactor > 0.0 &&
-                           fault::Injector::active();
-    std::vector<double> ewma(num_devices, 0.0);
-    std::vector<int32_t> ewma_samples(num_devices, 0);
-    std::vector<char> flagged(num_devices, 0);
-
-    int64_t correct = 0;
-    uint64_t prev_micro_span = 0;
-    for (size_t pos = 0; pos < active.size(); ++pos) {
-        const size_t index = active[pos];
-        if (fault_clock) {
-            fault::Injector::beginMicroBatch(int64_t(index));
-            // A mid-epoch drop re-shards this and all later pending
-            // batches; gathers already dispatched for the dead device
-            // stay valid (host staging), only the charges move.
-            consumeDeviceDrops(micros, active, pos, owner, &drops);
-            consumeDeviceSlow(epoch, &slow_faults);
-        }
-        const MultiLayerBatch& batch = micros[index];
-        const int32_t device = owner[index];
-        DeviceState& state = *devices_[size_t(device)];
-        obs::TraceSpan micro_span("train/micro_batch");
-        // Ordering edge: gradient accumulation serializes the
-        // micro-batches of an epoch on this thread.
-        obs::Trace::recordFlow(prev_micro_span, micro_span.id());
-        prev_micro_span = micro_span.id();
-        stats.inputNodesProcessed +=
-            int64_t(batch.inputNodes().size());
-        for (const auto& block : batch.blocks)
-            stats.totalNodesProcessed += block.numSrc();
-
-        Trainer::StagedFeatures staged;
-        if (pipelined) {
-            {
-                // Time blocked on the dispatch handoff is the
-                // cross-device stall critpath calls out.
-                BETTY_TRACE_SPAN_CAT("multi/dispatch_wait", "stall");
-                staged = prefetched[pos].get();
-            }
-        } else {
-            staged = gatherStaged(batch, device);
-        }
-        obs::Trace::recordFlow(staged.traceSpanId, micro_span.id());
-
-        // Charge-at-consumption: cache consult, link charge, and
-        // every tensor allocation happen here under THIS device's
-        // scope, in canonical micro-batch order.
-        DeviceMemoryModel::Scope scope(state.memory);
-        state.memory.resetWindow();
-        const int64_t structure_bytes = batch.structureBytes();
-        const int64_t label_bytes =
-            int64_t(batch.outputNodes().size()) *
-            int64_t(sizeof(int32_t));
-        state.memory.onAlloc(structure_bytes,
-                             obs::MemCategory::Blocks);
-        state.memory.onAlloc(label_bytes, obs::MemCategory::Labels);
-        const double link_before = state.link.seconds();
-        {
-            // The shared numeric trainer's arena backs this micro-
-            // batch's graph temporaries (same lifecycle as the
-            // single-device path; reset below once the graph is gone).
-            kernels::ArenaScope arena_scope(numerics_.arena_);
-            Timer timer;
-            int64_t feature_bytes = int64_t(staged.values.size()) *
-                                    int64_t(sizeof(float));
-            if (state.cache) {
-                const FeatureCache::AccessResult cached =
-                    state.cache->access(batch.inputNodes());
-                feature_bytes = cached.misses *
-                                dataset_.featureDim() *
-                                int64_t(sizeof(float));
-                state.link.noteSavedBytes(cached.bytesSaved);
-            }
-            // Per-attempt transfer faults on this device's link are
-            // drained by the shared retry protocol before the copy
-            // goes through (robustness/retry.h), keyed to the
-            // batch's logical position.
-            if (fault_clock)
-                robustness::runTransferRetries(state.link,
-                                               int64_t(index));
-            state.link.transfer(feature_bytes + structure_bytes);
-            // The numeric core is the single-device trainer's own
-            // forwardStaged — same ops, same order, so losses and
-            // gradients are bit-identical by construction.
-            Trainer::ForwardResult fwd =
-                numerics_.forwardStaged(batch, std::move(staged));
-            const float weight =
-                float(double(fwd.outputs) / double(total_outputs));
-            {
-                BETTY_TRACE_SPAN_CAT("train/backward", "compute");
-                obs::MemCategoryScope mem_scope(
-                    obs::MemCategory::Gradients);
-                ag::backward(ag::scale(fwd.loss, weight));
-            }
-            stats.deviceComputeSeconds[size_t(device)] +=
-                timer.seconds();
-            stats.loss +=
-                double(fwd.loss->value.at(0, 0)) * double(weight);
-            correct += fwd.correct;
-            // fwd's graph (all intermediate activations) is released
-            // here, inside the device scope that charged it.
-        }
-        numerics_.arena_.reset();
-        ++stats.batchesPerDevice[size_t(device)];
-        // Straggler supervisor: fold this micro-batch's simulated
-        // link seconds (transfer + failed attempts + backoff) into
-        // the device's EWMA and compare against the fastest healthy
-        // reference. Detection uses observed timings only — never
-        // the ground-truth `degraded` flag — so it also catches
-        // degradations nobody scheduled.
-        if (supervise) {
-            const double mb_link_seconds =
-                state.link.seconds() - link_before;
-            ++ewma_samples[size_t(device)];
-            ewma[size_t(device)] =
-                ewma_samples[size_t(device)] == 1
-                    ? mb_link_seconds
-                    : config_.stragglerEwmaAlpha * mb_link_seconds +
-                          (1.0 - config_.stragglerEwmaAlpha) *
-                              ewma[size_t(device)];
-            if (!flagged[size_t(device)] &&
-                ewma_samples[size_t(device)] >=
-                    config_.minStragglerSamples)
-            {
-                double fastest = -1.0;
-                std::vector<int32_t> healthy;
-                for (int32_t d : liveDeviceIds()) {
-                    if (d == device || flagged[size_t(d)])
-                        continue;
-                    healthy.push_back(d);
-                    if (ewma_samples[size_t(d)] >=
-                            config_.minStragglerSamples &&
-                        (fastest < 0.0 ||
-                         ewma[size_t(d)] < fastest))
-                        fastest = ewma[size_t(d)];
-                }
-                if (fastest > 0.0 &&
-                    ewma[size_t(device)] >
-                        config_.stragglerFactor * fastest &&
-                    !healthy.empty())
-                {
-                    BETTY_TRACE_SPAN_CAT("multi/straggler_reshard",
-                                         "stall");
-                    flagged[size_t(device)] = 1;
-                    ++stats.stragglersDetected;
-                    obs::FlightRecorder::record(
-                        obs::FrCategory::Recovery,
-                        "multi/straggler", device, int64_t(pos));
-                    // Graceful degradation: pending batches drain
-                    // toward healthy devices; the straggler keeps
-                    // what it already ran and stays in the ring.
-                    stats.stragglerResharded += reshardPending(
-                        micros, active, pos + 1, owner, device,
-                        healthy, "multi/straggler-reshard");
-                }
-            }
-        }
-        state.memory.onFree(structure_bytes,
-                            obs::MemCategory::Blocks);
-        state.memory.onFree(label_bytes, obs::MemCategory::Labels);
-        if (obs::Metrics::enabled()) {
-            const MemoryEstimate predicted =
-                estimateBatchMemory(batch, model_.memorySpec());
-            obs::residuals().record(predicted.peak,
-                                    state.memory.windowPeakBytes());
-            obs::MicroBatchMemRecord record;
-            record.actualTotalPeak = state.memory.windowPeakBytes();
-            record.predictedTotalPeak = predicted.peak;
-            for (size_t c = 0; c < obs::kMemCategoryCount; ++c) {
-                const auto category = obs::MemCategory(c);
-                record.actualPeak[c] =
-                    state.memory.windowPeakBytes(category);
-                record.predicted[c] =
-                    componentBytes(predicted, category);
-            }
-            obs::memProfiler().record(record);
-        }
-    }
+    // The shared loop computes every micro-batch on this thread in
+    // canonical order and calls admit/review around each; between the
+    // two, this scope charges the micro-batch's tensors to its device
+    // (and leaving run() closes it whichever way the loop exits).
+    std::optional<DeviceMemoryModel::Scope> device_scope;
+    step_.deviceScope = &device_scope;
+    const EpochStats accumulated =
+        trainer_.accumulateMicroBatches(micros, set, step_.owner);
+    stats.loss = accumulated.loss;
+    stats.accuracy = accumulated.accuracy;
+    stats.inputNodesProcessed = accumulated.inputNodesProcessed;
+    stats.totalNodesProcessed = accumulated.totalNodesProcessed;
 
     // Deterministic ring all-reduce of the accumulated gradients
     // across the live devices, then one optimizer step. The cost is
@@ -757,8 +489,6 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
     // N-device parameters bit-identical to N=1.
     const std::vector<int32_t> live_after = liveDeviceIds();
     stats.liveDevices = int32_t(live_after.size());
-    stats.deviceDrops = drops;
-    stats.deviceSlowFaults = slow_faults;
     for (const auto& device : devices_)
         if (!device->dead && device->degraded)
             ++stats.degradedDevices;
@@ -783,6 +513,7 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
     double max_busy = 0.0;
     for (size_t d = 0; d < num_devices; ++d) {
         DeviceState& state = *devices_[d];
+        stats.deviceComputeSeconds[d] = set[d].computeSeconds;
         stats.deviceTransferSeconds[d] = state.link.seconds();
         stats.deviceTransferBytes[d] = state.link.totalBytes();
         stats.deviceSeconds[d] =
@@ -801,9 +532,9 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
         }
         state.link.reset();
     }
-    stats.duplicationFactor = shardDuplicationFactor(micros, owner);
+    stats.duplicationFactor =
+        shardDuplicationFactor(micros, step_.owner);
     stats.epochSeconds = max_busy + stats.allreduceSeconds;
-    stats.accuracy = double(correct) / double(total_outputs);
 
     if (obs::Metrics::enabled()) {
         obs::Metrics::gauge("multi.devices")
@@ -812,17 +543,17 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
             .set(int64_t(stats.duplicationFactor * 1000.0));
         obs::Metrics::gauge("multi.allreduce_microseconds")
             .set(int64_t(stats.allreduceSeconds * 1e6));
-        if (drops > 0) {
+        if (stats.deviceDrops > 0) {
             static obs::Counter& drop_counter =
                 obs::Metrics::counter("multi.device_drops");
-            drop_counter.add(drops);
+            drop_counter.add(stats.deviceDrops);
         }
         obs::Metrics::gauge("multi.degraded")
             .set(int64_t(stats.degradedDevices));
-        if (slow_faults > 0) {
+        if (stats.deviceSlowFaults > 0) {
             static obs::Counter& slow_counter =
                 obs::Metrics::counter("multi.device_slow_faults");
-            slow_counter.add(slow_faults);
+            slow_counter.add(stats.deviceSlowFaults);
         }
         if (stats.stragglersDetected > 0) {
             static obs::Counter& detected =
@@ -843,7 +574,79 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
                 .set(stats.devicePeakBytes[d]);
         }
     }
-    return stats;
+    return std::move(stats);
+}
+
+bool
+MultiDeviceEngine::admit(size_t index, const MultiLayerBatch&)
+{
+    if (step_.faultClock) {
+        fault::Injector::beginMicroBatch(int64_t(index));
+        // A mid-epoch drop re-shards this and all later pending
+        // batches; a gather already under way for the dead device
+        // stays valid (host staging), only the charges move.
+        consumeDeviceDrops(index);
+        consumeDeviceSlow();
+    }
+    DeviceState& state = *devices_[size_t(step_.owner[index])];
+    step_.deviceScope->emplace(state.memory);
+    step_.linkBefore = state.link.seconds();
+    return true;
+}
+
+bool
+MultiDeviceEngine::review(size_t index, const MultiLayerBatch&)
+{
+    step_.deviceScope->reset();
+    const int32_t device = step_.owner[index];
+    const size_t d = size_t(device);
+    ++step_.stats.batchesPerDevice[d];
+    if (!step_.supervise)
+        return true;
+    // Straggler supervisor: fold this micro-batch's simulated link
+    // seconds (transfer + failed attempts + backoff) into the device's
+    // EWMA and compare against the fastest healthy reference.
+    // Detection uses observed timings only — never the ground-truth
+    // `degraded` flag — so it also catches degradations nobody
+    // scheduled.
+    const double mb_link_seconds =
+        devices_[d]->link.seconds() - step_.linkBefore;
+    std::vector<double>& ewma = step_.ewma;
+    std::vector<int32_t>& samples = step_.ewmaSamples;
+    ++samples[d];
+    ewma[d] = samples[d] == 1
+                  ? mb_link_seconds
+                  : kStragglerEwmaAlpha * mb_link_seconds +
+                        (1.0 - kStragglerEwmaAlpha) * ewma[d];
+    if (step_.flagged[d] || samples[d] < kMinStragglerSamples)
+        return true;
+    double fastest = -1.0;
+    std::vector<int32_t> healthy;
+    for (int32_t other : liveDeviceIds()) {
+        if (other == device || step_.flagged[size_t(other)])
+            continue;
+        healthy.push_back(other);
+        if (samples[size_t(other)] >= kMinStragglerSamples &&
+            (fastest < 0.0 || ewma[size_t(other)] < fastest))
+            fastest = ewma[size_t(other)];
+    }
+    if (fastest > 0.0 && ewma[d] > config_.stragglerFactor * fastest &&
+        !healthy.empty())
+    {
+        BETTY_TRACE_SPAN_CAT("multi/straggler_reshard", "stall");
+        step_.flagged[d] = 1;
+        ++step_.stats.stragglersDetected;
+        obs::FlightRecorder::record(obs::FrCategory::Recovery,
+                                    "multi/straggler", device,
+                                    int64_t(index));
+        // Graceful degradation: pending batches drain toward healthy
+        // devices; the straggler keeps what it already ran and stays
+        // in the ring.
+        step_.stats.stragglerResharded +=
+            reshardPending(index + 1, device, healthy,
+                           "multi/straggler-reshard");
+    }
+    return true;
 }
 
 } // namespace betty

@@ -17,16 +17,17 @@
  * step.
  *
  * Equivalence guarantee (tests/test_multi_device_equivalence.cc): the
- * engine computes every micro-batch on the calling thread, in the
- * canonical micro-batch order, through the SAME numeric path as
- * Trainer::trainMicroBatches (it borrows Trainer::forwardStaged via a
- * friend hook). Device assignment decides only where the simulated
- * bytes and seconds are charged — never the float operation order —
- * so losses and parameters are bit-identical to single-device
- * gradient accumulation for any device count, thread count, pipeline
- * mode, and cache size. Pool lanes carry only the host-side feature
- * gathers (plain staging buffers, unobserved by the device models),
- * one lane per device in the Chrome trace.
+ * engine owns no training loop. It hands its devices and the shard
+ * assignment to Trainer::accumulateMicroBatches — the same loop
+ * Trainer::trainMicroBatches runs over its one device — which
+ * computes every micro-batch on the calling thread, in canonical
+ * order. Device assignment decides only where the simulated bytes
+ * and seconds are charged — never the float operation order — so
+ * losses and parameters are bit-identical to single-device gradient
+ * accumulation for any device count, thread count, pipeline mode,
+ * and cache size. The engine's per-micro-batch policy (fault clock,
+ * device faults, straggler supervisor) runs in the loop's
+ * MicroBatchArbiter hooks.
  *
  * Fault semantics (docs/MULTI_DEVICE.md): a `device-drop@epochN[.mbM]`
  * fault (util/fault.h) kills one device; its remaining micro-batches
@@ -54,6 +55,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/feature_cache.h"
@@ -77,9 +79,6 @@ struct MultiDeviceConfig
     /** Per-device memory capacity (0 = unlimited, track only). */
     int64_t deviceCapacityBytes = 0;
 
-    /** Host->device link bandwidth per device, bytes/s. */
-    double hostLinkBandwidth = 12.0e9;
-
     /** Device<->device fabric for the gradient all-reduce. */
     InterconnectConfig interconnect = InterconnectConfig::nvlink();
 
@@ -90,19 +89,11 @@ struct MultiDeviceConfig
     CachePolicy cachePolicy = CachePolicy::Lru;
 
     /**
-     * Balance slack of the vertex-cut sharder: a device may hold up
-     * to slack * (total cost / devices) before the sharder stops
-     * preferring it for overlap.
-     */
-    double balanceSlack = 1.2;
-
-    /**
-     * Dispatch the host-side feature gathers to pool lanes (one per
-     * device) when the global ThreadPool has workers. Off = gather
-     * inline at consumption time. Either way numerics and all
-     * per-device accounting are bit-identical: gathers stage into
-     * plain host memory and every charge happens at consumption time
-     * on the calling thread, in canonical micro-batch order.
+     * Gather micro-batch k+1's feature rows on a pool lane while k
+     * computes (Trainer::setPipeline). Either way numerics and all
+     * per-device accounting are bit-identical: every charge happens
+     * at consumption time on the calling thread, in canonical
+     * micro-batch order.
      */
     bool pipeline = true;
 
@@ -116,14 +107,6 @@ struct MultiDeviceConfig
      * compares against).
      */
     double stragglerFactor = 2.0;
-
-    /** EWMA smoothing for the straggler detector (0 < alpha <= 1;
-     * 1 = judge on the latest sample alone). */
-    double stragglerEwmaAlpha = 0.5;
-
-    /** Samples a device needs before it can be flagged or serve as
-     * the healthy reference. */
-    int32_t minStragglerSamples = 1;
 };
 
 /**
@@ -267,17 +250,8 @@ struct MultiDeviceStats
     int64_t totalNodesProcessed = 0;
 };
 
-/**
- * Assign micro-batches to devices, longest-processing-time-first by
- * the given per-batch costs, ignoring vertex overlap. Kept as the
- * load-only scheduler (bench tables, balance comparisons);
- * shardVertexCut is what the engine runs.
- */
-std::vector<int32_t> scheduleLpt(const std::vector<int64_t>& costs,
-                                 int32_t num_devices);
-
 /** Drives one model replica set over multiple simulated devices. */
-class MultiDeviceEngine
+class MultiDeviceEngine : private MicroBatchArbiter
 {
   public:
     /**
@@ -289,6 +263,10 @@ class MultiDeviceEngine
      */
     MultiDeviceEngine(const Dataset& dataset, GnnModel& model,
                       Optimizer& optimizer, MultiDeviceConfig config);
+
+    /** Pinned: its trainer holds the engine as its arbiter. */
+    MultiDeviceEngine(const MultiDeviceEngine&) = delete;
+    MultiDeviceEngine& operator=(const MultiDeviceEngine&) = delete;
 
     /**
      * One gradient-accumulation step over @p micro_batches spread
@@ -329,13 +307,14 @@ class MultiDeviceEngine
     }
 
   private:
-    /** One simulated accelerator: memory model, host link, cache.
-     * The cache member is declared last so its destructor releases
-     * the reservation into a still-live memory model. */
+    /** One simulated accelerator: memory model, host link (at
+     * TransferModel's default bandwidth), cache. The cache member is
+     * declared last so its destructor releases the reservation into
+     * a still-live memory model. */
     struct DeviceState
     {
-        DeviceState(int64_t capacity_bytes, double link_bandwidth)
-            : memory(capacity_bytes), link(link_bandwidth)
+        explicit DeviceState(int64_t capacity_bytes)
+            : memory(capacity_bytes)
         {
         }
 
@@ -353,39 +332,59 @@ class MultiDeviceEngine
         int64_t slowUntilEpoch = -1;
     };
 
-    /** Copy the batch's input feature rows into host staging (the
-     * physical gather). Runs on a pool lane when pipelining; values
-     * are identical wherever it runs, and nothing is charged here —
-     * all accounting happens at consumption time. */
-    Trainer::StagedFeatures gatherStaged(const MultiLayerBatch& batch,
-                                         int32_t device);
+    /** What run() and the per-micro-batch hooks share in a step. */
+    struct Step
+    {
+        const std::vector<MultiLayerBatch>* micros = nullptr;
+        /** Owning device per micro-batch (-1 = never scheduled). */
+        std::vector<int32_t> owner;
+        bool faultClock = false;
+        int64_t epoch = 0;
+        /** Straggler supervisor state: per-device EWMA of simulated
+         * link seconds per micro-batch, its sample count, and whether
+         * the device was flagged. */
+        bool supervise = false;
+        std::vector<double> ewma;
+        std::vector<int32_t> ewmaSamples;
+        std::vector<char> flagged;
+        /** The owning device's link seconds at admission. */
+        double linkBefore = 0.0;
+        /** Routes the running micro-batch's tensors to its device. */
+        std::optional<DeviceMemoryModel::Scope>* deviceScope = nullptr;
+        MultiDeviceStats stats;
+    };
 
     MultiDeviceStats run(
         const std::vector<MultiLayerBatch>& micro_batches,
         bool fault_clock, int64_t epoch);
+
+    /** Loop hook before micro-batch @p index runs: advance the fault
+     * clock and consume its device faults, which may move it, then
+     * charge its tensors to its device. */
+    bool admit(size_t index, const MultiLayerBatch& batch) override;
+
+    /** Loop hook after micro-batch @p index ran: count it for its
+     * device and run the straggler supervisor. */
+    bool review(size_t index, const MultiLayerBatch& batch) override;
 
     /** Indices of live devices, ascending. */
     std::vector<int32_t> liveDeviceIds() const;
 
     /**
      * Consume pending device-drop faults at the current clock slot:
-     * mark victims dead and re-shard their not-yet-executed
-     * micro-batches (positions >= @p next_pos in @p active) over the
-     * survivors. Never drops the last live device.
+     * mark victims dead and re-shard their micro-batches from
+     * @p first_pending on over the survivors. Never drops the last
+     * live device.
      */
-    void consumeDeviceDrops(const std::vector<MultiLayerBatch>& micros,
-                            const std::vector<size_t>& active,
-                            size_t next_pos,
-                            std::vector<int32_t>& owner,
-                            int64_t* drops);
+    void consumeDeviceDrops(size_t first_pending);
 
     /**
      * Consume pending device-slow faults at the current clock slot:
      * degrade the victim's host link and the shared interconnect,
-     * and schedule healing at @p epoch + duration. Picks the
-     * highest-indexed live device when the spec names none.
+     * and schedule healing after the step's epoch + duration. Picks
+     * the highest-indexed live device when the spec names none.
      */
-    void consumeDeviceSlow(int64_t epoch, int64_t* slow_faults);
+    void consumeDeviceSlow();
 
     /** Heal devices whose slowdown expired before @p epoch. */
     void healExpiredSlowdowns(int64_t epoch);
@@ -395,17 +394,13 @@ class MultiDeviceEngine
     void refreshInterconnectSlowdown();
 
     /**
-     * Move @p victim's not-yet-executed micro-batches (positions >=
-     * @p next_pos in @p active) onto @p targets with the same
-     * overlap-first greedy as shardVertexCut, seeded with the
-     * targets' current working sets. Returns how many moved.
-     * Attribution only — numerics never depend on ownership.
+     * Move @p victim's micro-batches from @p first_pending on onto
+     * @p targets with the same overlap-first greedy as
+     * shardVertexCut, seeded with the targets' current working sets.
+     * Returns how many moved. Attribution only — numerics never
+     * depend on ownership.
      */
-    int64_t reshardPending(const std::vector<MultiLayerBatch>& micros,
-                           const std::vector<size_t>& active,
-                           size_t next_pos,
-                           std::vector<int32_t>& owner,
-                           int32_t victim,
+    int64_t reshardPending(size_t first_pending, int32_t victim,
                            const std::vector<int32_t>& targets,
                            const char* reason);
 
@@ -413,12 +408,12 @@ class MultiDeviceEngine
     GnnModel& model_;
     Optimizer& optimizer_;
     MultiDeviceConfig config_;
-    /** Numeric core borrowed from the single-device trainer (no
-     * device/transfer/cache attached — the engine owns accounting). */
-    Trainer numerics_;
+    /** Runs the micro-batch loop over this engine's devices. */
+    Trainer trainer_;
     InterconnectModel interconnect_;
     std::vector<std::unique_ptr<DeviceState>> devices_;
     ShardPlan last_plan_;
+    Step step_;
 };
 
 } // namespace betty

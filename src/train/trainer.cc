@@ -1,6 +1,8 @@
 #include "train/trainer.h"
 
 #include <future>
+#include <optional>
+#include <string>
 
 #include "cache/feature_cache.h"
 #include "kernels/kernels.h"
@@ -28,6 +30,14 @@ batchNodeCount(const MultiLayerBatch& batch)
     return total;
 }
 
+/** Host-side label bytes charged to the device per batch (item (3)). */
+int64_t
+labelBytes(const MultiLayerBatch& batch)
+{
+    return int64_t(batch.outputNodes().size()) *
+           int64_t(sizeof(int32_t));
+}
+
 /** Per-micro-batch wall-time histogram (1ms .. ~16s buckets). */
 obs::Histogram&
 microBatchSecondsHistogram()
@@ -39,101 +49,83 @@ microBatchSecondsHistogram()
     return histogram;
 }
 
+/** A micro-batch's gathered feature rows on their way to the device. */
+struct StagedFeatures
+{
+    std::vector<float> rows;
+    /** Id of the "train/prefetch" span that gathered the rows (0 when
+     * gathered inline): the source of the pipeline handoff edge. */
+    uint64_t traceSpanId = 0;
+};
+
 } // namespace
 
 Trainer::Trainer(const Dataset& dataset, GnnModel& model,
                  Optimizer& optimizer, DeviceMemoryModel* device,
                  TransferModel* transfer)
     : dataset_(dataset), model_(model), optimizer_(optimizer),
-      device_(device), transfer_(transfer)
+      own_{device, transfer}
 {
 }
 
-int64_t
-Trainer::blockBytes(const MultiLayerBatch& batch)
+std::vector<float>
+Trainer::gather(const MultiLayerBatch& batch, int32_t trace_device) const
 {
-    // Paper item (4): "the size of a block is E x 3" elements; the
-    // formula lives with the batch so the estimator prices the same
-    // bytes the trainers charge.
-    return batch.structureBytes();
-}
-
-/** Host-side label bytes charged to the device per batch (item (3)). */
-static int64_t
-labelBytes(const MultiLayerBatch& batch)
-{
-    return int64_t(batch.outputNodes().size()) *
-           int64_t(sizeof(int32_t));
-}
-
-Trainer::StagedFeatures
-Trainer::gatherFeatures(const MultiLayerBatch& batch,
-                        int64_t micro_batch)
-{
-    // The host-side gather IS the transfer work in this simulated
-    // setup, so the span covers gather + the analytic charge. Under
-    // pipelining this runs on a pool worker, whose lane shows the
-    // span overlapping the training thread's compute spans.
-    BETTY_TRACE_SPAN_CAT("train/transfer", "transfer");
+    std::optional<obs::TraceLaneScope> lane;
+    if (trace_device >= 0 && obs::Trace::enabled())
+        lane.emplace(1000 + trace_device,
+                     "device" + std::to_string(trace_device));
+    BETTY_TRACE_SPAN_CAT("train/gather", "gather");
     const auto& inputs = batch.inputNodes();
     const int64_t dim = dataset_.featureDim();
-    StagedFeatures staged;
-    staged.rows = int64_t(inputs.size());
-    staged.values.resize(inputs.size() * size_t(dim));
-    if (!staged.values.empty()) {
-        BETTY_TRACE_SPAN_CAT("train/gather", "gather");
+    std::vector<float> rows(inputs.size() * size_t(dim));
+    if (!rows.empty())
         kernels::gatherRows(dataset_.features.data(),
                             dataset_.numNodes(), dim, inputs.data(),
-                            staged.rows, staged.values.data());
+                            int64_t(inputs.size()), rows.data());
+    return rows;
+}
+
+void
+Trainer::chargeTransfer(const TrainDevice& device,
+                        const MultiLayerBatch& batch,
+                        int64_t micro_batch) const
+{
+    BETTY_TRACE_SPAN_CAT("train/transfer", "transfer");
+    const auto& inputs = batch.inputNodes();
+    const int64_t row_bytes =
+        dataset_.featureDim() * int64_t(sizeof(float));
+    // Rows already resident on the device do not cross the link
+    // again. The gather still read EVERY row from the host dataset,
+    // so feature values — and with them all numerics — are identical
+    // with or without a cache; only the transfer charge shrinks.
+    int64_t feature_bytes = int64_t(inputs.size()) * row_bytes;
+    if (device.cache) {
+        const FeatureCache::AccessResult cached =
+            device.cache->access(inputs);
+        feature_bytes = cached.misses * row_bytes;
+        if (device.link)
+            device.link->noteSavedBytes(cached.bytesSaved);
     }
-    // Feature-cache consult: rows already resident on the device do
-    // not cross the link again. The gather above still read EVERY row
-    // from the host dataset, so feature values — and with them all
-    // numerics — are identical with or without a cache; only the
-    // transfer charge shrinks. Under pipelining this runs on a pool
-    // worker, but the single-in-flight prefetch keeps gathers totally
-    // ordered, so the cache's hit/miss/eviction sequence is the same
-    // for every thread count.
-    int64_t feature_bytes =
-        int64_t(staged.values.size()) * int64_t(sizeof(float));
-    if (cache_) {
-        const FeatureCache::AccessResult cached = cache_->access(inputs);
-        feature_bytes = cached.misses * dim * int64_t(sizeof(float));
-        if (transfer_)
-            transfer_->noteSavedBytes(cached.bytesSaved);
-    }
-    if (transfer_) {
+    if (device.link) {
         // Retry protocol (robustness/retry.h): scheduled
         // transfer-fail events and probabilistic transfer-flaky
         // draws are drained with bounded exponential backoff, each
         // failed attempt paying link latency + backoff as simulated
-        // time. Consumption is keyed to this batch's logical
-        // position, so a pipelined prefetch worker gathering ahead
-        // of the clock still hits exactly the faults scheduled for
-        // ITS micro-batch.
-        robustness::runTransferRetries(*transfer_, micro_batch);
-        transfer_->transfer(feature_bytes + blockBytes(batch));
+        // time, keyed to the batch's logical position.
+        robustness::runTransferRetries(*device.link, micro_batch);
+        device.link->transfer(feature_bytes + batch.structureBytes());
     }
-    return staged;
 }
 
 ag::NodePtr
-Trainer::uploadFeatures(StagedFeatures staged)
+Trainer::inputFeatures(const MultiLayerBatch& batch,
+                       std::vector<float> rows) const
 {
-    BETTY_TRACE_SPAN_CAT("train/upload", "transfer");
     obs::MemCategoryScope mem_scope(obs::MemCategory::InputFeatures);
-    const int64_t dim = dataset_.featureDim();
-    Tensor features(staged.rows, dim);
-    std::copy(staged.values.begin(), staged.values.end(),
-              features.data());
-    return ag::constant(std::move(features));
-}
-
-ag::NodePtr
-Trainer::loadFeatures(const MultiLayerBatch& batch,
-                      int64_t micro_batch)
-{
-    return uploadFeatures(gatherFeatures(batch, micro_batch));
+    return ag::constant(Tensor::adopt(int64_t(batch.inputNodes().size()),
+                                      dataset_.featureDim(),
+                                      std::move(rows)));
 }
 
 std::vector<int32_t>
@@ -148,18 +140,10 @@ Trainer::loadLabels(const MultiLayerBatch& batch) const
 }
 
 Trainer::ForwardResult
-Trainer::forwardBatch(const MultiLayerBatch& batch,
-                      int64_t micro_batch)
-{
-    return forwardStaged(batch, gatherFeatures(batch, micro_batch));
-}
-
-Trainer::ForwardResult
-Trainer::forwardStaged(const MultiLayerBatch& batch,
-                       StagedFeatures staged)
+Trainer::forward(const MultiLayerBatch& batch, std::vector<float> rows)
 {
     ForwardResult result;
-    const auto features = uploadFeatures(std::move(staged));
+    const auto features = inputFeatures(batch, std::move(rows));
     ag::NodePtr logits;
     {
         BETTY_TRACE_SPAN_CAT("train/forward", "compute");
@@ -181,55 +165,91 @@ Trainer::trainMicroBatches(
     const std::vector<MultiLayerBatch>& micro_batches)
 {
     BETTY_TRACE_SPAN("train/accumulation_step");
-    EpochStats stats;
-    if (device_)
-        device_->resetPeak();
+    DeviceMemoryModel* device = own_.memory;
+    if (device)
+        device->resetPeak();
     const int64_t oom_episodes_before =
-        device_ ? device_->oomEpisodeCount() : 0;
+        device ? device->oomEpisodeCount() : 0;
 
+    std::vector<TrainDevice> devices = {own_};
+    EpochStats stats = accumulateMicroBatches(
+        micro_batches, devices,
+        std::vector<int32_t>(micro_batches.size(), 0));
+    if (!stats.aborted) {
+        BETTY_TRACE_SPAN_CAT("train/step", "compute");
+        Timer timer;
+        optimizer_.step();
+        stats.computeSeconds += timer.seconds();
+    }
+
+    if (own_.link) {
+        stats.transferSeconds = own_.link->seconds();
+        own_.link->reset();
+    }
+    if (device) {
+        stats.peakBytes = device->peakBytes();
+        stats.oom = device->oomOccurred();
+        stats.oomEvents =
+            device->oomEpisodeCount() - oom_episodes_before;
+        if (stats.oom)
+            warnOnce("device budget exceeded during micro-batch "
+                     "training (worst overshoot ",
+                     device->worstOvershoot(),
+                     " bytes); reporting once — see the "
+                     "device.oom_events metric for the full count");
+    }
+    return stats;
+}
+
+EpochStats
+Trainer::accumulateMicroBatches(
+    const std::vector<MultiLayerBatch>& micro_batches,
+    std::vector<TrainDevice>& devices, const std::vector<int32_t>& owner)
+{
+    EpochStats stats;
     int64_t total_outputs = 0;
-    for (const auto& batch : micro_batches)
-        total_outputs += int64_t(batch.outputNodes().size());
+    std::vector<size_t> active;
+    active.reserve(micro_batches.size());
+    for (size_t i = 0; i < micro_batches.size(); ++i) {
+        const size_t outputs = micro_batches[i].outputNodes().size();
+        total_outputs += int64_t(outputs);
+        if (outputs > 0)
+            active.push_back(i);
+    }
     BETTY_ASSERT(total_outputs > 0, "no output nodes to train on");
 
     // Pipelined schedule: while micro-batch k computes on this
     // thread, a pool worker gathers micro-batch k+1's feature rows
-    // into host staging and charges the TransferModel ("transfer of
-    // k+1 while k's activations are live"). Exactly one prefetch is
-    // in flight at a time and each is joined before the next is
-    // submitted, so TransferModel updates are totally ordered, and
-    // device-side allocations all stay on this thread in serial
-    // order — every stat and every DeviceMemoryModel counter is
+    // into a host buffer ("transfer of k+1 while k's activations are
+    // live"). One gather is in flight at a time, so at most two
+    // buffers are live. The gather charges nothing: the cache lookup,
+    // the link and every device allocation happen below, on this
+    // thread, in serial order — every stat and every counter is
     // bit-identical to the serial schedule.
-    std::vector<size_t> active;
-    active.reserve(micro_batches.size());
-    for (size_t i = 0; i < micro_batches.size(); ++i)
-        if (!micro_batches[i].outputNodes().empty())
-            active.push_back(i);
     const bool pipelined = pipeline_ &&
                            ThreadPool::globalThreads() > 1 &&
                            active.size() > 1;
+    auto trace_device = [&](size_t index) {
+        return devices.size() > 1 ? owner[index] : -1;
+    };
     auto prefetch = [&](size_t index) {
         const MultiLayerBatch* next = &micro_batches[index];
-        // The worker carries the batch's logical index so fault
-        // consumption stays in program order even when the gather
-        // runs ahead of the injector clock.
-        return ThreadPool::global().submit([this, next, index] {
-            obs::TraceSpan span("train/prefetch");
-            StagedFeatures staged =
-                gatherFeatures(*next, int64_t(index));
-            staged.traceSpanId = span.id();
-            return staged;
-        });
+        return ThreadPool::global().submit(
+            [this, next, lane = trace_device(index)] {
+                obs::TraceSpan span("train/prefetch");
+                StagedFeatures staged{gather(*next, lane)};
+                staged.traceSpanId = span.id();
+                return staged;
+            });
     };
 
     optimizer_.zeroGrad();
     int64_t correct = 0;
     std::future<StagedFeatures> staged_next;
     // If the loop unwinds with a prefetch still queued or running, the
-    // pool worker would keep touching *next (in micro_batches) and
-    // transfer_ after this frame is gone — a packaged_task future's
-    // destructor does not wait. Join it before propagating.
+    // pool worker would keep touching *next (in micro_batches) after
+    // this frame is gone — a packaged_task future's destructor does
+    // not wait. Join it before propagating.
     struct PrefetchJoiner
     {
         std::future<StagedFeatures>& staged;
@@ -256,49 +276,53 @@ Trainer::trainMicroBatches(
         prev_micro_span = micro_span.id();
         // Admission: the resilient runtime vetoes a micro-batch that
         // no longer fits the (possibly shrunken) budget BEFORE any
-        // device charge, turning a would-be OOM into a clean abort.
+        // device charge, turning a would-be OOM into a clean abort;
+        // the multi-device engine moves its fault clock here.
         if (arbiter_ && !arbiter_->admit(index, batch)) {
             stats.aborted = true;
             stats.abortedMicroBatch = int64_t(index);
             break;
         }
+        BETTY_ASSERT(owner[index] >= 0 &&
+                         size_t(owner[index]) < devices.size(),
+                     "micro-batch ", index, " has no device");
+        TrainDevice& device = devices[size_t(owner[index])];
         stats.inputNodesProcessed += int64_t(batch.inputNodes().size());
         stats.totalNodesProcessed += batchNodeCount(batch);
 
-        const int64_t structure_bytes = blockBytes(batch);
+        const int64_t structure_bytes = batch.structureBytes();
         const int64_t label_bytes = labelBytes(batch);
-        if (device_) {
-            device_->resetWindow();
-            device_->onAlloc(structure_bytes,
-                             obs::MemCategory::Blocks);
-            device_->onAlloc(label_bytes, obs::MemCategory::Labels);
+        if (device.memory) {
+            device.memory->resetWindow();
+            device.memory->onAlloc(structure_bytes,
+                                   obs::MemCategory::Blocks);
+            device.memory->onAlloc(label_bytes,
+                                   obs::MemCategory::Labels);
         }
+        StagedFeatures staged;
+        if (pipelined) {
+            {
+                // Time blocked on the prefetch(k) handoff is the
+                // pipeline stall the critpath analysis calls out.
+                BETTY_TRACE_SPAN_CAT("train/pipeline_wait", "stall");
+                staged = staged_next.get();
+            }
+            if (pos + 1 < active.size())
+                staged_next = prefetch(active[pos + 1]);
+        } else {
+            staged.rows = gather(batch, trace_device(index));
+        }
+        obs::Trace::recordFlow(staged.traceSpanId, micro_span.id());
+        chargeTransfer(device, batch, int64_t(index));
         {
             // All forward/backward temporaries of this micro-batch
             // bump-allocate from the trainer's arena; the scope closes
             // when the graph (fwd) is released, so the reset() below
-            // reclaims them wholesale. The prefetch worker spawned
-            // inside is unaffected — the scope is thread-local.
+            // reclaims them wholesale. The prefetch worker is
+            // unaffected — the scope is thread-local.
             kernels::ArenaScope arena_scope(arena_);
             Timer timer;
-            ForwardResult fwd;
-            if (pipelined) {
-                StagedFeatures staged;
-                {
-                    // Time blocked on the prefetch(k) handoff is the
-                    // pipeline stall the critpath analysis calls out.
-                    BETTY_TRACE_SPAN_CAT("train/pipeline_wait",
-                                         "stall");
-                    staged = staged_next.get();
-                }
-                obs::Trace::recordFlow(staged.traceSpanId,
-                                       micro_span.id());
-                if (pos + 1 < active.size())
-                    staged_next = prefetch(active[pos + 1]);
-                fwd = forwardStaged(batch, std::move(staged));
-            } else {
-                fwd = forwardBatch(batch, int64_t(index));
-            }
+            ForwardResult fwd = forward(batch, std::move(staged.rows));
             // Weight each micro-batch's mean loss by its output share:
             // the accumulated gradient is then identical to the full
             // batch's mean-loss gradient (paper §4.2.3).
@@ -312,8 +336,10 @@ Trainer::trainMicroBatches(
                     obs::MemCategory::Gradients);
                 ag::backward(ag::scale(fwd.loss, weight));
             }
-            stats.computeSeconds += timer.seconds();
-            microBatchSecondsHistogram().observe(timer.seconds());
+            const double seconds = timer.seconds();
+            stats.computeSeconds += seconds;
+            device.computeSeconds += seconds;
+            microBatchSecondsHistogram().observe(seconds);
             stats.loss += double(fwd.loss->value.at(0, 0)) *
                           double(weight);
             correct += fwd.correct;
@@ -322,10 +348,10 @@ Trainer::trainMicroBatches(
             // paper's "only the gradients are stored" (§4.2.3).
         }
         arena_.reset();
-        if (device_) {
-            device_->onFree(structure_bytes,
-                            obs::MemCategory::Blocks);
-            device_->onFree(label_bytes, obs::MemCategory::Labels);
+        if (device.memory) {
+            device.memory->onFree(structure_bytes,
+                                  obs::MemCategory::Blocks);
+            device.memory->onFree(label_bytes, obs::MemCategory::Labels);
             if (obs::Metrics::enabled()) {
                 // Estimator-residual telemetry: what the planner's
                 // model predicted for this micro-batch vs. what the
@@ -333,15 +359,15 @@ Trainer::trainMicroBatches(
                 // in total and per component.
                 const MemoryEstimate predicted = estimateBatchMemory(
                     batch, model_.memorySpec());
-                obs::residuals().record(predicted.peak,
-                                        device_->windowPeakBytes());
+                const int64_t actual = device.memory->windowPeakBytes();
+                obs::residuals().record(predicted.peak, actual);
                 obs::MicroBatchMemRecord record;
-                record.actualTotalPeak = device_->windowPeakBytes();
+                record.actualTotalPeak = actual;
                 record.predictedTotalPeak = predicted.peak;
                 for (size_t c = 0; c < obs::kMemCategoryCount; ++c) {
                     const auto category = obs::MemCategory(c);
                     record.actualPeak[c] =
-                        device_->windowPeakBytes(category);
+                        device.memory->windowPeakBytes(category);
                     record.predicted[c] =
                         componentBytes(predicted, category);
                 }
@@ -366,30 +392,8 @@ Trainer::trainMicroBatches(
         // Adam moments, and step count are untouched. The caller can
         // re-plan and retry as if this attempt never happened.
         optimizer_.zeroGrad();
-    } else {
-        BETTY_TRACE_SPAN_CAT("train/step", "compute");
-        Timer timer;
-        optimizer_.step();
-        stats.computeSeconds += timer.seconds();
     }
-
     stats.accuracy = double(correct) / double(total_outputs);
-    if (transfer_) {
-        stats.transferSeconds = transfer_->seconds();
-        transfer_->reset();
-    }
-    if (device_) {
-        stats.peakBytes = device_->peakBytes();
-        stats.oom = device_->oomOccurred();
-        stats.oomEvents =
-            device_->oomEpisodeCount() - oom_episodes_before;
-        if (stats.oom)
-            warnOnce("device budget exceeded during micro-batch "
-                     "training (worst overshoot ",
-                     device_->worstOvershoot(),
-                     " bytes); reporting once — see the "
-                     "device.oom_events metric for the full count");
-    }
     return stats;
 }
 
@@ -398,10 +402,11 @@ Trainer::trainMiniBatches(const std::vector<MultiLayerBatch>& batches)
 {
     BETTY_TRACE_SPAN("train/mini_batch_epoch");
     EpochStats stats;
-    if (device_)
-        device_->resetPeak();
+    DeviceMemoryModel* device = own_.memory;
+    if (device)
+        device->resetPeak();
     const int64_t oom_episodes_before =
-        device_ ? device_->oomEpisodeCount() : 0;
+        device ? device->oomEpisodeCount() : 0;
 
     int64_t total_outputs = 0;
     int64_t correct = 0;
@@ -414,12 +419,11 @@ Trainer::trainMiniBatches(const std::vector<MultiLayerBatch>& batches)
         stats.totalNodesProcessed += batchNodeCount(batch);
         total_outputs += outputs;
 
-        const int64_t structure_bytes = blockBytes(batch);
+        const int64_t structure_bytes = batch.structureBytes();
         const int64_t label_bytes = labelBytes(batch);
-        if (device_) {
-            device_->onAlloc(structure_bytes,
-                             obs::MemCategory::Blocks);
-            device_->onAlloc(label_bytes, obs::MemCategory::Labels);
+        if (device) {
+            device->onAlloc(structure_bytes, obs::MemCategory::Blocks);
+            device->onAlloc(label_bytes, obs::MemCategory::Labels);
         }
         {
             BETTY_TRACE_SPAN("train/micro_batch");
@@ -431,7 +435,8 @@ Trainer::trainMiniBatches(const std::vector<MultiLayerBatch>& batches)
             optimizer_.zeroGrad();
             // Mini-batch mode has no micro-batch fault clock; -1 =
             // only epoch-scoped transfer faults apply.
-            ForwardResult fwd = forwardBatch(batch, -1);
+            chargeTransfer(own_, batch, -1);
+            ForwardResult fwd = forward(batch, gather(batch, -1));
             {
                 BETTY_TRACE_SPAN_CAT("train/backward", "compute");
                 obs::MemCategoryScope mem_scope(
@@ -449,25 +454,24 @@ Trainer::trainMiniBatches(const std::vector<MultiLayerBatch>& batches)
             correct += fwd.correct;
         }
         arena_.reset();
-        if (device_) {
-            device_->onFree(structure_bytes,
-                            obs::MemCategory::Blocks);
-            device_->onFree(label_bytes, obs::MemCategory::Labels);
+        if (device) {
+            device->onFree(structure_bytes, obs::MemCategory::Blocks);
+            device->onFree(label_bytes, obs::MemCategory::Labels);
         }
     }
     BETTY_ASSERT(total_outputs > 0, "no output nodes to train on");
 
     stats.loss = loss_sum / double(total_outputs);
     stats.accuracy = double(correct) / double(total_outputs);
-    if (transfer_) {
-        stats.transferSeconds = transfer_->seconds();
-        transfer_->reset();
+    if (own_.link) {
+        stats.transferSeconds = own_.link->seconds();
+        own_.link->reset();
     }
-    if (device_) {
-        stats.peakBytes = device_->peakBytes();
-        stats.oom = device_->oomOccurred();
+    if (device) {
+        stats.peakBytes = device->peakBytes();
+        stats.oom = device->oomOccurred();
         stats.oomEvents =
-            device_->oomEpisodeCount() - oom_episodes_before;
+            device->oomEpisodeCount() - oom_episodes_before;
     }
     return stats;
 }
@@ -479,7 +483,8 @@ Trainer::evaluate(const MultiLayerBatch& batch)
     double accuracy = 0.0;
     {
         kernels::ArenaScope arena_scope(arena_);
-        const auto features = loadFeatures(batch, -1);
+        chargeTransfer(own_, batch, -1);
+        const auto features = inputFeatures(batch, gather(batch, -1));
         const auto logits = model_.forward(batch, features);
         const auto labels = loadLabels(batch);
         if (!labels.empty())

@@ -13,9 +13,15 @@
  *
  * The trainer also performs the simulated heterogeneous-memory data
  * movement: per (micro-)batch it gathers the needed feature rows from
- * the host-resident dataset into a device tensor, charges the bytes to
- * the TransferModel, and accounts the block structures against the
- * DeviceMemoryModel for the duration of the step.
+ * the host-resident dataset into a buffer that becomes the device
+ * tensor, charges the bytes to the TransferModel, and accounts the
+ * block structures against the DeviceMemoryModel for the duration of
+ * the step.
+ *
+ * The micro-batch loop runs over a set of devices (TrainDevice), one
+ * owner per micro-batch: trainMicroBatches is that loop over the
+ * trainer's own device, and the multi-device engine
+ * (train/multi_device.h) drives the same loop over its shards.
  */
 #ifndef BETTY_TRAIN_TRAINER_H
 #define BETTY_TRAIN_TRAINER_H
@@ -117,6 +123,29 @@ class MicroBatchArbiter
     }
 };
 
+/**
+ * One simulated accelerator of the micro-batch loop. Null members are
+ * not charged. Tensors are charged to whichever allocation observer
+ * is installed (DeviceMemoryModel::Scope) — the caller's choice.
+ */
+struct TrainDevice
+{
+    /** Charged with a micro-batch's block and label bytes; its window
+     * peak feeds the estimator-residual telemetry. */
+    DeviceMemoryModel* memory = nullptr;
+
+    /** Host link priced for the micro-batch's feature rows and
+     * blocks. */
+    TransferModel* link = nullptr;
+
+    /** Rows resident here do not cross the link again. */
+    FeatureCache* cache = nullptr;
+
+    /** Compute wall seconds of the micro-batches run here; the loop
+     * adds to it. */
+    double computeSeconds = 0.0;
+};
+
 /** Drives one model over batches built from one dataset. */
 class Trainer
 {
@@ -136,14 +165,13 @@ class Trainer
     /**
      * Enable/disable transfer-compute pipelining (default enabled).
      * When enabled AND the global ThreadPool has more than one lane,
-     * trainMicroBatches overlaps the host-side feature gather and
-     * TransferModel charge of micro-batch k+1 (on a pool worker, its
-     * own lane in the Chrome trace) with the compute of micro-batch
-     * k. Loss, accuracy, and all DeviceMemoryModel accounting are
-     * bit-identical to the serial schedule: transfer time is a
-     * commutative sum, and device allocations still happen at
-     * consumption time on the training thread, in the serial order
-     * (docs/PARALLELISM.md).
+     * the micro-batch loop gathers micro-batch k+1's feature rows on
+     * a pool worker (its own lane in the Chrome trace) while
+     * micro-batch k computes. The gather is pure host work; every
+     * charge — cache lookup, link, device memory — is made when the
+     * rows are consumed, on the training thread, in the serial order,
+     * so loss, accuracy and all accounting are bit-identical to the
+     * serial schedule (docs/PARALLELISM.md).
      */
     void setPipeline(bool on) { pipeline_ = on; }
 
@@ -156,23 +184,40 @@ class Trainer
 
     /**
      * Install (or with nullptr remove) a device-resident feature
-     * cache (cache/feature_cache.h). When set, gatherFeatures only
-     * charges the TransferModel for input rows the cache misses; the
-     * host-side gather itself is unchanged, so numerics are
-     * bit-identical with or without a cache. Not owned; must outlive
-     * the trainer or be removed first. Safe under pipelining: the
-     * cache serializes internally, and the single-in-flight prefetch
-     * keeps the access order identical to the serial schedule.
+     * cache (cache/feature_cache.h) on the trainer's own device. When
+     * set, only the input rows the cache misses are charged to the
+     * TransferModel; the host-side gather itself is unchanged, so
+     * numerics are bit-identical with or without a cache. Not owned;
+     * must outlive the trainer or be removed first.
      */
-    void setFeatureCache(FeatureCache* cache) { cache_ = cache; }
+    void setFeatureCache(FeatureCache* cache) { own_.cache = cache; }
 
     /**
      * One gradient-accumulation step over @p micro_batches (Betty
      * micro-batch training; pass a single batch for full-batch
-     * training). Empty micro-batches are skipped.
+     * training) on the trainer's own device: accumulateMicroBatches,
+     * then one optimizer step. Empty micro-batches are skipped.
      */
     EpochStats trainMicroBatches(
         const std::vector<MultiLayerBatch>& micro_batches);
+
+    /**
+     * The micro-batch loop over a device set: forward and backward
+     * every micro-batch that has output nodes, micro-batch i on
+     * devices[owner[i]], accumulating output-weighted gradients into
+     * the parameters without stepping the optimizer. owner[i] is read
+     * once micro-batch i is admitted, so the arbiter may re-assign
+     * micro-batches not yet admitted. Placement only decides where
+     * bytes and seconds are charged, never the float operation order.
+     * With more than one device, each device's gathers get their own
+     * trace lane (1000 + index, named "deviceN"). Returns loss,
+     * accuracy, node counts and compute seconds; on an arbiter abort
+     * the gradients are zeroed again.
+     */
+    EpochStats accumulateMicroBatches(
+        const std::vector<MultiLayerBatch>& micro_batches,
+        std::vector<TrainDevice>& devices,
+        const std::vector<int32_t>& owner);
 
     /** One epoch of classic mini-batch SGD: optimizer step per batch. */
     EpochStats trainMiniBatches(
@@ -183,57 +228,32 @@ class Trainer
 
   private:
     /**
-     * The multi-device engine (train/multi_device.h) reuses the exact
-     * numeric path — gatherFeatures' staging layout and forwardStaged
-     * — so its per-device runs are bit-identical to this trainer by
-     * construction, not by approximation.
+     * Copy the batch's input feature rows into a host buffer (the
+     * physical gather). Pure host work — no charge, no device model —
+     * so it may run on a pool lane ahead of the training thread; the
+     * buffer later becomes the feature tensor itself (inputFeatures).
+     * @p trace_device >= 0 puts the gather in that device's lane.
      */
-    friend class MultiDeviceEngine;
+    std::vector<float> gather(const MultiLayerBatch& batch,
+                              int32_t trace_device) const;
 
     /**
-     * Host-side staging buffer for one batch's gathered feature rows.
-     * Plain host memory on purpose: it is NOT observed by the device
-     * memory model, so a prefetch running during another batch's
-     * compute cannot perturb device peak accounting — the device-side
-     * feature tensor is allocated at consumption time (upload), on
-     * the training thread, exactly where the serial schedule puts it.
+     * Charge the batch's host->device copy to @p device: the cache
+     * keeps resident rows off the link, and the retry protocol drains
+     * the transfer faults keyed to @p micro_batch, the batch's
+     * program-order position (-1 outside the micro-batch loop).
      */
-    struct StagedFeatures
-    {
-        std::vector<float> values;
-        int64_t rows = 0;
-        /** Id of the "train/prefetch" span that produced this staging
-         * buffer (0 when gathered inline): the source of the pipeline
-         * handoff flow edge recorded at consumption time. */
-        uint64_t traceSpanId = 0;
-    };
+    void chargeTransfer(const TrainDevice& device,
+                        const MultiLayerBatch& batch,
+                        int64_t micro_batch) const;
 
-    /**
-     * Gather the batch's input-node feature rows into host staging
-     * and charge the transfer model (the simulated PCIe copy).
-     * @p micro_batch is the batch's logical (program-order) position
-     * in the accumulation step, -1 outside the micro-batch loop; the
-     * transfer retry protocol keys fault consumption on it so a
-     * pipelined prefetch worker gathering ahead of the clock still
-     * hits exactly the faults scheduled for its micro-batch.
-     */
-    StagedFeatures gatherFeatures(const MultiLayerBatch& batch,
-                                  int64_t micro_batch);
-
-    /** Materialize staged rows as the device-side feature tensor
-     * (charged to the device under InputFeatures). */
-    ag::NodePtr uploadFeatures(StagedFeatures staged);
-
-    /** gatherFeatures + uploadFeatures (the serial path). */
-    ag::NodePtr loadFeatures(const MultiLayerBatch& batch,
-                             int64_t micro_batch);
+    /** Take gathered rows over as the device-side feature tensor,
+     * charged to the current observer under InputFeatures. */
+    ag::NodePtr inputFeatures(const MultiLayerBatch& batch,
+                              std::vector<float> rows) const;
 
     /** Labels of the batch's output nodes. */
     std::vector<int32_t> loadLabels(const MultiLayerBatch& batch) const;
-
-    /** Bytes of the batch's block structures (charged to the device
-     * for the duration of a step). */
-    static int64_t blockBytes(const MultiLayerBatch& batch);
 
     /** Run forward+loss on one batch; returns {loss node, correct}. */
     struct ForwardResult
@@ -242,20 +262,16 @@ class Trainer
         int64_t correct = 0;
         int64_t outputs = 0;
     };
-    ForwardResult forwardBatch(const MultiLayerBatch& batch,
-                               int64_t micro_batch);
-
-    /** forwardBatch on already-gathered features. */
-    ForwardResult forwardStaged(const MultiLayerBatch& batch,
-                                StagedFeatures staged);
+    ForwardResult forward(const MultiLayerBatch& batch,
+                          std::vector<float> rows);
 
     const Dataset& dataset_;
     GnnModel& model_;
     Optimizer& optimizer_;
-    DeviceMemoryModel* device_;
-    TransferModel* transfer_;
+    /** The device trainMicroBatches, trainMiniBatches and evaluate
+     * charge. */
+    TrainDevice own_;
     MicroBatchArbiter* arbiter_ = nullptr;
-    FeatureCache* cache_ = nullptr;
     bool pipeline_ = true;
 
     /**

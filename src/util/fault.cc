@@ -480,9 +480,8 @@ Injector::takeTransferFailure(int64_t micro_batch)
             continue;
         // Program-order position: the epoch comes from the clock
         // (stable across one trainMicroBatches call) but the
-        // micro-batch is the caller's logical index, so a pipelined
-        // prefetch worker gathering ahead still consumes the fault
-        // scheduled for ITS micro-batch, not the clock's.
+        // micro-batch is the caller's logical index, so the fault
+        // scheduled for ITS micro-batch is consumed, not the clock's.
         if (!matches(event, s.epoch, micro_batch))
             continue;
         --s.remaining[i];

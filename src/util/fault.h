@@ -160,11 +160,10 @@ struct FaultPlan
  * Process-global fault clock + event queue. The trainer advances the
  * clock (beginEpoch/beginMicroBatch); injection sites issue one-shot
  * consuming queries that fire when an unconsumed event matches the
- * clock position. All entry points are thread-safe: transfer faults
- * are consumed from pool workers under pipelining, which is also why
- * the transfer queries take the micro-batch's *logical* position as
- * an argument instead of trusting the clock — a prefetch worker may
- * gather micro-batch 3 while the clock still says 1.
+ * clock position. All entry points are thread-safe. The transfer
+ * queries take the micro-batch's *logical* position as an argument
+ * instead of trusting the clock, so a transfer fault lands on its
+ * micro-batch whoever advances the clock, and whenever.
  */
 class Injector
 {

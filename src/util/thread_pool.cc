@@ -70,11 +70,18 @@ ThreadPool::enqueue(std::function<void()> task)
         const int64_t spawn_ts = obs::Trace::nowUs();
         task = [inner = std::move(task), parent, category,
                 spawn_ts] {
-            // The task inherits the submitter's category: a chunk of
-            // sampling is still sampling, wherever it ran.
-            obs::TraceSpan span("pool/task", category);
-            obs::Trace::recordFlow(parent, span.id(), spawn_ts);
-            inner();
+            uint64_t id = 0;
+            {
+                // The task inherits the submitter's category: a chunk
+                // of sampling is still sampling, wherever it ran.
+                obs::TraceSpan span("pool/task", category);
+                id = span.id();
+                inner();
+            }
+            // Only now is the span in the trace: an edge recorded
+            // while it was open would dangle in any snapshot taken
+            // before it closed.
+            obs::Trace::recordFlow(parent, id, spawn_ts);
         };
     }
     const size_t target =
@@ -177,16 +184,11 @@ ThreadPool::runChunks(const std::shared_ptr<ForState>& state)
             const int64_t lo = state->begin + chunk * state->grain;
             const int64_t hi =
                 std::min(lo + state->grain, state->end);
+            uint64_t span_id = 0;
             try {
                 obs::TraceSpan span("pool/chunk",
                                     state->traceCategory);
-                if (span.id() != 0) {
-                    obs::Trace::recordFlow(state->callerSpan,
-                                           span.id(),
-                                           state->spawnTsUs);
-                    std::lock_guard<std::mutex> lock(state->mutex);
-                    state->chunkSpans.push_back(span.id());
-                }
+                span_id = span.id();
                 (*state->body)(lo, hi);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(state->mutex);
@@ -194,6 +196,14 @@ ThreadPool::runChunks(const std::shared_ptr<ForState>& state)
                     state->exception = std::current_exception();
                 state->cancelled.store(true,
                                        std::memory_order_release);
+            }
+            // The spawn edge follows its span into the trace (see
+            // enqueue).
+            if (span_id != 0) {
+                obs::Trace::recordFlow(state->callerSpan, span_id,
+                                       state->spawnTsUs);
+                std::lock_guard<std::mutex> lock(state->mutex);
+                state->chunkSpans.push_back(span_id);
             }
         }
         const int64_t done =

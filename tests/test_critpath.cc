@@ -11,7 +11,8 @@
  *     never lengthens the projected makespan;
  *   - a live recording through the real ThreadPool at 4 threads:
  *     spans carry ids and categories, spawn/join flow edges exist,
- *     and the analysis passes its own consistency gate.
+ *     and the analysis passes its own consistency gate — also when
+ *     the snapshot is taken while a pool task is still in its span.
  *
  * The typed-error taxonomy (dangling edge vs. cycle vs. schema) is
  * covered here at the API level; the betty_report CLI surface of the
@@ -19,6 +20,7 @@
  * tools/CMakeLists.txt over tests/data/critpath/.
  */
 #include <cmath>
+#include <future>
 #include <random>
 #include <string>
 #include <vector>
@@ -420,6 +422,42 @@ TEST(LiveTrace, PipelinedPoolRunPassesTheConsistencyGate)
         << (violations.empty() ? "" : violations.front());
     EXPECT_GT(result.cpUs, 0);
     EXPECT_LE(result.cpUs, result.wallUs);
+}
+
+TEST(LiveTrace, SnapshotWhileATaskIsInsideItsSpanHasNoDanglingEdge)
+{
+    // A pool task's spawn edge must not reach the trace before the
+    // task's span does. Hold a task inside its pool/task span while
+    // the graph is built: the snapshot must be consistent without it.
+    ThreadPool::setGlobalThreads(2);
+    Trace::clear();
+    Trace::setEnabled(true);
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::future<void> task;
+    {
+        TraceSpan root("epoch/sample", "sample");
+        task = ThreadPool::global().submit([&entered, released] {
+            entered.set_value();
+            released.wait();
+        });
+    }
+    entered.get_future().wait();
+    SpanGraph held = buildFromLiveTrace();
+    release.set_value();
+    task.get();
+    ThreadPool::setGlobalThreads(1); // joins the worker: span closed
+    SpanGraph finished = buildFromLiveTrace();
+    Trace::setEnabled(false);
+    Trace::clear();
+
+    CritpathError error;
+    EXPECT_EQ(held.droppedEvents, 0);
+    EXPECT_TRUE(held.flows.empty());
+    EXPECT_TRUE(validateSpanGraph(&held, &error)) << error.message;
+    EXPECT_EQ(finished.flows.size(), 1u);
+    EXPECT_TRUE(validateSpanGraph(&finished, &error)) << error.message;
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the multi-accelerator engine (paper future work §7):
- * LPT scheduling, the vertex-cut sharder's properties (exactly-once
+ * the vertex-cut sharder's properties (exactly-once
  * assignment, load-balance bound, duplication no worse than
  * round-robin, thread-count determinism), bit-identical equivalence
  * with single-device training, per-device memory/interconnect
@@ -32,42 +32,6 @@
 
 namespace betty {
 namespace {
-
-TEST(ScheduleLpt, SingleDeviceTakesAll)
-{
-    const auto assignment = scheduleLpt({5, 3, 9}, 1);
-    EXPECT_EQ(assignment, (std::vector<int32_t>{0, 0, 0}));
-}
-
-TEST(ScheduleLpt, BalancesLoad)
-{
-    // Costs 9, 5, 4, 3, 3: LPT on 2 devices -> {9,3} vs {5,4,3}.
-    const std::vector<int64_t> costs = {9, 5, 4, 3, 3};
-    const auto assignment = scheduleLpt(costs, 2);
-    int64_t load[2] = {0, 0};
-    for (size_t i = 0; i < costs.size(); ++i)
-        load[assignment[i]] += costs[i];
-    EXPECT_EQ(std::max(load[0], load[1]), 12);
-}
-
-TEST(ScheduleLpt, AllDevicesUsedWhenEnoughWork)
-{
-    const auto assignment = scheduleLpt({1, 1, 1, 1, 1, 1, 1, 1}, 4);
-    std::vector<int32_t> seen(4, 0);
-    for (int32_t device : assignment)
-        ++seen[size_t(device)];
-    for (int32_t count : seen)
-        EXPECT_EQ(count, 2);
-}
-
-TEST(ScheduleLpt, ValidDeviceIds)
-{
-    const auto assignment = scheduleLpt({7, 1, 3, 3, 2, 8, 1}, 3);
-    for (int32_t device : assignment) {
-        EXPECT_GE(device, 0);
-        EXPECT_LT(device, 3);
-    }
-}
 
 // -------------------------------------------------------------------
 // Vertex-cut sharder properties.

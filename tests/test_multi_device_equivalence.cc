@@ -9,9 +9,12 @@
  * the same parameter hash as every other configuration, because
  * assignment never touches the float operation order.
  *
+ * A one-device engine also charges exactly what the Trainer charges
+ * (link bytes and seconds, gathered rows): both run one loop.
+ *
  * Also asserts the sampler contract is untouched by the engine — the
- * precondition for keeping the PR 3 golden-hash corpus
- * (tests/golden/) without regeneration.
+ * precondition for keeping the golden-hash corpus (tests/golden/)
+ * without regeneration.
  */
 #include <algorithm>
 #include <cstring>
@@ -23,6 +26,7 @@
 #include "core/betty.h"
 #include "data/catalog.h"
 #include "memory/device_memory.h"
+#include "obs/metrics.h"
 #include "partition/partitioner.h"
 #include "sampling/neighbor_sampler.h"
 #include "train/multi_device.h"
@@ -378,6 +382,91 @@ TEST(MultiDeviceEquivalence, TransferFlakyIsAbsorbedDeterministically)
     expectSameNumerics(reference, other_seed);
     EXPECT_EQ(first.maxTransferSeconds, replay.maxTransferSeconds);
     EXPECT_EQ(first.transferBytes, replay.transferBytes);
+}
+
+/** Link and gather accounting of one run: per-epoch link seconds and
+ * bytes, and the run's kernel.gather.rows. */
+struct Accounting
+{
+    std::vector<double> linkSeconds;
+    std::vector<int64_t> linkBytes;
+    int64_t gatherRows = 0;
+};
+
+int64_t
+counterValue(const char* name)
+{
+    return obs::Metrics::counter(name).value();
+}
+
+TEST(MultiDeviceEquivalence, OneDeviceEngineChargesLikeTheTrainer)
+{
+    // The single-device Trainer and a one-device engine run the same
+    // micro-batch loop, so they must charge the same link bytes and
+    // seconds and gather the same rows — with and without a cache,
+    // pipelined or not.
+    Env env;
+    ThreadPool::setGlobalThreads(4);
+    obs::Metrics::setEnabled(true);
+    for (const bool pipeline : {false, true})
+        for (const int64_t cache : {int64_t(0), 48 * env.rowBytes()}) {
+            SCOPED_TRACE("pipeline=" + std::to_string(pipeline) +
+                         " cache=" + std::to_string(cache));
+            Accounting trainer_run;
+            {
+                obs::Metrics::reset();
+                DeviceMemoryModel device;
+                TransferModel link;
+                std::unique_ptr<FeatureCache> feature_cache;
+                if (cache > 0)
+                    feature_cache = std::make_unique<FeatureCache>(
+                        &device, cache, env.rowBytes(),
+                        CachePolicy::Lru);
+                GraphSage model(env.sageConfig());
+                Adam adam(model.parameters(), 0.01f);
+                Trainer trainer(env.dataset, model, adam, &device, &link);
+                trainer.setPipeline(pipeline);
+                trainer.setFeatureCache(feature_cache.get());
+                for (int epoch = 0; epoch < kEpochs; ++epoch) {
+                    const int64_t bytes = counterValue("transfer.bytes");
+                    trainer_run.linkSeconds.push_back(
+                        trainer.trainMicroBatches(env.micros)
+                            .transferSeconds);
+                    trainer_run.linkBytes.push_back(
+                        counterValue("transfer.bytes") - bytes);
+                }
+                trainer_run.gatherRows =
+                    counterValue("kernel.gather.rows");
+            }
+            Accounting engine_run;
+            {
+                obs::Metrics::reset();
+                GraphSage model(env.sageConfig());
+                Adam adam(model.parameters(), 0.01f);
+                MultiDeviceConfig config;
+                config.cacheBytesPerDevice = cache;
+                config.pipeline = pipeline;
+                MultiDeviceEngine engine(env.dataset, model, adam,
+                                         config);
+                for (int epoch = 0; epoch < kEpochs; ++epoch) {
+                    const MultiDeviceStats stats =
+                        engine.trainMicroBatches(env.micros);
+                    engine_run.linkSeconds.push_back(
+                        stats.deviceTransferSeconds[0]);
+                    engine_run.linkBytes.push_back(
+                        stats.deviceTransferBytes[0]);
+                }
+                engine_run.gatherRows =
+                    counterValue("kernel.gather.rows");
+            }
+            EXPECT_EQ(trainer_run.linkSeconds, engine_run.linkSeconds);
+            EXPECT_EQ(trainer_run.linkBytes, engine_run.linkBytes);
+            EXPECT_GT(trainer_run.gatherRows, 0);
+            EXPECT_EQ(trainer_run.gatherRows, engine_run.gatherRows);
+        }
+    obs::Metrics::setEnabled(false);
+    obs::Metrics::reset();
+    ThreadPool::setGlobalThreads(1);
 }
 
 TEST(MultiDeviceEquivalence, SamplerContractUntouchedByEngine)

@@ -196,5 +196,26 @@ TEST(AllocationObserver, ScopeRestoresPrevious)
     EXPECT_EQ(outer.liveBytes(), 16);
 }
 
+TEST(AllocationObserver, AdoptTakesTheBufferAndChargesWhereAdopted)
+{
+    // The buffer itself becomes the storage (no copy), charged to the
+    // observer and category current at adoption, without touching the
+    // tensor heap counter.
+    std::vector<float> values = {1, 2, 3, 4, 5, 6};
+    const float* buffer = values.data();
+    DeviceMemoryModel device;
+    const int64_t heap_allocs = tensorHeapAllocCount();
+    {
+        DeviceMemoryModel::Scope scope(device);
+        obs::MemCategoryScope category(obs::MemCategory::InputFeatures);
+        const Tensor t = Tensor::adopt(2, 3, std::move(values));
+        EXPECT_EQ(t.data(), buffer);
+        EXPECT_FLOAT_EQ(t.at(1, 2), 6.0f);
+        EXPECT_EQ(device.liveBytes(obs::MemCategory::InputFeatures), 24);
+    }
+    EXPECT_EQ(device.liveBytes(), 0);
+    EXPECT_EQ(tensorHeapAllocCount(), heap_allocs);
+}
+
 } // namespace
 } // namespace betty
