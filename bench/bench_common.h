@@ -148,9 +148,9 @@ toMiB(int64_t bytes)
  *     (forwarded to the BETTY_CACHE_* variables read by
  *     cacheCapacityBytes()/cachePolicy())
  *
- * Recognized flags are removed from argc/argv so they never reach
- * google-benchmark's (strict) flag parser. With neither flag nor
- * env set, the collectors stay disabled: one branch per site.
+ * Recognized flags are removed from argc/argv, so a bench can reject
+ * whatever is left. With neither flag nor env set, the collectors
+ * stay disabled: one branch per site.
  */
 inline bool
 writeBenchJson(const std::string& path, const std::string& bench_name,
@@ -249,7 +249,7 @@ class ObsSession
 
 /**
  * Persist one bench result as JSON with the current metrics snapshot
- * embedded, so a BENCH_*.json entry carries the per-phase breakdown
+ * embedded, so the --json export carries the per-phase breakdown
  * (counters/histograms/residuals), not just end-to-end seconds.
  * Returns success.
  */

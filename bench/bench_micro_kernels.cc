@@ -1,9 +1,9 @@
 /**
  * @file
- * Microbenchmarks of Betty's building blocks, run under the
- * warmup+repeats discipline of obs/perf/bench_harness.h (the same
- * BenchRunner behind tools/betty_bench) and reported as one
- * schema-v1 BENCH_report.json.
+ * Microbenchmarks of Betty's building blocks. Every scenario runs one
+ * discarded warmup and then five timed repeats; the mean of the timed
+ * repeats is printed and recorded as "<scenario>.mean_s" in the
+ * --json export (bench_common.h).
  *
  * Two scenario families:
  *
@@ -19,11 +19,11 @@
  *    On hardware or builds without AVX2+FMA the avx2 rows fall back
  *    to scalar (kernels/dispatch.h) and the table says so.
  *
- *   bench_micro_kernels [--repeats=N] [--warmup=N] [--out=FILE]
- *                       [--trace-out=FILE] [--metrics-out=FILE]
+ *   bench_micro_kernels [--trace-out=FILE] [--metrics-out=FILE]
  *                       [--json=FILE] [--threads=N]
  */
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,7 +32,6 @@
 #include "kernels/arena.h"
 #include "kernels/dispatch.h"
 #include "kernels/kernels.h"
-#include "obs/perf/bench_harness.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -59,59 +58,56 @@ fullBatch()
     return batch;
 }
 
-/**
- * Per-scenario wall-clock samples recorded by this binary itself (in
- * addition to the runner's report) so the sweep table can print
- * scalar-vs-avx2 means without re-parsing the JSON.
- */
-std::map<std::string, std::vector<double>> g_samples;
+constexpr int kWarmup = 1;
+constexpr int kRepeats = 5;
 
-int32_t g_warmup = 1;
+/** One timed workload; setup and teardown run once, untimed. */
+struct Scenario
+{
+    std::string name;
+    std::string description;
+    std::function<void()> setup;
+    std::function<void()> run;
+    std::function<void()> teardown = nullptr;
+};
 
-/** Mean of a scenario's measured (post-warmup) repeats, seconds. */
+/** Mean seconds of @p scenario's timed repeats (warmup discarded). */
+double
+measure(const Scenario& scenario)
+{
+    if (scenario.setup)
+        scenario.setup();
+    double total = 0.0;
+    for (int repeat = 0; repeat < kWarmup + kRepeats; ++repeat) {
+        Timer timer;
+        scenario.run();
+        if (repeat >= kWarmup)
+            total += timer.seconds();
+    }
+    if (scenario.teardown)
+        scenario.teardown();
+    return total / kRepeats;
+}
+
+/** Mean seconds per scenario name, for the sweep table. */
+std::map<std::string, double> g_means;
+
 double
 meanSeconds(const std::string& name)
 {
-    const auto it = g_samples.find(name);
-    if (it == g_samples.end())
-        return 0.0;
-    const auto& all = it->second;
-    const size_t skip = std::min(all.size(), size_t(g_warmup));
-    double sum = 0.0;
-    size_t n = 0;
-    for (size_t i = skip; i < all.size(); ++i, ++n)
-        sum += all[i];
-    return n ? sum / double(n) : 0.0;
-}
-
-/** Wrap a workload so every repeat also lands in g_samples. */
-obs::BenchScenario
-timed(std::string name, std::string description,
-      std::function<void()> setup, std::function<void()> fn,
-      std::function<void()> teardown = nullptr)
-{
-    obs::BenchScenario scenario;
-    scenario.name = name;
-    scenario.description = std::move(description);
-    scenario.setup = std::move(setup);
-    scenario.run = [name, fn = std::move(fn)] {
-        Timer timer;
-        fn();
-        g_samples[name].push_back(timer.seconds());
-    };
-    scenario.teardown = std::move(teardown);
-    return scenario;
+    const auto it = g_means.find(name);
+    return it == g_means.end() ? 0.0 : it->second;
 }
 
 // ---------------------------------------------------------------
 // Component scenarios (the paper's pipeline stages).
 
-std::vector<obs::BenchScenario>
+std::vector<Scenario>
 componentScenarios()
 {
-    std::vector<obs::BenchScenario> scenarios;
+    std::vector<Scenario> scenarios;
 
-    scenarios.push_back(timed(
+    scenarios.push_back(Scenario{
         "reg_construction",
         "REG build over the innermost block, arxiv_like",
         [] { fullBatch(); },
@@ -119,9 +115,9 @@ componentScenarios()
             auto reg = buildReg(fullBatch().blocks.back());
             if (reg.numEdges() < 0)
                 fatal("impossible REG");
-        }));
+        }});
 
-    scenarios.push_back(timed(
+    scenarios.push_back(Scenario{
         "kway_partition", "K-way REG partition at K=8",
         [] { fullBatch(); },
         [] {
@@ -131,9 +127,9 @@ componentScenarios()
             auto parts = kwayPartition(reg, opts);
             if (parts.empty())
                 fatal("empty partition");
-        }));
+        }});
 
-    scenarios.push_back(timed(
+    scenarios.push_back(Scenario{
         "betty_partition",
         "full batch-level partitioning pipeline at K=8",
         [] { fullBatch(); },
@@ -142,9 +138,9 @@ componentScenarios()
             auto groups = partitioner.partition(fullBatch(), 8);
             if (groups.empty())
                 fatal("empty groups");
-        }));
+        }});
 
-    scenarios.push_back(timed(
+    scenarios.push_back(Scenario{
         "neighbor_sampling",
         "multi-layer neighbour sampling, 800 seeds",
         [] { dataset(); },
@@ -156,9 +152,9 @@ componentScenarios()
             auto batch = sampler.sample(seeds);
             if (batch.totalEdges() == 0)
                 fatal("empty batch");
-        }));
+        }});
 
-    scenarios.push_back(timed(
+    scenarios.push_back(Scenario{
         "micro_batch_extraction",
         "micro-batch extraction from the K=8 partition",
         [] { fullBatch(); },
@@ -168,9 +164,9 @@ componentScenarios()
             auto micros = extractMicroBatches(fullBatch(), groups);
             if (micros.empty())
                 fatal("no micro-batches");
-        }));
+        }});
 
-    scenarios.push_back(timed(
+    scenarios.push_back(Scenario{
         "memory_estimate",
         "closed-form per-batch memory estimate (Table 3)",
         [] { fullBatch(); },
@@ -186,7 +182,7 @@ componentScenarios()
             auto est = estimateBatchMemory(fullBatch(), spec);
             if (est.peak <= 0)
                 fatal("impossible estimate");
-        }));
+        }});
 
     return scenarios;
 }
@@ -254,7 +250,7 @@ GemmWork g_gemm;
 
 /** Register one kernel workload under both backends. */
 void
-pushKernelPair(std::vector<obs::BenchScenario>* scenarios,
+pushKernelPair(std::vector<Scenario>* scenarios,
                const std::string& base,
                const std::string& description,
                std::function<void()> setup, std::function<void()> fn)
@@ -263,7 +259,7 @@ pushKernelPair(std::vector<obs::BenchScenario>* scenarios,
          {kernels::KernelMode::Scalar, kernels::KernelMode::Avx2}) {
         const std::string name =
             base + "_" + kernels::kernelModeName(mode);
-        scenarios->push_back(timed(
+        scenarios->push_back(Scenario{
             name, description + " [" + kernels::kernelModeName(mode) +
                       " backend]",
             [setup, mode] {
@@ -272,14 +268,14 @@ pushKernelPair(std::vector<obs::BenchScenario>* scenarios,
             },
             fn, [] {
                 kernels::setKernelMode(kernels::KernelMode::Scalar);
-            }));
+            }});
     }
 }
 
-std::vector<obs::BenchScenario>
+std::vector<Scenario>
 kernelScenarios()
 {
-    std::vector<obs::BenchScenario> scenarios;
+    std::vector<Scenario> scenarios;
 
     pushKernelPair(
         &scenarios, "gather_aggregate",
@@ -336,15 +332,15 @@ kernelScenarios()
             finish();
         }
     };
-    scenarios.push_back(timed(
+    scenarios.push_back(Scenario{
         "alloc_churn_arena",
         "micro-batch allocation churn through the bump arena",
         nullptr, [churn] {
             kernels::Arena arena;
             churn([&](int64_t b) { return arena.allocate(b); },
                   [&] { arena.reset(); });
-        }));
-    scenarios.push_back(timed(
+        }});
+    scenarios.push_back(Scenario{
         "alloc_churn_heap",
         "identical allocation churn through operator new/delete",
         nullptr, [churn] {
@@ -361,16 +357,17 @@ kernelScenarios()
                         ::operator delete(p);
                     live.clear();
                 });
-        }));
+        }});
 
     return scenarios;
 }
 
 void
-printSweepTable()
+printSweepTable(benchutil::ObsSession& obs_session)
 {
     const bool avx2 = kernels::builtWithAvx2() &&
                       kernels::cpuSupportsAvx2();
+    obs_session.result("avx2_available", avx2 ? 1.0 : 0.0);
     TablePrinter table(avx2
                            ? "Kernel sweep: scalar vs avx2 (mean "
                              "seconds per repeat)"
@@ -382,6 +379,9 @@ printSweepTable()
         const double scalar_s =
             meanSeconds(std::string(base) + "_scalar");
         const double avx2_s = meanSeconds(std::string(base) + "_avx2");
+        if (avx2_s > 0.0)
+            obs_session.result(std::string(base) + ".speedup",
+                               scalar_s / avx2_s);
         table.addRow({base, TablePrinter::num(scalar_s, 6),
                       TablePrinter::num(avx2_s, 6),
                       avx2_s > 0.0
@@ -391,6 +391,8 @@ printSweepTable()
     }
     const double arena_s = meanSeconds("alloc_churn_arena");
     const double heap_s = meanSeconds("alloc_churn_heap");
+    if (arena_s > 0.0)
+        obs_session.result("alloc_churn.speedup", heap_s / arena_s);
     table.addRow({"alloc_churn (arena vs heap)",
                   TablePrinter::num(heap_s, 6),
                   TablePrinter::num(arena_s, 6),
@@ -405,10 +407,9 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: bench_micro_kernels [--repeats=N] [--warmup=N]\n"
-        "                           [--out=FILE] [--threads=N]\n"
-        "                           [--trace-out=FILE] "
-        "[--metrics-out=FILE] [--json=FILE]\n");
+        "usage: bench_micro_kernels [--threads=N] [--trace-out=FILE]\n"
+        "                           [--metrics-out=FILE] "
+        "[--json=FILE]\n");
     return 2;
 }
 
@@ -421,54 +422,22 @@ main(int argc, char** argv)
     using namespace betty;
     benchutil::ObsSession obs_session("bench_micro_kernels", &argc,
                                       argv);
-    obs::BenchConfig config;
-    config.repeats = 5;
-    config.warmup = 1;
-    std::string out_path = "BENCH_micro_kernels.json";
-    for (int i = 1; i < argc; ++i) {
-        const char* arg = argv[i];
-        int64_t parsed = 0;
-        if (std::strncmp(arg, "--repeats=", 10) == 0) {
-            if (!envcfg::parseInt(arg + 10, &parsed) || parsed < 1)
-                fatal("malformed --repeats='", arg + 10, "'");
-            config.repeats = int32_t(parsed);
-        } else if (std::strncmp(arg, "--warmup=", 9) == 0) {
-            if (!envcfg::parseInt(arg + 9, &parsed) || parsed < 0)
-                fatal("malformed --warmup='", arg + 9, "'");
-            config.warmup = int32_t(parsed);
-        } else if (std::strncmp(arg, "--out=", 6) == 0) {
-            out_path = arg + 6;
-        } else {
-            return usage();
-        }
-    }
-    g_warmup = config.warmup;
+    if (argc > 1)
+        return usage();
 
-    obs::BenchRunner runner(config);
-    runner.setConfigNote("bench_scale",
-                         std::to_string(envcfg::benchScale()));
-    runner.setConfigNote(
-        "avx2_available",
-        kernels::builtWithAvx2() && kernels::cpuSupportsAvx2() ? "1"
-                                                               : "0");
-
-    for (const auto& scenario : componentScenarios()) {
-        std::printf("bench_micro_kernels: %s\n",
-                    scenario.name.c_str());
+    std::vector<Scenario> scenarios = componentScenarios();
+    for (Scenario& scenario : kernelScenarios())
+        scenarios.push_back(std::move(scenario));
+    for (const Scenario& scenario : scenarios) {
+        const double mean_s = measure(scenario);
+        g_means[scenario.name] = mean_s;
+        obs_session.result(scenario.name + ".mean_s", mean_s);
+        std::printf("bench_micro_kernels: %-26s %9.3g s  %s\n",
+                    scenario.name.c_str(), mean_s,
+                    scenario.description.c_str());
         std::fflush(stdout);
-        runner.run(scenario);
     }
-    for (const auto& scenario : kernelScenarios()) {
-        std::printf("bench_micro_kernels: %s\n",
-                    scenario.name.c_str());
-        std::fflush(stdout);
-        runner.run(scenario);
-    }
-
-    if (!runner.writeJson(out_path))
-        fatal("cannot write '", out_path, "'");
-    std::printf("bench_micro_kernels: wrote %s (%lld scenarios)\n\n",
-                out_path.c_str(), (long long)runner.scenarioCount());
-    printSweepTable();
+    std::printf("\n");
+    printSweepTable(obs_session);
     return 0;
 }

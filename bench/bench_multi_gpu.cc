@@ -1,32 +1,29 @@
 /**
  * @file
  * Extension bench (paper future work §7): multi-accelerator scaling
- * of Betty micro-batch training, on the BenchRunner discipline.
+ * of Betty micro-batch training.
  *
  * The same K=32 Betty plan is trained on 1, 2, 4 and 8 simulated
  * devices through the MultiDeviceEngine (vertex-cut sharding + ring
- * all-reduce). Each device count is one scenario under warmup +
- * repeats, so the schema-versioned BENCH_multi_gpu.json this writes
- * can be gated with `betty_report bench-diff` like the betty_bench
- * report. The end-of-run table reports simulated parallel step time
+ * all-reduce), each device count one warmup plus three timed
+ * repeats. The end-of-run table reports simulated parallel step time
  * (max device busy + all-reduce), speedup over one device, the
  * vertex-cut duplication factor against the round-robin baseline,
  * per-device peak memory, and the loss — identical across rows,
- * because sharding never touches the numerics.
+ * because sharding never touches the numerics. --json=FILE records
+ * each row's key figures and host wall seconds (bench_common.h).
  *
  * Shape targets: >= 3x simulated step-time speedup from 1 -> 8
  * devices at K=32, with a vertex-cut duplication factor no worse
  * than round-robin.
  *
- *   bench_multi_gpu [--repeats=N] [--warmup=N] [--threads=N]
- *                   [--out=FILE]
+ *   bench_multi_gpu [--threads=N] [--json=FILE] [--trace-out=FILE]
+ *                   [--metrics-out=FILE]
  */
 #include <cstdio>
-#include <cstring>
 #include <map>
 
 #include "bench_common.h"
-#include "obs/perf/bench_harness.h"
 #include "train/multi_device.h"
 
 namespace {
@@ -34,15 +31,8 @@ namespace {
 using namespace betty;
 using namespace betty::benchutil;
 
-struct Sweep
-{
-    Dataset dataset;
-    std::vector<MultiLayerBatch> micros;
-    /** Last repeat's stats per device count (the table rows). */
-    std::map<int32_t, MultiDeviceStats> stats;
-    /** Round-robin duplication baseline, computed once. */
-    std::map<int32_t, double> roundRobinDup;
-};
+constexpr int kWarmup = 1;
+constexpr int kRepeats = 3;
 
 SageConfig
 sweepModelConfig(const Dataset& ds)
@@ -61,41 +51,13 @@ sweepModelConfig(const Dataset& ds)
 int
 main(int argc, char** argv)
 {
-    obs::BenchConfig config;
-    config.repeats = 3;
-    config.warmup = 1;
-    std::string out_path = "BENCH_multi_gpu.json";
-    int32_t threads = 0;
-    for (int i = 1; i < argc; ++i) {
-        const char* arg = argv[i];
-        auto intValue = [&](const char* flag, const char* text) {
-            int64_t parsed = 0;
-            if (!envcfg::parseInt(text, &parsed) || parsed < 0)
-                fatal("malformed ", flag, "='", text,
-                      "': expected an integer >= 0");
-            return parsed;
-        };
-        if (std::strncmp(arg, "--repeats=", 10) == 0)
-            config.repeats = int32_t(intValue("--repeats", arg + 10));
-        else if (std::strncmp(arg, "--warmup=", 9) == 0)
-            config.warmup = int32_t(intValue("--warmup", arg + 9));
-        else if (std::strncmp(arg, "--threads=", 10) == 0)
-            threads = int32_t(intValue("--threads", arg + 10));
-        else if (std::strncmp(arg, "--out=", 6) == 0)
-            out_path = arg + 6;
-        else
-            fatal("unknown flag '", arg, "'");
-    }
-    if (config.repeats < 1)
-        fatal("--repeats must be >= 1");
-    if (threads > 0)
-        ThreadPool::setGlobalThreads(threads);
+    ObsSession obs("bench_multi_gpu", &argc, argv);
+    if (argc > 1)
+        fatal("unknown flag '", argv[1], "'");
 
     std::printf("Multi-accelerator scaling of Betty micro-batch "
                 "training, 2-layer SAGE + Mean, products_like\n");
-    Sweep sweep;
-    sweep.dataset = loadBenchDataset("products_like", 0.3);
-    const Dataset& ds = sweep.dataset;
+    const Dataset ds = loadBenchDataset("products_like", 0.3);
     NeighborSampler sampler(ds.graph, {5, 10}, 7);
     std::vector<int64_t> seeds(
         ds.trainNodes.begin(),
@@ -105,55 +67,50 @@ main(int argc, char** argv)
 
     BettyPartitioner part;
     const int32_t k = 32;
-    sweep.micros = extractMicroBatches(full, part.partition(full, k));
+    const std::vector<MultiLayerBatch> micros =
+        extractMicroBatches(full, part.partition(full, k));
     std::printf("plan: %d micro-batches over %lld output nodes\n", k,
                 (long long)full.outputNodes().size());
 
-    obs::BenchRunner runner(config);
-    runner.setConfigNote("threads",
-                         std::to_string(ThreadPool::globalThreads()));
-    runner.setConfigNote("k", std::to_string(k));
-    runner.setConfigNote("bench_scale",
-                         std::to_string(envcfg::benchScale()));
-
+    // Last repeat's stats and mean wall seconds per device count.
+    std::map<int32_t, MultiDeviceStats> stats_by_devices;
+    std::map<int32_t, double> round_robin_dup;
     for (const int32_t devices : {1, 2, 4, 8}) {
-        sweep.roundRobinDup[devices] = shardDuplicationFactor(
-            sweep.micros,
-            roundRobinAssignment(sweep.micros, devices));
-        obs::BenchScenario scenario;
-        scenario.name =
-            "multi_device_n" + std::to_string(devices);
-        scenario.description =
-            "one K=32 accumulation step sharded over " +
-            std::to_string(devices) + " simulated device(s)";
-        scenario.run = [&sweep, devices] {
-            GraphSage model(sweepModelConfig(sweep.dataset));
+        round_robin_dup[devices] = shardDuplicationFactor(
+            micros, roundRobinAssignment(micros, devices));
+        std::printf("bench_multi_gpu: %d device(s) (%d warmup + %d "
+                    "repeats)\n",
+                    devices, kWarmup, kRepeats);
+        std::fflush(stdout);
+        double wall_s = 0.0;
+        for (int repeat = 0; repeat < kWarmup + kRepeats; ++repeat) {
+            GraphSage model(sweepModelConfig(ds));
             Adam adam(model.parameters(), 0.01f);
             MultiDeviceConfig engine_config;
             engine_config.numDevices = devices;
-            MultiDeviceEngine engine(sweep.dataset, model, adam,
-                                     engine_config);
-            sweep.stats[devices] =
-                engine.trainMicroBatches(sweep.micros);
-        };
-        std::printf("bench_multi_gpu: %s (%d warmup + %d repeats)\n",
-                    scenario.name.c_str(), config.warmup,
-                    config.repeats);
-        std::fflush(stdout);
-        runner.run(scenario);
+            MultiDeviceEngine engine(ds, model, adam, engine_config);
+            Timer wall;
+            stats_by_devices[devices] = engine.trainMicroBatches(micros);
+            if (repeat >= kWarmup)
+                wall_s += wall.seconds();
+        }
+        const MultiDeviceStats& stats = stats_by_devices[devices];
+        const std::string row = "n" + std::to_string(devices);
+        obs.result(row + ".wall_s", wall_s / kRepeats);
+        obs.result(row + ".step_s", stats.epochSeconds);
+        obs.result(row + ".allreduce_s", stats.allreduceSeconds);
+        obs.result(row + ".dup", stats.duplicationFactor);
+        obs.result(row + ".rr_dup", round_robin_dup[devices]);
+        obs.result(row + ".loss", stats.loss);
     }
-
-    if (!runner.writeJson(out_path))
-        fatal("cannot write '", out_path, "'");
-    std::printf("bench_multi_gpu: wrote %s\n", out_path.c_str());
 
     TablePrinter table("scaling with simulated devices");
     table.setHeader({"devices", "step_s", "allreduce_s", "speedup",
                      "dup", "rr_dup", "max_dev_peak_MiB",
                      "batches/device", "loss"});
-    const double baseline = sweep.stats[1].epochSeconds;
+    const double baseline = stats_by_devices[1].epochSeconds;
     for (const int32_t devices : {1, 2, 4, 8}) {
-        const MultiDeviceStats& stats = sweep.stats[devices];
+        const MultiDeviceStats& stats = stats_by_devices[devices];
         std::string split;
         for (int32_t count : stats.batchesPerDevice)
             split += (split.empty() ? "" : "/") +
@@ -165,7 +122,7 @@ main(int argc, char** argv)
              TablePrinter::num(baseline / stats.epochSeconds, 2) +
                  "x",
              TablePrinter::num(stats.duplicationFactor, 2) + "x",
-             TablePrinter::num(sweep.roundRobinDup[devices], 2) +
+             TablePrinter::num(round_robin_dup[devices], 2) +
                  "x",
              TablePrinter::num(toMiB(stats.maxDevicePeakBytes), 1),
              split, TablePrinter::num(stats.loss, 4)});

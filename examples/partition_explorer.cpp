@@ -11,34 +11,17 @@
  *   partition_explorer [dataset] [num_seeds] [k1,k2,...]
  *   partition_explorer products_like 512 2,8,32
  */
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <unordered_map>
 
 #include "core/betty.h"
 #include "data/catalog.h"
 #include "sampling/neighbor_sampler.h"
+#include "util/env_config.h"
+#include "util/logging.h"
 #include "util/table.h"
-
-namespace {
-
-std::vector<int32_t>
-parseKs(const char* arg)
-{
-    std::vector<int32_t> ks;
-    const char* cursor = arg;
-    while (*cursor) {
-        ks.push_back(int32_t(std::strtol(cursor, nullptr, 10)));
-        cursor = std::strchr(cursor, ',');
-        if (!cursor)
-            break;
-        ++cursor;
-    }
-    return ks;
-}
-
-} // namespace
 
 int
 main(int argc, char** argv)
@@ -46,17 +29,26 @@ main(int argc, char** argv)
     using namespace betty;
 
     const std::string name = argc > 1 ? argv[1] : "arxiv_like";
-    const size_t num_seeds = argc > 2 ? size_t(std::atoi(argv[2]))
-                                      : size_t(512);
-    const std::vector<int32_t> ks =
-        argc > 3 ? parseKs(argv[3]) : std::vector<int32_t>{2, 4, 8, 16};
+    int64_t num_seeds = 512;
+    if (argc > 2 && (!envcfg::parseInt(argv[2], &num_seeds) ||
+                     num_seeds < 1))
+        fatal("malformed num_seeds '", argv[2],
+              "': expected an integer >= 1");
+    std::vector<int64_t> ks = {2, 4, 8, 16};
+    if (argc > 3) {
+        const bool parsed = envcfg::parseIntList(argv[3], &ks);
+        const auto [lo, hi] = std::minmax_element(ks.begin(), ks.end());
+        if (!parsed || *lo < 1 || *hi > INT32_MAX)
+            fatal("malformed K list '", argv[3],
+                  "': expected comma-separated integers in [1, 2^31)");
+    }
 
     const Dataset ds = loadCatalogDataset(name, 0.5);
     NeighborSampler sampler(ds.graph, {5, 10}, 7);
     std::vector<int64_t> seeds(
         ds.trainNodes.begin(),
         ds.trainNodes.begin() +
-            std::min(ds.trainNodes.size(), num_seeds));
+            std::min(ds.trainNodes.size(), size_t(num_seeds)));
     const auto full = sampler.sample(seeds);
     const auto reg = buildReg(full.blocks.back());
     std::printf("%s: batch of %lld outputs -> %lld inputs, REG has "
@@ -84,9 +76,9 @@ main(int argc, char** argv)
     TablePrinter table("partitioner diagnostics");
     table.setHeader({"K", "partitioner", "redundant_inputs", "reg_cut",
                      "outputs_max/min", "max_mem_MiB"});
-    for (int32_t k : ks) {
+    for (int64_t k : ks) {
         for (OutputPartitioner* part : partitioners) {
-            const auto groups = part->partition(full, k);
+            const auto groups = part->partition(full, int32_t(k));
             const auto micros = extractMicroBatches(full, groups);
 
             // REG cut of this grouping.

@@ -102,7 +102,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "cache/feature_cache.h"
@@ -221,21 +220,6 @@ doubleFlag(const std::string& flag, const char* text)
     return value;
 }
 
-std::vector<int64_t>
-parseFanouts(const char* arg)
-{
-    std::vector<int64_t> fanouts;
-    const char* cursor = arg;
-    while (*cursor) {
-        fanouts.push_back(std::strtol(cursor, nullptr, 10));
-        cursor = std::strchr(cursor, ',');
-        if (!cursor)
-            break;
-        ++cursor;
-    }
-    return fanouts;
-}
-
 Args
 parseArgs(int argc, char** argv)
 {
@@ -272,7 +256,10 @@ parseArgs(int argc, char** argv)
         } else if (flag == "--hidden") {
             args.hidden = intFlag(flag, next());
         } else if (flag == "--fanout") {
-            args.fanouts = parseFanouts(next());
+            const char* text = next();
+            if (!envcfg::parseIntList(text, &args.fanouts))
+                fatal("malformed --fanout='", text,
+                      "': expected comma-separated integers");
         } else if (flag == "--epochs") {
             args.epochs = int(intFlag(flag, next()));
         } else if (flag == "--lr") {

@@ -187,18 +187,6 @@ Metrics::histogram(const std::string& name,
     return *slot;
 }
 
-std::vector<std::string>
-Metrics::histogramNames()
-{
-    auto& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    std::vector<std::string> names;
-    names.reserve(reg.histograms.size());
-    for (const auto& [name, histogram] : reg.histograms)
-        names.push_back(name);
-    return names;
-}
-
 void
 Metrics::reset()
 {

@@ -153,9 +153,6 @@ class Metrics
     static Histogram& histogram(const std::string& name,
                                 std::vector<double> bounds = {});
 
-    /** Names of every registered histogram, sorted. */
-    static std::vector<std::string> histogramNames();
-
     /** Reset every registered metric's value (registrations stay). */
     static void reset();
 

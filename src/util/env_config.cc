@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -37,6 +38,25 @@ parseDouble(const std::string& text, double* out)
         !std::isfinite(parsed))
         return false;
     *out = parsed;
+    return true;
+}
+
+bool
+parseIntList(const std::string& text, std::vector<int64_t>* out)
+{
+    std::vector<int64_t> values;
+    size_t start = 0;
+    for (;;) {
+        const size_t comma = text.find(',', start);
+        int64_t value = 0;
+        if (!parseInt(text.substr(start, comma - start), &value))
+            return false;
+        values.push_back(value);
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
+    }
+    *out = std::move(values);
     return true;
 }
 

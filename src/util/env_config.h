@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace betty::envcfg {
 
@@ -38,6 +39,14 @@ bool parseInt(const std::string& text, int64_t* out);
  * no capacity or scale knob has a meaningful non-finite value.
  */
 bool parseDouble(const std::string& text, double* out);
+
+/**
+ * Parse @p text as comma-separated parseInt() fields ("5,10", "-1,25").
+ * Rejects empty input, empty fields ("5,,10", "5,") and any malformed
+ * field ("5,abc"); @p out is untouched on failure. Range checks are the
+ * caller's (a negative fanout means "all neighbours").
+ */
+bool parseIntList(const std::string& text, std::vector<int64_t>* out);
 
 /**
  * The integer value of environment variable @p name, or @p fallback

@@ -10,6 +10,7 @@
  */
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +91,28 @@ TEST(ParseDouble, RejectsEmptyPartialAndNonFinite)
     EXPECT_FALSE(parseDouble("inf", &out));
     EXPECT_FALSE(parseDouble("-inf", &out));
     EXPECT_FALSE(parseDouble("1e999", &out)); // overflows to inf
+}
+
+TEST(ParseIntList, AcceptsCommaSeparatedIntegers)
+{
+    std::vector<int64_t> out;
+    EXPECT_TRUE(parseIntList("5,10", &out));
+    EXPECT_EQ(out, (std::vector<int64_t>{5, 10}));
+    EXPECT_TRUE(parseIntList("7", &out));
+    EXPECT_EQ(out, std::vector<int64_t>{7});
+    // Negative fanouts ("all neighbours") are the caller's to judge.
+    EXPECT_TRUE(parseIntList("-1,25,0", &out));
+    EXPECT_EQ(out, (std::vector<int64_t>{-1, 25, 0}));
+}
+
+TEST(ParseIntList, RejectsEmptyAndMalformedFieldsLeavingOutputAlone)
+{
+    std::vector<int64_t> out = {3, 4};
+    for (const char* text :
+         {"", ",", "5,", ",5", "5,,10", "5,abc", "5, 10", "5x,10",
+          "4.5", "5;10", "99999999999999999999999,1"})
+        EXPECT_FALSE(parseIntList(text, &out)) << "'" << text << "'";
+    EXPECT_EQ(out, (std::vector<int64_t>{3, 4}));
 }
 
 TEST(EnvInt, FallsBackWhenUnsetAndReadsWhenSet)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the observability subsystem (src/obs/): trace spans and
- * ring buffers, the metrics registry, estimator-residual tracking,
- * the JSON parser used to validate exports, and the logging-level /
- * warn-once helpers from util/logging.h.
+ * ring buffers, the metrics registry and its histogram percentiles,
+ * estimator-residual tracking, the JSON parser used to validate
+ * exports, and the logging-level / warn-once helpers from
+ * util/logging.h.
  *
  * The collectors are process-global, so every test starts from a
  * known state (ObsTest fixture) and the metric names it registers are
@@ -28,7 +29,9 @@
 namespace betty {
 namespace {
 
+using obs::Histogram;
 using obs::JsonValue;
+using obs::Metrics;
 using obs::parseJson;
 
 class ObsTest : public ::testing::Test
@@ -252,6 +255,35 @@ TEST_F(ObsTest, HistogramBucketBoundaries)
     EXPECT_EQ(histogram.bucketCount(3), 1);
     EXPECT_EQ(histogram.count(), 5);
     EXPECT_DOUBLE_EQ(histogram.sum(), 107.0);
+}
+
+TEST(HistogramPercentile, InterpolatesWithinBuckets)
+{
+    Metrics::setEnabled(true);
+    Histogram hist({1.0, 2.0, 4.0});
+    // 10 observations in [1, 2), none elsewhere: every mid quantile
+    // interpolates inside that bucket.
+    for (int i = 0; i < 10; ++i)
+        hist.observe(1.5);
+    EXPECT_EQ(hist.count(), 10);
+    EXPECT_DOUBLE_EQ(hist.sum(), 15.0);
+    EXPECT_TRUE(hist.bucketsConsistent());
+    const double p50 = hist.percentile(0.5);
+    EXPECT_GT(p50, 1.0);
+    EXPECT_LE(p50, 2.0);
+    const double p95 = hist.percentile(0.95);
+    EXPECT_GE(p95, p50);
+    EXPECT_LE(p95, 2.0);
+    Metrics::setEnabled(false);
+}
+
+TEST(HistogramPercentile, OverflowBucketClampsToLastBound)
+{
+    Metrics::setEnabled(true);
+    Histogram hist({1.0, 2.0});
+    hist.observe(100.0); // lands in the overflow bucket
+    EXPECT_DOUBLE_EQ(hist.percentile(0.99), 2.0);
+    Metrics::setEnabled(false);
 }
 
 TEST_F(ObsTest, ResidualMath)

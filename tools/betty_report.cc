@@ -11,9 +11,6 @@
  *       [--max-edge-cut-regress F]  (default 0.10: +10% edge cut)
  *       [--max-accuracy-drop F]     (default 0.05: -5 points test acc)
  *       [--inject-peak-scale F]     (test hook: scale candidate peaks)
- *   betty_report bench-diff <baseline.json> <candidate.json>
- *       [--tolerance F]             (default 0.25: +25% wall clock)
- *       [--inject-time-scale F]     (test hook: scale candidate times)
  *   betty_report critpath <trace.json>
  *       [--what-if CATEGORY=SCALE]... (virtual speedup projection)
  *       [--min-coverage F]          (gate: cp must cover >= F of wall)
@@ -33,24 +30,19 @@
  * acceptance contract of the memory profiler and the fault-tolerant
  * runtime. `diff` compares two reports and exits non-zero when the
  * candidate regresses past any threshold, refusing to compare
- * artifacts with mismatched schema versions. `bench-diff` is the
- * wall-clock regression gate over betty_bench's BENCH_report.json:
- * every scenario's median wall seconds may exceed the baseline's by
- * at most --tolerance (relative).
+ * artifacts with mismatched schema versions. Thresholds are ratios
+ * ("0.25" = +25%) parsed whole-string: "25%" is a usage error, not 25.
  *
  * Malformed artifacts are typed errors, never crashes or silent
- * passes: a missing summary/scenario section, a mismatched schema
- * version, a zero baseline (ratio undefined), or a non-finite
- * number each name the offending field and exit 2.
+ * passes: a missing summary section, a mismatched schema version, or
+ * a non-finite number each name the offending field and exit 2.
  *
  * Exit codes: 0 ok, 1 regression/violation, 2 usage/parse/artifact
  * error.
  */
 #include <cmath>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -62,7 +54,6 @@
 #include "obs/critpath/whatif.h"
 #include "obs/json.h"
 #include "obs/memprof.h"
-#include "obs/perf/bench_harness.h"
 #include "obs/run_meta.h"
 #include "util/env_config.h"
 #include "util/table.h"
@@ -71,7 +62,6 @@ namespace {
 
 using betty::TablePrinter;
 using betty::obs::JsonValue;
-using betty::obs::kBenchSchemaVersion;
 using betty::obs::kMemCategoryCount;
 using betty::obs::kObsSchemaVersion;
 using betty::obs::MemCategory;
@@ -92,9 +82,6 @@ usage()
         "           [--max-edge-cut-regress F] "
         "[--max-accuracy-drop F]\n"
         "           [--inject-peak-scale F]\n"
-        "       betty_report bench-diff <baseline.json> "
-        "<candidate.json>\n"
-        "           [--tolerance F] [--inject-time-scale F]\n"
         "       betty_report critpath <trace.json>\n"
         "           [--what-if CATEGORY=SCALE]... "
         "[--min-coverage F] [--out FILE]\n");
@@ -144,7 +131,7 @@ summaryNumber(const JsonValue& doc, const char* key, double fallback)
     return value && value->isNumber() ? value->number : fallback;
 }
 
-/** Malformed-artifact count (drives the exit-2 path of diff modes). */
+/** Malformed-artifact count (drives the exit-2 path of diff). */
 int artifact_errors = 0;
 
 void
@@ -684,146 +671,13 @@ diffReports(const JsonValue& baseline, const JsonValue& candidate,
     return 0;
 }
 
-// ----------------------------------------------------------- bench-diff
-
-int64_t
-benchSchemaVersion(const JsonValue& doc)
-{
-    const JsonValue* version = doc.find("bench_schema_version");
-    return version && version->isNumber() ? version->asInt() : 0;
-}
-
-/** scenarios.<name>.wall_seconds.median as a finite double; flips
- * @p ok (with a typed artifact error) when absent or non-finite. */
-double
-scenarioMedian(const JsonValue& entry, const char* doc_name,
-               const std::string& name, bool* ok)
-{
-    const JsonValue* wall = entry.find("wall_seconds");
-    if (!wall || !wall->isObject()) {
-        artifactError(std::string(doc_name) + ": scenario '" + name +
-                      "' has no wall_seconds section");
-        *ok = false;
-        return 0.0;
-    }
-    const JsonValue* median = wall->find("median");
-    if (!median || !median->isNumber()) {
-        artifactError(std::string(doc_name) + ": scenario '" + name +
-                      "' wall_seconds.median is missing");
-        *ok = false;
-        return 0.0;
-    }
-    if (!std::isfinite(median->number)) {
-        artifactError(std::string(doc_name) + ": scenario '" + name +
-                      "' wall_seconds.median is not finite");
-        *ok = false;
-        return 0.0;
-    }
-    return median->number;
-}
-
-/**
- * The wall-clock regression gate over two BENCH_report.json files:
- * every baseline scenario must exist in the candidate and its median
- * wall seconds may grow by at most @p tolerance (relative).
- */
-int
-benchDiff(const JsonValue& baseline, const JsonValue& candidate,
-          double tolerance, double inject_time_scale)
-{
-    const int64_t base_version = benchSchemaVersion(baseline);
-    const int64_t cand_version = benchSchemaVersion(candidate);
-    if (base_version == 0 || cand_version == 0) {
-        artifactError("bench_schema_version is missing — not a "
-                      "BENCH_report.json?");
-        return 2;
-    }
-    if (base_version != cand_version ||
-        base_version != kBenchSchemaVersion) {
-        std::fprintf(stderr,
-                     "betty_report: refusing to bench-diff "
-                     "bench_schema_version %lld against %lld "
-                     "(this build understands %lld)\n",
-                     (long long)base_version, (long long)cand_version,
-                     (long long)kBenchSchemaVersion);
-        return 2;
-    }
-
-    const JsonValue* base_scenarios = baseline.find("scenarios");
-    const JsonValue* cand_scenarios = candidate.find("scenarios");
-    if (!base_scenarios || !base_scenarios->isObject() ||
-        base_scenarios->object.empty()) {
-        artifactError("baseline: scenarios section is missing or "
-                      "empty");
-        return 2;
-    }
-    if (!cand_scenarios || !cand_scenarios->isObject()) {
-        artifactError("candidate: scenarios section is missing");
-        return 2;
-    }
-
-    size_t compared = 0;
-    for (const auto& [name, base_entry] : base_scenarios->object) {
-        const JsonValue* cand_entry = cand_scenarios->find(name);
-        if (!cand_entry) {
-            artifactError("candidate: scenario '" + name +
-                          "' is missing");
-            continue;
-        }
-        bool ok = true;
-        const double base_median =
-            scenarioMedian(base_entry, "baseline", name, &ok);
-        double cand_median =
-            scenarioMedian(*cand_entry, "candidate", name, &ok);
-        if (!ok)
-            continue;
-        if (base_median <= 0.0) {
-            artifactError("baseline: scenario '" + name +
-                          "' median wall seconds is " +
-                          std::to_string(base_median) +
-                          " — regression ratio is undefined");
-            continue;
-        }
-        cand_median *= inject_time_scale;
-        ++compared;
-        const double ratio =
-            (cand_median - base_median) / base_median;
-        if (ratio > tolerance)
-            regression(("bench." + name + ".wall_seconds").c_str(),
-                       base_median, cand_median,
-                       "+" + std::to_string(ratio * 100.0) +
-                           "% > allowed +" +
-                           std::to_string(tolerance * 100.0) + "%");
-        else
-            std::printf("bench-diff: %-24s %.6g s -> %.6g s "
-                        "(%+.1f%%, allowed +%.0f%%)\n",
-                        name.c_str(), base_median, cand_median,
-                        ratio * 100.0, tolerance * 100.0);
-    }
-
-    if (artifact_errors) {
-        std::fprintf(stderr, "betty_report: %d artifact error(s)\n",
-                     artifact_errors);
-        return 2;
-    }
-    if (diff_regressions) {
-        std::fprintf(stderr, "betty_report: %d regression(s)\n",
-                     diff_regressions);
-        return 1;
-    }
-    std::printf("betty_report: bench-diff OK (%zu scenario(s) "
-                "within +%.0f%%)\n",
-                compared, tolerance * 100.0);
-    return 0;
-}
-
 // ------------------------------------------------------------- critpath
 
 namespace critpath = betty::obs::critpath;
 
 /**
  * Report a typed artifact error from the critpath pipeline and
- * return the exit-2 convention of the other diff modes.
+ * return the exit-2 convention of diff.
  */
 int
 critpathArtifactError(const critpath::CritpathError& error)
@@ -965,6 +819,38 @@ critpathCommand(const std::string& trace_path,
     return 0;
 }
 
+// ---------------------------------------------------------------- flags
+
+/** The value after flag argv[*i], advancing *i; exits 2 if absent. */
+const char*
+flagValue(int argc, char** argv, int* i)
+{
+    if (*i + 1 >= argc) {
+        std::fprintf(stderr, "betty_report: missing value for %s\n",
+                     argv[*i]);
+        std::exit(2);
+    }
+    return argv[++*i];
+}
+
+/** flagValue() as a whole-string finite double; exits 2 naming the
+ * flag when malformed ("25%" is not 25). */
+double
+numberValue(int argc, char** argv, int* i)
+{
+    const char* flag = argv[*i];
+    const char* text = flagValue(argc, argv, i);
+    double value = 0.0;
+    if (!betty::envcfg::parseDouble(text, &value)) {
+        std::fprintf(stderr,
+                     "betty_report: malformed %s='%s': expected a "
+                     "finite number\n",
+                     flag, text);
+        std::exit(2);
+    }
+    return value;
+}
+
 } // namespace
 
 int
@@ -988,16 +874,7 @@ main(int argc, char** argv)
         DiffThresholds thresholds;
         for (int i = 4; i < argc; ++i) {
             const std::string flag = argv[i];
-            auto value = [&]() -> double {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "betty_report: missing value for "
-                                 "%s\n",
-                                 flag.c_str());
-                    std::exit(2);
-                }
-                return std::atof(argv[++i]);
-            };
+            auto value = [&] { return numberValue(argc, argv, &i); };
             if (flag == "--max-peak-regress")
                 thresholds.maxPeakRegress = value();
             else if (flag == "--max-time-regress")
@@ -1018,57 +895,15 @@ main(int argc, char** argv)
         return diffReports(baseline, candidate, thresholds);
     }
 
-    if (command == "bench-diff") {
-        if (argc < 4)
-            return usage();
-        double tolerance = 0.25;
-        double inject_time_scale = 1.0;
-        for (int i = 4; i < argc; ++i) {
-            const std::string flag = argv[i];
-            auto value = [&]() -> double {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "betty_report: missing value for "
-                                 "%s\n",
-                                 flag.c_str());
-                    std::exit(2);
-                }
-                return std::atof(argv[++i]);
-            };
-            if (flag == "--tolerance")
-                tolerance = value();
-            else if (flag == "--inject-time-scale")
-                inject_time_scale = value();
-            else
-                return usage();
-        }
-        JsonValue baseline, candidate;
-        if (!loadReport(argv[2], baseline) ||
-            !loadReport(argv[3], candidate))
-            return 2;
-        return benchDiff(baseline, candidate, tolerance,
-                         inject_time_scale);
-    }
-
     if (command == "critpath") {
         std::vector<betty::obs::critpath::WhatIfSpec> specs;
         double min_coverage = 0.0;
         std::string out_path;
         for (int i = 3; i < argc; ++i) {
             const std::string flag = argv[i];
-            auto value = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "betty_report: missing value for "
-                                 "%s\n",
-                                 flag.c_str());
-                    std::exit(2);
-                }
-                return argv[++i];
-            };
             if (flag == "--what-if") {
                 betty::obs::critpath::WhatIfSpec spec;
-                const std::string text = value();
+                const std::string text = flagValue(argc, argv, &i);
                 if (!parseWhatIfSpec(text, &spec)) {
                     std::fprintf(
                         stderr,
@@ -1080,11 +915,9 @@ main(int argc, char** argv)
                 }
                 specs.push_back(spec);
             } else if (flag == "--min-coverage") {
-                if (!betty::envcfg::parseDouble(value(),
-                                                &min_coverage))
-                    return usage();
+                min_coverage = numberValue(argc, argv, &i);
             } else if (flag == "--out") {
-                out_path = value();
+                out_path = flagValue(argc, argv, &i);
             } else {
                 return usage();
             }
