@@ -12,18 +12,23 @@
  *    the pipeline stages whose overhead the paper's future-work
  *    section proposes to optimize.
  *  - Kernels (docs/KERNELS.md): the fused gather-aggregate, the
- *    cache-blocked GEMM variants, and the bump-arena allocator, each
- *    measured on BOTH dispatch backends. The run ends with an
- *    aligned scalar-vs-avx2 sweep table; the speedup column is the
- *    acceptance figure (>= 2x fused gather-aggregate, >= 1.5x GEMM).
- *    On hardware or builds without AVX2+FMA the avx2 rows fall back
- *    to scalar (kernels/dispatch.h) and the table says so.
+ *    bump-arena allocator, and the three GEMM variants on the shapes
+ *    perfbench's workloads run, each measured on BOTH dispatch
+ *    backends. Every GEMM shape is timed on 1 and on 4 pool lanes
+ *    (the binary resizes the global pool itself; --threads sets the
+ *    lanes of everything else). The run ends with an aligned sweep
+ *    table: per kernel and lane count, the avx2-vs-scalar speedup
+ *    and, on 4 lanes, the speedup over 1 lane. On hardware or builds
+ *    without AVX2+FMA the avx2 rows fall back to scalar
+ *    (kernels/dispatch.h) and the table says so.
  *
  *   bench_micro_kernels [--trace-out=FILE] [--metrics-out=FILE]
  *                       [--json=FILE] [--threads=N]
  */
+#include <algorithm>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -33,6 +38,7 @@
 #include "kernels/dispatch.h"
 #include "kernels/kernels.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace betty {
@@ -225,28 +231,88 @@ struct GatherWork
 
 GatherWork g_gather;
 
+/** A GEMM entry point and shape that a perfbench workload runs. */
+struct GemmShape
+{
+    /** Scenario base name; the sweep table's kernel column. */
+    const char* name;
+    const char* description;
+    void (*kernel)(const float*, const float*, float*, int64_t,
+                   int64_t, int64_t);
+    int64_t m, k, n;
+};
+
+/**
+ * Layer shapes measured from perfbench's traced GEMM spans: cora's
+ * 2866-wide layer-1 input (self and neighbour features side by side)
+ * and products' layers 1 and 2 — forward gemm, weight-gradient
+ * gemmTransA and input-gradient gemmTransB.
+ */
+const GemmShape kGemmShapes[] = {
+    {"gemm_cora_l1", "gemm 250x2866x64, cora_wide layer 1 forward",
+     kernels::gemm, 250, 2866, 64},
+    {"gemm_transa_cora_l1",
+     "gemmTransA 2866x250x64, cora_wide layer 1 weight gradient",
+     kernels::gemmTransA, 2866, 250, 64},
+    {"gemm_products_l1",
+     "gemm 1000x200x64, products_tight layer 1 forward", kernels::gemm,
+     1000, 200, 64},
+    {"gemm_transa_products_l1",
+     "gemmTransA 200x1000x64, products_tight layer 1 weight gradient",
+     kernels::gemmTransA, 200, 1000, 64},
+    {"gemm_transb_products_l2",
+     "gemmTransB 200x64x128, products_tight layer 2 input gradient",
+     kernels::gemmTransB, 200, 64, 128},
+};
+
+/** Lane counts every GEMM shape is timed at. */
+constexpr int32_t kGemmLanes[] = {1, 4};
+
+/** Dense operands for one GemmShape (no zero-skip), built once. */
 struct GemmWork
 {
-    int64_t m = 256, k = 64, n = 64;
     std::vector<float> a, b, c;
+    /** Calls per timed repeat: about 200 MFLOP, whatever the shape. */
+    int iterations = 1;
 
     void
-    build()
+    build(const GemmShape& shape)
     {
         if (!a.empty())
             return;
         Rng rng(99);
-        a.resize(size_t(m * k));
-        b.resize(size_t(k * n));
-        c.resize(size_t(m * n));
+        a.resize(size_t(shape.m * shape.k));
+        b.resize(size_t(shape.k * shape.n));
+        c.resize(size_t(shape.m * shape.n));
         for (auto& v : a)
-            v = float(rng.uniformReal(0.1, 1.0)); // no zero-skip
+            v = float(rng.uniformReal(0.1, 1.0));
         for (auto& v : b)
             v = float(rng.uniformReal(-1.0, 1.0));
+        const int64_t flops = 2 * shape.m * shape.k * shape.n;
+        iterations = int(std::max<int64_t>(1, 200000000 / flops));
+    }
+
+    void
+    run(const GemmShape& shape)
+    {
+        for (int iter = 0; iter < iterations; ++iter) {
+            std::memset(c.data(), 0, c.size() * sizeof(float));
+            shape.kernel(a.data(), b.data(), c.data(), shape.m,
+                         shape.k, shape.n);
+        }
     }
 };
 
-GemmWork g_gemm;
+GemmWork g_gemm[std::size(kGemmShapes)];
+
+/** Scenario name of @p base under @p mode on @p lanes pool lanes. */
+std::string
+gemmScenarioName(const std::string& base, kernels::KernelMode mode,
+                 int32_t lanes)
+{
+    return base + "_" + kernels::kernelModeName(mode) + "_" +
+           std::to_string(lanes) + "lane";
+}
 
 /** Register one kernel workload under both backends. */
 void
@@ -272,6 +338,39 @@ pushKernelPair(std::vector<Scenario>* scenarios,
     }
 }
 
+/** Register every GEMM shape under both backends at each lane count;
+ * teardown restores the pool to @p base_lanes. */
+void
+pushGemmScenarios(std::vector<Scenario>* scenarios, int32_t base_lanes)
+{
+    for (size_t i = 0; i < std::size(kGemmShapes); ++i) {
+        const GemmShape& shape = kGemmShapes[i];
+        for (const int32_t lanes : kGemmLanes) {
+            for (const kernels::KernelMode mode :
+                 {kernels::KernelMode::Scalar,
+                  kernels::KernelMode::Avx2}) {
+                scenarios->push_back(Scenario{
+                    gemmScenarioName(shape.name, mode, lanes),
+                    std::string(shape.description) + " [" +
+                        kernels::kernelModeName(mode) + " backend, " +
+                        std::to_string(lanes) +
+                        (lanes == 1 ? " lane]" : " lanes]"),
+                    [i, mode, lanes] {
+                        g_gemm[i].build(kGemmShapes[i]);
+                        kernels::setKernelMode(mode);
+                        ThreadPool::setGlobalThreads(lanes);
+                    },
+                    [i] { g_gemm[i].run(kGemmShapes[i]); },
+                    [base_lanes] {
+                        kernels::setKernelMode(
+                            kernels::KernelMode::Scalar);
+                        ThreadPool::setGlobalThreads(base_lanes);
+                    }});
+            }
+        }
+    }
+}
+
 std::vector<Scenario>
 kernelScenarios()
 {
@@ -290,34 +389,7 @@ kernelScenarios()
                     g_gather.out.data());
         });
 
-    pushKernelPair(
-        &scenarios, "gemm",
-        "cache-blocked GEMM, 256x64 @ 64x64 (the SAGE layer shape)",
-        [] { g_gemm.build(); },
-        [] {
-            for (int iter = 0; iter < 50; ++iter) {
-                std::memset(g_gemm.c.data(), 0,
-                            g_gemm.c.size() * sizeof(float));
-                kernels::gemm(g_gemm.a.data(), g_gemm.b.data(),
-                              g_gemm.c.data(), g_gemm.m, g_gemm.k,
-                              g_gemm.n);
-            }
-        });
-
-    pushKernelPair(
-        &scenarios, "gemm_transb",
-        "GEMM against a transposed weight (backward dX shape)",
-        [] { g_gemm.build(); },
-        [] {
-            // b reinterpreted as n x k: same buffer, transposed walk.
-            for (int iter = 0; iter < 50; ++iter) {
-                std::memset(g_gemm.c.data(), 0,
-                            g_gemm.c.size() * sizeof(float));
-                kernels::gemmTransB(g_gemm.a.data(), g_gemm.b.data(),
-                                    g_gemm.c.data(), g_gemm.m,
-                                    g_gemm.k, g_gemm.n);
-            }
-        });
+    pushGemmScenarios(&scenarios, ThreadPool::globalThreads());
 
     // Allocation discipline: the arena's pointer-bump against the
     // same request stream on the general-purpose heap.
@@ -362,6 +434,13 @@ kernelScenarios()
     return scenarios;
 }
 
+/** "<num/den>x", or "-" without a denominator. */
+std::string
+speedup(double num, double den)
+{
+    return den > 0.0 ? TablePrinter::num(num / den, 2) + "x" : "-";
+}
+
 void
 printSweepTable(benchutil::ObsSession& obs_session)
 {
@@ -369,36 +448,64 @@ printSweepTable(benchutil::ObsSession& obs_session)
                       kernels::cpuSupportsAvx2();
     obs_session.result("avx2_available", avx2 ? 1.0 : 0.0);
     TablePrinter table(avx2
-                           ? "Kernel sweep: scalar vs avx2 (mean "
-                             "seconds per repeat)"
+                           ? "Kernel sweep: scalar vs avx2, 1 vs 4 "
+                             "lanes (mean seconds per repeat)"
                            : "Kernel sweep: AVX2+FMA UNAVAILABLE — "
                              "avx2 rows fell back to scalar");
-    table.setHeader({"kernel", "scalar_s", "avx2_s", "speedup"});
-    for (const char* base :
-         {"gather_aggregate", "gemm", "gemm_transb"}) {
-        const double scalar_s =
-            meanSeconds(std::string(base) + "_scalar");
-        const double avx2_s = meanSeconds(std::string(base) + "_avx2");
-        if (avx2_s > 0.0)
-            obs_session.result(std::string(base) + ".speedup",
-                               scalar_s / avx2_s);
-        table.addRow({base, TablePrinter::num(scalar_s, 6),
-                      TablePrinter::num(avx2_s, 6),
-                      avx2_s > 0.0
-                          ? TablePrinter::num(scalar_s / avx2_s, 2) +
-                                "x"
-                          : "-"});
+    table.setHeader({"kernel", "lanes", "scalar_s", "avx2_s",
+                     "avx2 speedup", "lane speedup scalar",
+                     "lane speedup avx2"});
+
+    const double gather_scalar = meanSeconds("gather_aggregate_scalar");
+    const double gather_avx2 = meanSeconds("gather_aggregate_avx2");
+    if (gather_avx2 > 0.0)
+        obs_session.result("gather_aggregate.speedup",
+                           gather_scalar / gather_avx2);
+    table.addRow({"gather_aggregate", "1",
+                  TablePrinter::num(gather_scalar, 6),
+                  TablePrinter::num(gather_avx2, 6),
+                  speedup(gather_scalar, gather_avx2), "-", "-"});
+
+    // Per shape: "<name>.speedup" is avx2 over scalar on 1 lane,
+    // "<name>.lane_speedup.<backend>" is 1 lane over 4 lanes.
+    for (const GemmShape& shape : kGemmShapes) {
+        const std::string base = shape.name;
+        auto mean = [&base](kernels::KernelMode mode, int32_t lanes) {
+            return meanSeconds(gemmScenarioName(base, mode, lanes));
+        };
+        const double scalar_1 = mean(kernels::KernelMode::Scalar, 1);
+        const double avx2_1 = mean(kernels::KernelMode::Avx2, 1);
+        for (const int32_t lanes : kGemmLanes) {
+            const double scalar_s =
+                mean(kernels::KernelMode::Scalar, lanes);
+            const double avx2_s = mean(kernels::KernelMode::Avx2, lanes);
+            const bool serial = lanes == 1;
+            if (serial && avx2_s > 0.0)
+                obs_session.result(base + ".speedup",
+                                   scalar_s / avx2_s);
+            if (!serial && scalar_s > 0.0 && avx2_s > 0.0) {
+                obs_session.result(base + ".lane_speedup.scalar",
+                                   scalar_1 / scalar_s);
+                obs_session.result(base + ".lane_speedup.avx2",
+                                   avx2_1 / avx2_s);
+            }
+            table.addRow({base, std::to_string(lanes),
+                          TablePrinter::num(scalar_s, 6),
+                          TablePrinter::num(avx2_s, 6),
+                          speedup(scalar_s, avx2_s),
+                          serial ? "-" : speedup(scalar_1, scalar_s),
+                          serial ? "-" : speedup(avx2_1, avx2_s)});
+        }
     }
+
     const double arena_s = meanSeconds("alloc_churn_arena");
     const double heap_s = meanSeconds("alloc_churn_heap");
     if (arena_s > 0.0)
         obs_session.result("alloc_churn.speedup", heap_s / arena_s);
-    table.addRow({"alloc_churn (arena vs heap)",
+    table.addRow({"alloc_churn (arena vs heap)", "1",
                   TablePrinter::num(heap_s, 6),
                   TablePrinter::num(arena_s, 6),
-                  arena_s > 0.0
-                      ? TablePrinter::num(heap_s / arena_s, 2) + "x"
-                      : "-"});
+                  speedup(heap_s, arena_s), "-", "-"});
     table.print();
 }
 

@@ -113,14 +113,14 @@ gemmAvx2(const float* a, const float* b, float* c, int64_t m,
 
 void
 gemmTransAAvx2(const float* a, const float* b, float* c, int64_t m,
-               int64_t k, int64_t n)
+               int64_t k, int64_t n, int64_t row_lo, int64_t row_hi)
 {
     // k-outer like the scalar reference (C rows accumulate in memory
     // across the k loop — per-element k order preserved).
     for (int64_t kk = 0; kk < k; ++kk) {
         const float* arow = a + kk * m;
         const float* brow = b + kk * n;
-        for (int64_t i = 0; i < m; ++i) {
+        for (int64_t i = row_lo; i < row_hi; ++i) {
             const float aval = arow[i];
             if (aval == 0.0f)
                 continue;

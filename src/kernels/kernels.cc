@@ -10,11 +10,14 @@
  */
 #include "kernels/kernels.h"
 
+#include <algorithm>
+
 #include "kernels/dispatch.h"
 #include "kernels/kernels_internal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace betty::kernels {
 
@@ -43,12 +46,12 @@ gemmScalar(const float* a, const float* b, float* c, int64_t m,
 
 void
 gemmTransAScalar(const float* a, const float* b, float* c, int64_t m,
-                 int64_t k, int64_t n)
+                 int64_t k, int64_t n, int64_t row_lo, int64_t row_hi)
 {
     for (int64_t kk = 0; kk < k; ++kk) {
         const float* arow = a + kk * m;
         const float* brow = b + kk * n;
-        for (int64_t i = 0; i < m; ++i) {
+        for (int64_t i = row_lo; i < row_hi; ++i) {
             const float aval = arow[i];
             if (aval == 0.0f)
                 continue;
@@ -193,7 +196,39 @@ useAvx2()
 #endif
 }
 
+/**
+ * FLOPs of one parallel GEMM block. A compile-time constant, so block
+ * boundaries depend only on the shape (docs/PARALLELISM.md rule 1).
+ */
+constexpr int64_t kGemmBlockFlops = int64_t(1) << 20;
+
+/**
+ * Run @p rows(lo, hi) over the output rows [0, m) of a GEMM, one block
+ * of gemmBlockRows(k, n) rows per chunk of the global pool. Each
+ * output row is written by exactly one chunk, which runs the backend's
+ * own k order for it, so c is bit-identical for any lane count.
+ */
+template <typename Rows>
+void
+forEachRowBlock(int64_t m, int64_t k, int64_t n, const Rows& rows)
+{
+    const int64_t grain = gemmBlockRows(k, n);
+    if (m <= grain)
+        return rows(0, m);
+    // Passed by reference, so the std::function holds one pointer
+    // in place rather than copying the captures to the heap.
+    ThreadPool::global().parallelFor(
+        0, m, grain, [&rows](int64_t lo, int64_t hi) { rows(lo, hi); });
+}
+
 } // namespace
+
+int64_t
+gemmBlockRows(int64_t k, int64_t n)
+{
+    return std::max<int64_t>(
+        1, kGemmBlockFlops / std::max<int64_t>(1, 2 * k * n));
+}
 
 void
 gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
@@ -204,11 +239,15 @@ gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
     static obs::Counter& flops = obs::Metrics::counter("kernel.gemm.flops");
     calls.add(1);
     flops.add(2 * m * k * n);
+    [[maybe_unused]] const bool avx2 = useAvx2();
+    forEachRowBlock(m, k, n, [=](int64_t lo, int64_t hi) {
 #ifdef BETTY_KERNELS_HAVE_AVX2
-    if (useAvx2())
-        return detail::gemmAvx2(a, b, c, m, k, n);
+        if (avx2)
+            return detail::gemmAvx2(a + lo * k, b, c + lo * n, hi - lo,
+                                    k, n);
 #endif
-    detail::gemmScalar(a, b, c, m, k, n);
+        detail::gemmScalar(a + lo * k, b, c + lo * n, hi - lo, k, n);
+    });
 }
 
 void
@@ -220,11 +259,14 @@ gemmTransA(const float* a, const float* b, float* c, int64_t m,
     static obs::Counter& flops = obs::Metrics::counter("kernel.gemm.flops");
     calls.add(1);
     flops.add(2 * m * k * n);
+    [[maybe_unused]] const bool avx2 = useAvx2();
+    forEachRowBlock(m, k, n, [=](int64_t lo, int64_t hi) {
 #ifdef BETTY_KERNELS_HAVE_AVX2
-    if (useAvx2())
-        return detail::gemmTransAAvx2(a, b, c, m, k, n);
+        if (avx2)
+            return detail::gemmTransAAvx2(a, b, c, m, k, n, lo, hi);
 #endif
-    detail::gemmTransAScalar(a, b, c, m, k, n);
+        detail::gemmTransAScalar(a, b, c, m, k, n, lo, hi);
+    });
 }
 
 void
@@ -236,11 +278,16 @@ gemmTransB(const float* a, const float* b, float* c, int64_t m,
     static obs::Counter& flops = obs::Metrics::counter("kernel.gemm.flops");
     calls.add(1);
     flops.add(2 * m * k * n);
+    [[maybe_unused]] const bool avx2 = useAvx2();
+    forEachRowBlock(m, k, n, [=](int64_t lo, int64_t hi) {
 #ifdef BETTY_KERNELS_HAVE_AVX2
-    if (useAvx2())
-        return detail::gemmTransBAvx2(a, b, c, m, k, n);
+        if (avx2)
+            return detail::gemmTransBAvx2(a + lo * k, b, c + lo * n,
+                                          hi - lo, k, n);
 #endif
-    detail::gemmTransBScalar(a, b, c, m, k, n);
+        detail::gemmTransBScalar(a + lo * k, b, c + lo * n, hi - lo, k,
+                                 n);
+    });
 }
 
 void

@@ -51,6 +51,17 @@ void gemmTransA(const float* a, const float* b, float* c, int64_t m,
 void gemmTransB(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n);
 
+/**
+ * Output rows per parallel block of a GEMM with reduction depth @p k
+ * and @p n output columns (in every variant a row costs 2 * k * n
+ * FLOPs). Each variant splits c into blocks of this many whole rows
+ * and runs them on ThreadPool::global(); with m no larger than one
+ * block it runs inline on the caller. Every output row has one owner
+ * and keeps its backend's k order, so results are bit-identical at
+ * any lane count (docs/KERNELS.md "Parallel execution").
+ */
+int64_t gemmBlockRows(int64_t k, int64_t n);
+
 /** @} */
 
 /** @name Fused gather-aggregate over CSR blocks

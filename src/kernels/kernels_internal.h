@@ -20,8 +20,10 @@ namespace betty::kernels::detail {
 /** @{ */
 void gemmScalar(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n);
+/** Output rows [row_lo, row_hi) of gemmTransA (a is k x m). */
 void gemmTransAScalar(const float* a, const float* b, float* c,
-                      int64_t m, int64_t k, int64_t n);
+                      int64_t m, int64_t k, int64_t n, int64_t row_lo,
+                      int64_t row_hi);
 void gemmTransBScalar(const float* a, const float* b, float* c,
                       int64_t m, int64_t k, int64_t n);
 void gatherAggregateScalar(const float* x, int64_t rows, int64_t cols,
@@ -48,8 +50,10 @@ void scaleInPlaceScalar(float* y, float alpha, int64_t n);
 /** @{ */
 void gemmAvx2(const float* a, const float* b, float* c, int64_t m,
               int64_t k, int64_t n);
+/** Output rows [row_lo, row_hi) of gemmTransA (a is k x m). */
 void gemmTransAAvx2(const float* a, const float* b, float* c,
-                    int64_t m, int64_t k, int64_t n);
+                    int64_t m, int64_t k, int64_t n, int64_t row_lo,
+                    int64_t row_hi);
 void gemmTransBAvx2(const float* a, const float* b, float* c,
                     int64_t m, int64_t k, int64_t n);
 void gatherAggregateAvx2(const float* x, int64_t rows, int64_t cols,

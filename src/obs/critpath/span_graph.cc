@@ -249,11 +249,26 @@ namespace {
 struct SweepEvent
 {
     int64_t tsUs = 0;
-    /** false = close, true = open; closes sort before opens at the
-     * same timestamp so adjacent spans do not overlap. */
+    /** false = close, true = open. */
     bool open = false;
     int32_t spanIndex = -1;
 };
+
+/**
+ * Order of a sweep event among those at the same timestamp: closes of
+ * spans that started earlier come first, so adjacent spans do not
+ * overlap; then opens; then the closes of zero-duration spans, which
+ * must follow their own open. A 0 µs span thus owns no time, where
+ * closing it before it opened would leave it on the stack to take the
+ * lane's later time.
+ */
+int
+sweepRank(const SweepEvent& event, const GraphSpan& span)
+{
+    if (event.open)
+        return 1;
+    return span.durUs == 0 ? 2 : 0;
+}
 
 } // namespace
 
@@ -304,8 +319,12 @@ buildSegmentGraph(const SpanGraph& graph, SegmentGraph* out,
                   [&](const SweepEvent& a, const SweepEvent& b) {
                       if (a.tsUs != b.tsUs)
                           return a.tsUs < b.tsUs;
-                      if (a.open != b.open)
-                          return !a.open; // closes first
+                      const int rank_a =
+                          sweepRank(a, graph.spans[a.spanIndex]);
+                      const int rank_b =
+                          sweepRank(b, graph.spans[b.spanIndex]);
+                      if (rank_a != rank_b)
+                          return rank_a < rank_b;
                       if (a.open)
                           // Opens: longer span first (parent before
                           // child when starts coincide).
@@ -378,7 +397,12 @@ buildSegmentGraph(const SpanGraph& graph, SegmentGraph* out,
 
     // Flow edges: source = last segment on the producing lane ending
     // at or before the (clamped) bind time; target = first segment on
-    // the consuming lane starting at or after it.
+    // the consuming lane starting at or after it, else the lane's last
+    // segment if it lies inside the target span (so a flow that runs
+    // backward in time still closes its cycle). A target too short to
+    // own a segment, at the end of its lane, has neither: no later
+    // work waits on the edge, and it is dropped rather than pointed
+    // at an earlier span, which would close a false cycle.
     auto findSource = [&](int32_t lane, int64_t ts) -> int32_t {
         const auto it = lane_segments.find(lane);
         if (it == lane_segments.end())
@@ -392,22 +416,22 @@ buildSegmentGraph(const SpanGraph& graph, SegmentGraph* out,
         }
         return best;
     };
-    auto findTarget = [&](int32_t lane, int64_t ts) -> int32_t {
-        const auto it = lane_segments.find(lane);
+    auto findTarget = [&](const GraphSpan& to, int64_t ts) -> int32_t {
+        const auto it = lane_segments.find(to.lane);
         if (it == lane_segments.end())
             return -1;
         for (int32_t index : it->second)
             if (out->segments[index].startUs >= ts)
                 return index;
-        return it->second.empty() ? -1 : it->second.back();
+        const int32_t last = it->second.back();
+        return out->segments[last].endUs > to.startUs ? last : -1;
     };
     for (const GraphFlow& flow : graph.flows) {
         const GraphSpan& from = graph.spans[by_id.at(flow.from)];
         const GraphSpan& to = graph.spans[by_id.at(flow.to)];
         const int32_t source =
             findSource(from.lane, clampToSpan(from, flow.tsUs));
-        const int32_t target =
-            findTarget(to.lane, clampToSpan(to, flow.tsUs));
+        const int32_t target = findTarget(to, clampToSpan(to, flow.tsUs));
         if (source < 0 || target < 0 || source == target)
             continue;
         out->preds[target].push_back(source);

@@ -2,7 +2,7 @@
  * @file
  * Work-stealing thread pool powering Betty's parallel batch
  * preparation (REG construction, neighbor sampling, transfer-compute
- * pipelining).
+ * pipelining) and the row-blocked GEMM kernels (kernels/kernels.h).
  *
  * Determinism contract (docs/PARALLELISM.md): the pool only ever
  * executes *independent* work items — parallelFor() chunks a range
@@ -96,8 +96,9 @@ class ThreadPool
 
     /**
      * The process-wide pool used by the parallel batch-preparation
-     * paths. Sized by the last setGlobalThreads() call, else the
-     * BETTY_THREADS environment variable, else 1 (serial).
+     * paths and the GEMM kernels. Sized by the last
+     * setGlobalThreads() call, else the BETTY_THREADS environment
+     * variable, else 1 (serial).
      */
     static ThreadPool& global();
 

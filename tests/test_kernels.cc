@@ -11,11 +11,17 @@
  * blocks; the end-to-end tests check gradient and loss parity of a
  * real model between kernel modes.
  *
- * Every test skips (vacuously passes) on hardware or toolchains
- * without AVX2+FMA — the dispatch tier covers that fallback.
+ * Every equivalence test skips (vacuously passes) on hardware or
+ * toolchains without AVX2+FMA — the dispatch tier covers that
+ * fallback. The lane-count tier runs each available backend: a GEMM
+ * split over the pool's lanes must be bit-identical to the same
+ * backend on one lane.
  */
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,10 +33,12 @@
 #include "kernels/kernels.h"
 #include "nn/models.h"
 #include "nn/optim.h"
+#include "obs/metrics.h"
 #include "sampling/neighbor_sampler.h"
 #include "tensor/autograd.h"
 #include "train/trainer.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace betty {
 namespace {
@@ -395,6 +403,125 @@ TEST_F(KernelEquivalence, RowMovementAndElementwiseBitExact)
             kernels::scaleInPlace(y, 1.7f, n);
         });
     expectBitExact(add_ref, add_got);
+}
+
+/** The three GEMM entry points, for the lane-count tier. */
+enum class GemmVariant { Plain, TransA, TransB };
+
+/**
+ * c = 0.25 + op(a, b) through one GEMM variant, one call per
+ * @p rows_per_call output rows (a is m x k, or k x m for TransA; b
+ * holds k * n values). With rows_per_call = m it is a single call.
+ */
+std::vector<float>
+runGemm(GemmVariant variant, const std::vector<float>& a,
+        const std::vector<float>& b, int64_t m, int64_t k, int64_t n,
+        int64_t rows_per_call)
+{
+    std::vector<float> c(size_t(m * n), 0.25f);
+    for (int64_t lo = 0; lo < m; lo += rows_per_call) {
+        const int64_t rows = std::min(rows_per_call, m - lo);
+        float* out = c.data() + lo * n;
+        switch (variant) {
+          case GemmVariant::Plain:
+            kernels::gemm(a.data() + lo * k, b.data(), out, rows, k, n);
+            break;
+          case GemmVariant::TransA: {
+            // Output rows [lo, lo + rows) are columns of the stored A.
+            std::vector<float> cols(size_t(k * rows));
+            for (int64_t kk = 0; kk < k; ++kk)
+                std::copy_n(a.data() + kk * m + lo, rows,
+                            cols.data() + kk * rows);
+            kernels::gemmTransA(cols.data(), b.data(), out, rows, k, n);
+            break;
+          }
+          case GemmVariant::TransB:
+            kernels::gemmTransB(a.data() + lo * k, b.data(), out, rows,
+                                k, n);
+            break;
+        }
+    }
+    return c;
+}
+
+class GemmLanes : public ::testing::Test
+{
+  protected:
+    void SetUp() override { metricsWereOn_ = obs::Metrics::enabled(); }
+
+    void TearDown() override
+    {
+        ThreadPool::setGlobalThreads(1);
+        kernels::setKernelMode(kernels::KernelMode::Scalar);
+        obs::Metrics::setEnabled(metricsWereOn_);
+    }
+
+    bool metricsWereOn_ = false;
+};
+
+TEST_F(GemmLanes, BitIdenticalAtEveryLaneCountUnderEachBackend)
+{
+    // On 1 lane the split result must equal the same rows computed
+    // inline block by block; on 2, 3 and 8 lanes, the 1-lane result.
+    // n = 45 covers the AVX2 32-column tile, an 8-lane block and a
+    // scalar tail; k = 37 leaves a remainder in gemmTransB's dot.
+    const int64_t k = 37, n = 45;
+    const int64_t block = kernels::gemmBlockRows(k, n);
+    ASSERT_GT(block, 2);
+    // Below one block, one block and one row less (both inline), one
+    // row more than a block, and many blocks with a remainder.
+    const std::vector<int64_t> shapes = {block / 2, block - 1, block,
+                                         block + 1, 5 * block + 7};
+    std::vector<kernels::KernelMode> modes = {kernels::KernelMode::Scalar};
+    if (avx2Available())
+        modes.push_back(kernels::KernelMode::Avx2);
+
+    Rng rng(110);
+    auto a = randomValues(rng, shapes.back() * k);
+    // Half of A is exact zeros, so the zero-skip of gemm and
+    // gemmTransA takes both arms inside every block.
+    for (size_t i = 0; i < a.size(); i += 2)
+        a[i] = 0.0f;
+    const auto b = randomValues(rng, k * n);
+
+    obs::Metrics::setEnabled(true);
+    const obs::Counter& parallel_fors =
+        obs::Metrics::counter("pool.parallel_fors");
+    std::map<std::tuple<int, int, int64_t>, std::vector<float>> serial;
+    for (const int32_t lanes : {1, 2, 3, 8}) {
+        ThreadPool::setGlobalThreads(lanes);
+        for (const kernels::KernelMode mode : modes) {
+            kernels::setKernelMode(mode);
+            for (const GemmVariant variant :
+                 {GemmVariant::Plain, GemmVariant::TransA,
+                  GemmVariant::TransB}) {
+                for (const int64_t m : shapes) {
+                    SCOPED_TRACE(testing::Message()
+                                 << kernels::kernelModeName(mode)
+                                 << " variant " << int(variant)
+                                 << " m=" << m << " lanes=" << lanes);
+                    const int64_t before = parallel_fors.value();
+                    auto c = runGemm(variant, a, b, m, k, n, m);
+                    // Non-vacuous: shapes past one block really went
+                    // through the pool, the rest ran inline.
+                    if (m > block)
+                        EXPECT_GT(parallel_fors.value(), before);
+                    else
+                        EXPECT_EQ(parallel_fors.value(), before);
+                    const auto key =
+                        std::make_tuple(int(mode), int(variant), m);
+                    if (lanes == 1) {
+                        // One call per block: each runs inline.
+                        expectBitExact(
+                            runGemm(variant, a, b, m, k, n, block), c);
+                        serial[key] = std::move(c);
+                    } else {
+                        expectBitExact(serial.at(key), c);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /** Shared fixture for the end-to-end parity tests. */

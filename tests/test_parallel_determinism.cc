@@ -13,9 +13,6 @@
  * with BETTY_UPDATE_GOLDEN=1 after an intentional output change.
  */
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -30,8 +27,12 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
+#include "golden.h"
+
 namespace betty {
 namespace {
+
+using testutil::checkAgainstGolden;
 
 // -------------------------------------------------------------------
 // FNV-1a over int64 streams.
@@ -94,56 +95,6 @@ hashGroups(const std::vector<std::vector<int64_t>>& groups)
     for (const auto& group : groups)
         fnvMixRange(hash, group);
     return hash;
-}
-
-// -------------------------------------------------------------------
-// Golden corpus.
-
-std::string
-goldenPath(const std::string& graph_name)
-{
-    return std::string(BETTY_GOLDEN_DIR) + "/" + graph_name +
-           ".golden";
-}
-
-std::map<std::string, uint64_t>
-readGolden(const std::string& path)
-{
-    std::map<std::string, uint64_t> golden;
-    std::ifstream in(path);
-    std::string key, hex;
-    while (in >> key >> hex)
-        golden[key] = std::stoull(hex, nullptr, 16);
-    return golden;
-}
-
-void
-checkAgainstGolden(const std::string& graph_name,
-                   const std::map<std::string, uint64_t>& actual)
-{
-    const std::string path = goldenPath(graph_name);
-    if (std::getenv("BETTY_UPDATE_GOLDEN")) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out.good()) << "cannot write " << path;
-        for (const auto& [key, value] : actual) {
-            char hex[32];
-            std::snprintf(hex, sizeof(hex), "%016llx",
-                          (unsigned long long)value);
-            out << key << " " << hex << "\n";
-        }
-        GTEST_SKIP() << "golden corpus regenerated: " << path;
-    }
-    const auto golden = readGolden(path);
-    ASSERT_FALSE(golden.empty())
-        << "missing golden corpus " << path
-        << " (generate with BETTY_UPDATE_GOLDEN=1)";
-    EXPECT_EQ(golden.size(), actual.size());
-    for (const auto& [key, value] : actual) {
-        const auto it = golden.find(key);
-        ASSERT_NE(it, golden.end()) << "no golden entry for " << key;
-        EXPECT_EQ(it->second, value)
-            << key << " drifted from the committed golden hash";
-    }
 }
 
 // -------------------------------------------------------------------

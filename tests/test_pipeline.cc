@@ -6,15 +6,20 @@
  * peak/per-category accounting, and the device.oom_events counter are
  * bit-identical to the serial schedule — overlapping the host-side
  * gather of micro-batch k+1 with the compute of k may only change
- * wall-clock.
+ * wall-clock. The same holds for the pool lanes the GEMM kernels
+ * split their rows over, under each kernel backend, and for the exact
+ * work counters, which are also pinned to a golden corpus.
  */
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/betty.h"
 #include "data/catalog.h"
+#include "kernels/dispatch.h"
 #include "memory/device_memory.h"
 #include "memory/transfer_model.h"
 #include "obs/memprof.h"
@@ -24,8 +29,17 @@
 #include "train/trainer.h"
 #include "util/thread_pool.h"
 
+#include "golden.h"
+
 namespace betty {
 namespace {
+
+/** Deterministic work counters: a change that only reschedules work
+ * (pipelining, pool lanes, kernel backend) must leave them exact. */
+const char* const kWorkCounters[] = {
+    "kernel.gemm.calls",  "kernel.gemm.flops", "kernel.agg.edges",
+    "kernel.gather.rows", "transfer.bytes",    "device.alloc_count",
+};
 
 /** Everything one epoch run can be compared on, bit for bit. */
 struct RunResult
@@ -35,6 +49,8 @@ struct RunResult
     std::vector<int64_t> categoryPeaks;
     int64_t oomEvents = 0; // device.oom_events delta of this run
     uint64_t paramHash = 0;
+    /** kWorkCounters deltas of this run. */
+    std::map<std::string, uint64_t> work;
 };
 
 uint64_t
@@ -89,6 +105,9 @@ struct Env
         obs::Metrics::setEnabled(true);
         const int64_t oom_before =
             obs::Metrics::counter("device.oom_events").value();
+        std::map<std::string, int64_t> work_before;
+        for (const char* name : kWorkCounters)
+            work_before[name] = obs::Metrics::counter(name).value();
 
         DeviceMemoryModel device(capacity_bytes);
         DeviceMemoryModel::Scope scope(device);
@@ -110,6 +129,9 @@ struct Env
             obs::Metrics::counter("device.oom_events").value() -
             oom_before;
         result.paramHash = hashParameters(model);
+        for (const char* name : kWorkCounters)
+            result.work[name] = uint64_t(
+                obs::Metrics::counter(name).value() - work_before[name]);
         ThreadPool::setGlobalThreads(1);
         return result;
     }
@@ -177,6 +199,39 @@ TEST(Pipeline, OomAccountingUnchangedByOverlap)
     EXPECT_TRUE(serial.stats.oom); // capacity chosen to overflow
     expectBitIdentical(serial, pipelined);
     EXPECT_GT(serial.oomEvents, 0);
+}
+
+TEST(Pipeline, LanesChangeNeitherResultsNorWorkUnderEitherBackend)
+{
+    // The GEMMs split their output rows over every pool lane. Under
+    // each available backend, 4 lanes must train bit-identically to 1
+    // and count exactly the same work — the values the serial kernels
+    // recorded in tests/golden/work_counters.golden.
+    std::vector<kernels::KernelMode> modes = {kernels::KernelMode::Scalar};
+    if (kernels::builtWithAvx2() && kernels::cpuSupportsAvx2())
+        modes.push_back(kernels::KernelMode::Avx2);
+    Env env;
+    std::map<std::string, uint64_t> scalar_work;
+    for (const kernels::KernelMode mode : modes) {
+        SCOPED_TRACE(kernels::kernelModeName(mode));
+        kernels::setKernelMode(mode);
+        const RunResult one = env.run(1, true, 2);
+        const obs::Counter& splits =
+            obs::Metrics::counter("pool.parallel_fors");
+        const int64_t splits_before = splits.value();
+        const RunResult four = env.run(4, true, 2);
+        kernels::setKernelMode(kernels::KernelMode::Scalar);
+        // Non-vacuous: the 4-lane run really split GEMMs over the pool.
+        EXPECT_GT(splits.value(), splits_before);
+        expectBitIdentical(one, four);
+        EXPECT_EQ(one.work, four.work);
+        EXPECT_GT(one.work.at("kernel.gemm.flops"), 0u);
+        if (mode == kernels::KernelMode::Scalar)
+            scalar_work = one.work;
+        else
+            EXPECT_EQ(one.work, scalar_work);
+    }
+    testutil::checkAgainstGolden("work_counters", scalar_work);
 }
 
 TEST(Pipeline, SingleMicroBatchFallsBackToSerial)
