@@ -28,6 +28,23 @@ recordPlanMetrics(const PlanResult& result)
 
 } // namespace
 
+const WeightedGraph&
+BettyPartitioner::regFor(const Block& last_block)
+{
+    const bool same = has_reg_ &&
+                      reg_block_.srcNodes() == last_block.srcNodes() &&
+                      reg_block_.edgeOffsets() ==
+                          last_block.edgeOffsets() &&
+                      reg_block_.edgeSources() ==
+                          last_block.edgeSources();
+    if (!same) {
+        reg_ = buildReg(last_block, options_.reg);
+        reg_block_ = last_block;
+        has_reg_ = true;
+    }
+    return reg_;
+}
+
 std::vector<std::vector<int64_t>>
 BettyPartitioner::partition(const MultiLayerBatch& batch, int32_t k)
 {
@@ -39,8 +56,7 @@ BettyPartitioner::partition(const MultiLayerBatch& batch, int32_t k)
         return {std::vector<int64_t>(outputs.begin(), outputs.end())};
 
     // Algorithm 1: REG over the output layer, then K-way min cut.
-    const WeightedGraph reg =
-        buildReg(batch.blocks.back(), options_.reg);
+    const WeightedGraph& reg = regFor(batch.blocks.back());
     KwayOptions kway = options_.kway;
     kway.k = k;
 
@@ -92,27 +108,39 @@ BettyPartitioner::partition(const MultiLayerBatch& batch, int32_t k)
     return groupByPart(outputs, parts, k);
 }
 
-PlanResult
+MemoryAwarePlanner::Attempt
 MemoryAwarePlanner::evaluateK(const MultiLayerBatch& full,
                               OutputPartitioner& partitioner,
                               int32_t k) const
 {
     BETTY_TRACE_SPAN_CAT("plan/evaluate_k", "partition");
-    PlanResult result;
+    Attempt attempt;
+    attempt.groups = partitioner.partition(full, k);
+    PlanResult& result = attempt.result;
     result.k = k;
-    result.attempts = 1;
-    result.microBatches =
-        extractMicroBatches(full, partitioner.partition(full, k));
-    result.estimates.reserve(result.microBatches.size());
+    const auto shapes = microBatchShapes(full, attempt.groups);
+    result.estimates.reserve(shapes.size());
     int64_t worst = 0;
-    for (const auto& micro : result.microBatches) {
-        result.estimates.push_back(estimateBatchMemory(micro, spec_));
+    for (const auto& shape : shapes) {
+        result.estimates.push_back(estimateMemory(shape, spec_));
         worst = std::max(worst, result.estimates.back().peak);
     }
     result.maxEstimatedPeak = worst;
     // Standing reservations (the feature cache) shrink the memory a
     // micro-batch may actually use below the nameplate capacity.
     result.fits = capacity_ <= 0 || worst + reserved_ <= capacity_;
+    return attempt;
+}
+
+PlanResult
+MemoryAwarePlanner::finish(const MultiLayerBatch& full, Attempt attempt,
+                           int32_t attempts)
+{
+    PlanResult result = std::move(attempt.result);
+    result.microBatches = extractMicroBatches(full, attempt.groups);
+    result.attempts = attempts;
+    if (result.fits)
+        recordPlanMetrics(result);
     return result;
 }
 
@@ -129,15 +157,11 @@ MemoryAwarePlanner::plan(const MultiLayerBatch& full,
     int32_t attempts = 0;
     for (int32_t k = initial_k; k <= max_k; ++k) {
         ++attempts;
-        PlanResult result = evaluateK(full, partitioner, k);
-        result.attempts = attempts;
-        if (result.fits) {
-            recordPlanMetrics(result);
-            return result;
-        }
+        Attempt attempt = evaluateK(full, partitioner, k);
         // Splitting beyond one output node per micro-batch can't help.
-        if (int64_t(k) >= num_outputs || k == max_k)
-            return result;
+        if (attempt.result.fits || int64_t(k) >= num_outputs ||
+            k == max_k)
+            return finish(full, std::move(attempt), attempts);
     }
     panic("unreachable: plan loop must return");
 }
@@ -158,38 +182,34 @@ MemoryAwarePlanner::planGeometric(const MultiLayerBatch& full,
     // Phase 1: double K until something fits (or the bound is hit).
     int32_t lo = 0; // largest known non-fitting K (0 = none known)
     int32_t k = 1;
-    PlanResult best;
+    Attempt best;
     while (true) {
         ++attempts;
-        PlanResult result = evaluateK(full, partitioner, k);
-        if (result.fits) {
-            best = std::move(result);
+        Attempt attempt = evaluateK(full, partitioner, k);
+        if (attempt.result.fits) {
+            best = std::move(attempt);
             break;
         }
         lo = k;
-        if (k >= hard_max) {
-            result.attempts = attempts;
-            return result; // nothing fits
-        }
+        if (k >= hard_max) // nothing fits
+            return finish(full, std::move(attempt), attempts);
         k = int32_t(std::min<int64_t>(int64_t(k) * 2, hard_max));
     }
 
     // Phase 2: binary search (lo, best.k] for the smallest fit.
-    int32_t hi = best.k;
+    int32_t hi = best.result.k;
     while (hi - lo > 1) {
         const int32_t mid = lo + (hi - lo) / 2;
         ++attempts;
-        PlanResult result = evaluateK(full, partitioner, mid);
-        if (result.fits) {
-            best = std::move(result);
+        Attempt attempt = evaluateK(full, partitioner, mid);
+        if (attempt.result.fits) {
+            best = std::move(attempt);
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    best.attempts = attempts;
-    recordPlanMetrics(best);
-    return best;
+    return finish(full, std::move(best), attempts);
 }
 
 } // namespace betty

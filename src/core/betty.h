@@ -73,7 +73,18 @@ class BettyPartitioner : public OutputPartitioner
     bool lastRunWasWarm() const { return last_run_was_warm_; }
 
   private:
+    /**
+     * The REG of @p last_block: rebuilt only when the block differs
+     * from the last one's (CSR arrays compared). The planner
+     * partitions one batch at every K it tries, and the REG depends
+     * on nothing else, so a plan builds it once.
+     */
+    const WeightedGraph& regFor(const Block& last_block);
+
     BettyOptions options_;
+    Block reg_block_;
+    WeightedGraph reg_;
+    bool has_reg_ = false;
     // Warm-start memory: the previous assignment, by raw-graph id.
     std::unordered_map<int64_t, int32_t> previous_assignment_;
     int32_t previous_k_ = 0;
@@ -104,9 +115,13 @@ struct PlanResult
 
 /**
  * Memory-aware batch re-partitioning (paper §4.4.3): starting from
- * K = initial_k, partition, extract, estimate every micro-batch's
- * peak memory analytically, and re-partition with K+1 until every
+ * K = initial_k, partition, count every micro-batch's nodes and edges
+ * (core/micro_batch.h: microBatchShapes), estimate its peak memory
+ * from those counts, and re-partition with K+1 until every
  * micro-batch fits the device budget — no on-device trial and error.
+ * Only the returned attempt's micro-batches are built, from that
+ * attempt's groups (the partitioner is not called again: it may be
+ * stateful, like RandomPartitioner).
  */
 class MemoryAwarePlanner
 {
@@ -162,7 +177,7 @@ class MemoryAwarePlanner
      * Fast search variant (our extension; the paper's loop is the
      * strict K -> K+1 of plan()): double K until every micro-batch
      * fits, then binary-search the gap for the smallest fitting K.
-     * O(log K) partition+estimate rounds instead of O(K). Because the
+     * O(log K) partition+count rounds instead of O(K). Because the
      * worst micro-batch's memory is not perfectly monotone in K, the
      * result can occasionally sit one step above plan()'s minimum; it
      * always fits (or reports fits=false like plan()).
@@ -172,10 +187,23 @@ class MemoryAwarePlanner
                              int32_t max_k = 4096) const;
 
   private:
-    /** Partition at exactly @p k and estimate every micro-batch. */
-    PlanResult evaluateK(const MultiLayerBatch& full,
-                         OutputPartitioner& partitioner,
-                         int32_t k) const;
+    /** One K tried: its groups and the PlanResult fields known before
+     * any micro-batch is built. */
+    struct Attempt
+    {
+        std::vector<std::vector<int64_t>> groups;
+        PlanResult result;
+    };
+
+    /** Partition at exactly @p k and estimate every micro-batch from
+     * its counts. */
+    Attempt evaluateK(const MultiLayerBatch& full,
+                      OutputPartitioner& partitioner, int32_t k) const;
+
+    /** The plan a search returns after @p attempts tries: @p attempt
+     * with its micro-batches — the only ones the search builds. */
+    static PlanResult finish(const MultiLayerBatch& full, Attempt attempt,
+                             int32_t attempts);
 
     GnnSpec spec_;
     int64_t capacity_;

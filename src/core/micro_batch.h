@@ -11,6 +11,13 @@
  * edges exactly (union = full batch, destinations disjoint), which is
  * what makes accumulated micro-batch gradients equal the full-batch
  * gradient (paper §4.2.3: "The disjoint union of V_k is V").
+ *
+ * Both functions below run the same walk: outside in, in the full
+ * batch's local indices (the batch must keep MultiLayerBatch's
+ * chaining invariant, asserted once per call), one group per pool
+ * slot. microBatchShapes() stops at the counts, which is all the
+ * memory estimator reads; extractMicroBatches() also builds the
+ * blocks. Results are identical at any pool lane count.
  */
 #ifndef BETTY_CORE_MICRO_BATCH_H
 #define BETTY_CORE_MICRO_BATCH_H
@@ -28,6 +35,15 @@ namespace betty {
  * yield batches with zero output nodes (callers skip them).
  */
 std::vector<MultiLayerBatch> extractMicroBatches(
+    const MultiLayerBatch& full,
+    const std::vector<std::vector<int64_t>>& groups);
+
+/**
+ * Per-layer shapes (blocks[0] first) of the micro-batches
+ * extractMicroBatches(full, groups) builds, without building them:
+ * result[g] == extractMicroBatches(full, groups)[g].shape().
+ */
+std::vector<std::vector<BlockShape>> microBatchShapes(
     const MultiLayerBatch& full,
     const std::vector<std::vector<int64_t>>& groups);
 

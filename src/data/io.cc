@@ -1,8 +1,10 @@
 #include "data/io.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <unordered_set>
 #include <vector>
 
 #include "util/logging.h"
@@ -181,6 +183,16 @@ readBlock(Reader& r, Block& block)
                       "'" + r.path +
                           "': block edge count disagrees with "
                           "source array");
+    // The Block constructor asserts unique destinations; a file is
+    // input, so a duplicate is a typed error, not a panic.
+    std::unordered_set<int64_t> seen;
+    seen.reserve(dsts.size() * 2);
+    for (int64_t dst : dsts)
+        if (!seen.insert(dst).second)
+            return r.fail(IoError::CorruptValues,
+                          "'" + r.path +
+                              "': block has duplicate destination " +
+                              std::to_string(dst));
     std::vector<std::vector<int64_t>> src_per_dst(dsts.size());
     for (size_t d = 0; d < dsts.size(); ++d)
         src_per_dst[d].assign(sources.begin() + offsets[d],
@@ -475,6 +487,21 @@ loadBatchChecked(MultiLayerBatch& batch, const std::string& path)
         Block block;
         if (!readBlock(r, block))
             return r.status;
+        // The chaining invariant (sampling/block.h) every consumer of
+        // a batch relies on.
+        if (layer > 0) {
+            const auto dsts = loaded.blocks.back().dstNodes();
+            const auto& srcs = block.srcNodes();
+            if (!std::equal(dsts.begin(), dsts.end(), srcs.begin(),
+                            srcs.end())) {
+                r.fail(IoError::CorruptValues,
+                       "'" + path + "': layer " +
+                           std::to_string(layer - 1) +
+                           "'s destinations are not layer " +
+                           std::to_string(layer) + "'s sources");
+                return r.status;
+            }
+        }
         loaded.blocks.push_back(std::move(block));
     }
     batch = std::move(loaded);

@@ -41,7 +41,8 @@ enum class IoError
     /** The file ends before the data its counts promise. */
     Truncated,
     /** Values that can never be valid (NaN/Inf features,
-     * inconsistent array lengths, non-monotone offsets). */
+     * inconsistent array lengths, non-monotone offsets, duplicate
+     * block destinations, unchained batch layers). */
     CorruptValues,
     /** An id (edge endpoint, label, split node) outside its domain. */
     OutOfRange,
@@ -94,7 +95,9 @@ bool loadDataset(Dataset& dataset, const std::string& path);
 bool saveBatch(const MultiLayerBatch& batch, const std::string& path);
 
 /** Read a batch written by saveBatch, with full validation (see
- * loadDatasetChecked). */
+ * loadDatasetChecked). A block with a duplicate destination, or a
+ * layer whose destinations are not the sources of the layer above
+ * (MultiLayerBatch's chaining invariant), is CorruptValues. */
 IoStatus loadBatchChecked(MultiLayerBatch& batch,
                           const std::string& path);
 

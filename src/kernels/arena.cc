@@ -140,6 +140,10 @@ Arena::reset()
     ++resets_;
     obs::Metrics::gauge("kernel.arena.high_water_bytes")
         .max(high_water_bytes_);
+    // Re-published here too, not only on growth: an arena that stopped
+    // growing before a Metrics::reset() would otherwise read 0.
+    obs::Metrics::gauge("kernel.arena.reserved_bytes")
+        .set(reserved_bytes_);
     obs::Metrics::counter("kernel.arena.resets").add(1);
 }
 

@@ -10,7 +10,7 @@ namespace {
 
 constexpr int64_t kFloat = 4;   // bytes per float32 scalar
 constexpr int64_t kLabel = 4;   // bytes per label
-// Node-ID bytes for item (4) live in MultiLayerBatch::structureBytes().
+// Node-ID bytes for item (4): kStructureBytesPerEdge (sampling/block.h).
 
 /** Per-layer forward/backward byte costs (see the derivations below). */
 struct LayerCost
@@ -32,12 +32,12 @@ struct LayerCost
  * gradients, which is why @p input_needs_grad matters.
  */
 LayerCost
-layerCost(const Block& block, int64_t d, int64_t h, AggregatorKind agg,
-          bool last_layer, bool input_needs_grad, int64_t lstm_c,
-          int64_t heads)
+layerCost(const BlockShape& block, int64_t d, int64_t h,
+          AggregatorKind agg, bool last_layer, bool input_needs_grad,
+          int64_t lstm_c, int64_t heads)
 {
-    const int64_t n = block.numDst();
-    const int64_t e = block.numEdges();
+    const int64_t n = block.numDst;
+    const int64_t e = block.numEdges;
 
     LayerCost cost;
     // Output chain: matmul out, +bias, activation (skipped on the last
@@ -104,7 +104,7 @@ layerCost(const Block& block, int64_t d, int64_t h, AggregatorKind agg,
         // operands of the very first fc (handled by nograd below via
         // the caller's flag being irrelevant: z itself always needs
         // gradients).
-        const int64_t s = block.numSrc();
+        const int64_t s = block.numSrc;
         const int64_t eprime = e + n;
         const int64_t active_heads = last_layer ? 1 : heads;
         const int64_t hh = h / active_heads;
@@ -169,19 +169,22 @@ aggregatorName(AggregatorKind kind)
 }
 
 MemoryEstimate
-estimateBatchMemory(const MultiLayerBatch& batch, const GnnSpec& spec)
+estimateMemory(std::span<const BlockShape> shape, const GnnSpec& spec)
 {
-    BETTY_ASSERT(int64_t(batch.blocks.size()) == spec.numLayers,
-                 "batch has ", batch.blocks.size(), " blocks but model has ",
+    BETTY_ASSERT(int64_t(shape.size()) == spec.numLayers,
+                 "batch has ", shape.size(), " blocks but model has ",
                  spec.numLayers, " layers");
 
     MemoryEstimate est;
     const int64_t params = spec.paramCountGnn + spec.paramCountAgg;
+    int64_t edges = 0;
+    for (const BlockShape& block : shape)
+        edges += block.numEdges;
     est.parameters = params * kFloat;                            // (1)
     est.inputFeatures =
-        int64_t(batch.inputNodes().size()) * spec.inputDim * kFloat; // (2)
-    est.labels = int64_t(batch.outputNodes().size()) * kLabel;   // (3)
-    est.blocks = batch.structureBytes();                         // (4)
+        shape.front().numSrc * spec.inputDim * kFloat;           // (2)
+    est.labels = shape.back().numDst * kLabel;                   // (3)
+    est.blocks = edges * kStructureBytesPerEdge;                 // (4)
     est.gradients = params * kFloat;                             // (7)
     est.optimizerStates =
         (spec.optimizer == OptimizerKind::Adam ? 2 : 0) * params *
@@ -189,7 +192,7 @@ estimateBatchMemory(const MultiLayerBatch& batch, const GnnSpec& spec)
 
     for (int64_t layer = 0; layer < spec.numLayers; ++layer) {
         const LayerCost cost = layerCost(
-            batch.blocks[size_t(layer)], spec.layerInDim(layer),
+            shape[size_t(layer)], spec.layerInDim(layer),
             spec.layerOutDim(layer), spec.aggregator,
             layer + 1 == spec.numLayers, layer > 0,
             spec.lstmIntermediatesPerNode, spec.attentionHeads);
@@ -208,6 +211,12 @@ estimateBatchMemory(const MultiLayerBatch& batch, const GnnSpec& spec)
                est.backwardBuffers + est.gradients +
                est.optimizerStates;
     return est;
+}
+
+MemoryEstimate
+estimateBatchMemory(const MultiLayerBatch& batch, const GnnSpec& spec)
+{
+    return estimateMemory(batch.shape(), spec);
 }
 
 int64_t

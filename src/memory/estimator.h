@@ -24,6 +24,7 @@
 #define BETTY_MEMORY_ESTIMATOR_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "obs/memprof.h"
@@ -105,6 +106,8 @@ struct MemoryEstimate
     /** Estimated peak resident bytes. */
     int64_t peak = 0;
 
+    bool operator==(const MemoryEstimate&) const = default;
+
     double peakGiB() const
     {
         return double(peak) / (1024.0 * 1024.0 * 1024.0);
@@ -121,11 +124,18 @@ int64_t componentBytes(const MemoryEstimate& estimate,
                        obs::MemCategory category);
 
 /**
- * Estimate the peak device memory of training one (micro-)batch.
- * Costs only the batch's shape (node/edge/degree counts) — never runs
- * the model, which is the entire point (§4.4.3: sizing K "without
- * triggering the expensive training cost").
+ * Estimate the peak device memory of training one (micro-)batch from
+ * its per-layer node and edge counts (@p shape, blocks[0] first) —
+ * never runs the model, which is the entire point (§4.4.3: sizing K
+ * "without triggering the expensive training cost"). The planner
+ * prices candidate micro-batches from counts alone
+ * (core/micro_batch.h: microBatchShapes) and builds only the ones it
+ * returns.
  */
+MemoryEstimate estimateMemory(std::span<const BlockShape> shape,
+                              const GnnSpec& spec);
+
+/** estimateMemory() of @p batch's shape. */
 MemoryEstimate estimateBatchMemory(const MultiLayerBatch& batch,
                                    const GnnSpec& spec);
 

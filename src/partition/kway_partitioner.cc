@@ -8,6 +8,7 @@
 #include "partition/refine.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace betty {
 
@@ -80,20 +81,23 @@ kwayPartition(const WeightedGraph& graph, const KwayOptions& opts)
         return std::vector<int32_t>(size_t(n), 0);
 
     // Several independent V-cycles; keep the lowest cut (METIS runs
-    // multiple initial partitions for the same reason).
-    std::vector<int32_t> best;
-    int64_t best_cut = 0;
+    // multiple initial partitions for the same reason). One restart
+    // per pool slot: each seeds its own Rng from its index and writes
+    // its own slot, and the first lowest cut wins, so the result is
+    // the serial loop's at any lane count.
     const int32_t runs = std::max<int32_t>(1, opts.restarts);
-    for (int32_t run = 0; run < runs; ++run) {
-        Rng rng(opts.seed + uint64_t(run) * 0x9e3779b9ULL);
-        auto parts = multilevelCycle(graph, opts, rng);
-        const int64_t cut = graph.cutCost(parts);
-        if (run == 0 || cut < best_cut) {
-            best_cut = cut;
-            best = std::move(parts);
-        }
-    }
-    return best;
+    std::vector<std::vector<int32_t>> parts(static_cast<size_t>(runs));
+    std::vector<int64_t> cuts(static_cast<size_t>(runs));
+    ThreadPool::global().parallelFor(
+        0, runs, 1, [&](int64_t lo, int64_t hi) {
+            for (int64_t run = lo; run < hi; ++run) {
+                Rng rng(opts.seed + uint64_t(run) * 0x9e3779b9ULL);
+                parts[size_t(run)] = multilevelCycle(graph, opts, rng);
+                cuts[size_t(run)] = graph.cutCost(parts[size_t(run)]);
+            }
+        });
+    const auto best = std::min_element(cuts.begin(), cuts.end());
+    return std::move(parts[size_t(best - cuts.begin())]);
 }
 
 std::vector<int32_t>

@@ -48,8 +48,9 @@ struct KwayOptions
     /** Seed for matching and initial-growth tie breaking. */
     uint64_t seed = 13;
 
-    /** Independent multilevel runs; the lowest-cut result wins.
-     * Matches METIS's multiple-initial-partition strategy. */
+    /** Independent multilevel runs, one per pool slot; the lowest-cut
+     * result wins, the first run on ties. Matches METIS's
+     * multiple-initial-partition strategy. */
     int32_t restarts = 3;
 };
 

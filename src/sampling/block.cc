@@ -41,6 +41,24 @@ Block::Block(std::vector<int64_t> dst_nodes,
     }
 }
 
+Block
+Block::fromCsr(int64_t num_dst, std::vector<int64_t> src_nodes,
+               std::vector<int64_t> edge_offsets,
+               std::vector<int64_t> edge_sources)
+{
+    BETTY_ASSERT(num_dst >= 0 && num_dst <= int64_t(src_nodes.size()),
+                 "destinations must be a prefix of the sources");
+    BETTY_ASSERT(int64_t(edge_offsets.size()) == num_dst + 1 &&
+                     edge_offsets.back() == int64_t(edge_sources.size()),
+                 "CSR offsets disagree with the edge array");
+    Block block;
+    block.num_dst_ = num_dst;
+    block.src_nodes_ = std::move(src_nodes);
+    block.edge_offsets_ = std::move(edge_offsets);
+    block.edge_src_local_ = std::move(edge_sources);
+    return block;
+}
+
 std::span<const int64_t>
 Block::inEdges(int64_t i) const
 {

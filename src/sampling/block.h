@@ -23,6 +23,23 @@
 
 namespace betty {
 
+/**
+ * Device bytes of one block edge (Table 3 item (4)): source and
+ * destination node IDs plus one float of edge payload.
+ */
+inline constexpr int64_t kStructureBytesPerEdge = 2 * 8 + 4;
+
+/** Node and edge counts of one block: all the memory estimator reads
+ * of it (memory/estimator.h). */
+struct BlockShape
+{
+    int64_t numDst = 0;
+    int64_t numSrc = 0;
+    int64_t numEdges = 0;
+
+    bool operator==(const BlockShape&) const = default;
+};
+
 /** One bipartite layer of a batch, with local CSR over in-edges. */
 class Block
 {
@@ -37,9 +54,24 @@ class Block
     Block(std::vector<int64_t> dst_nodes,
           const std::vector<std::vector<int64_t>>& src_per_dst);
 
+    /**
+     * Adopt already-built CSR arrays: @p src_nodes with the
+     * @p num_dst destinations as its prefix, per-destination offsets
+     * (size num_dst + 1) and local source indices. The caller
+     * guarantees what the constructor above establishes — unique
+     * nodes, indices in range, sources in first-seen order — so
+     * micro-batch extraction (core/micro_batch.h) can build blocks
+     * without re-deriving the numbering.
+     */
+    static Block fromCsr(int64_t num_dst, std::vector<int64_t> src_nodes,
+                         std::vector<int64_t> edge_offsets,
+                         std::vector<int64_t> edge_sources);
+
     int64_t numDst() const { return num_dst_; }
     int64_t numSrc() const { return int64_t(src_nodes_.size()); }
     int64_t numEdges() const { return int64_t(edge_src_local_.size()); }
+
+    BlockShape shape() const { return {numDst(), numSrc(), numEdges()}; }
 
     /** Global (raw-graph) IDs of all source nodes; dsts are the prefix. */
     const std::vector<int64_t>& srcNodes() const { return src_nodes_; }
@@ -88,7 +120,16 @@ class Block
     std::vector<int64_t> edge_src_local_; // local src index per edge
 };
 
-/** A complete GNN batch: L stacked bipartite blocks. */
+/**
+ * A complete GNN batch: L stacked bipartite blocks.
+ *
+ * Chaining invariant: for every l >= 1, blocks[l-1].dstNodes() equals
+ * blocks[l].srcNodes(), element by element. The sampler builds batches
+ * this way, the models rely on it (layer l reads its source rows as
+ * layer l-1's output rows, by position), and micro-batch extraction
+ * walks the layers in local indices because of it — it panics on a
+ * batch that breaks it. Hand-built batches must keep it too.
+ */
 struct MultiLayerBatch
 {
     /** blocks[0] reads raw features; blocks.back() emits outputs. */
@@ -120,17 +161,27 @@ struct MultiLayerBatch
         return total;
     }
 
+    /** Per-layer node and edge counts, blocks[0] first. */
+    std::vector<BlockShape>
+    shape() const
+    {
+        std::vector<BlockShape> shapes;
+        shapes.reserve(blocks.size());
+        for (const auto& b : blocks)
+            shapes.push_back(b.shape());
+        return shapes;
+    }
+
     /**
      * Device bytes of the batch's block structure (Table 3 item (4)):
-     * per edge, source + destination node IDs plus one float of edge
-     * payload. The trainers charge exactly this when a batch lands on
-     * a device; the estimator prices item (4) with the same formula.
+     * kStructureBytesPerEdge per edge. The trainers charge exactly
+     * this when a batch lands on a device; the estimator prices item
+     * (4) with the same constant.
      */
     int64_t
     structureBytes() const
     {
-        const int64_t per_edge = 2 * 8 + 4; // two int64 IDs + one float
-        return totalEdges() * per_edge;
+        return totalEdges() * kStructureBytesPerEdge;
     }
 };
 

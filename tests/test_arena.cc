@@ -16,6 +16,7 @@
 
 #include "data/catalog.h"
 #include "kernels/arena.h"
+#include "obs/metrics.h"
 #include "sampling/neighbor_sampler.h"
 #include "tensor/tensor.h"
 #include "train/trainer.h"
@@ -119,6 +120,26 @@ TEST(Arena, CountsAllocationsAndResets)
     arena.reset();
     EXPECT_EQ(arena.allocations(), 3);
     EXPECT_EQ(arena.resets(), 2);
+}
+
+TEST(Arena, ResetRepublishesReservedBytesAfterMetricsReset)
+{
+    // A benchmark resets metrics after warm-up, when the arena has
+    // usually stopped growing: the next reset() must bring the gauge
+    // back instead of leaving it at 0.
+    const bool metrics_were_on = obs::Metrics::enabled();
+    obs::Metrics::setEnabled(true);
+    const obs::Gauge& reserved =
+        obs::Metrics::gauge("kernel.arena.reserved_bytes");
+    Arena arena(int64_t(4) << 10);
+    for (int i = 0; i < 8; ++i)
+        arena.allocate(2048);
+    ASSERT_GT(arena.reservedBytes(), 0);
+    obs::Metrics::reset();
+    EXPECT_EQ(reserved.value(), 0);
+    arena.reset();
+    EXPECT_EQ(reserved.value(), arena.reservedBytes());
+    obs::Metrics::setEnabled(metrics_were_on);
 }
 
 TEST(Arena, ReleaseAllReturnsChunksToHeap)

@@ -53,8 +53,8 @@ hashParameters(const GnnModel& model)
 struct Process
 {
     Process(const Dataset& ds, int64_t capacity)
-        : dataset(ds), model(sageConfig(ds)),
-          adam(model.parameters(), 0.01f), device(capacity),
+        : dataset(ds), device(capacity), model(sageConfig(ds)),
+          adam(model.parameters(), 0.01f),
           trainer(dataset, model, adam, &device, &transfer)
     {
     }
@@ -92,9 +92,12 @@ struct Process
     }
 
     const Dataset& dataset;
+    // Before the model and the optimizer: their gradients and Adam
+    // state are freed into the device when they are destroyed, so it
+    // must outlive them.
+    DeviceMemoryModel device;
     GraphSage model;
     Adam adam;
-    DeviceMemoryModel device;
     TransferModel transfer;
     Trainer trainer;
     BettyPartitioner partitioner;

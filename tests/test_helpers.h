@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -87,6 +88,69 @@ tinyBatch()
                 {{5}, {5, 6}, {6}, {7}, {2, 7}});
     batch.blocks = {inner, outer};
     return batch;
+}
+
+/**
+ * Micro-batch extraction rebuilt with the public Block(dst,
+ * src_per_dst) constructor and one hash map per layer — the original
+ * algorithm, kept as the oracle extractMicroBatches must match byte
+ * for byte.
+ */
+inline std::vector<MultiLayerBatch>
+referenceMicroBatches(const MultiLayerBatch& full,
+                      const std::vector<std::vector<int64_t>>& groups)
+{
+    const size_t layers = full.blocks.size();
+    std::vector<std::unordered_map<int64_t, int64_t>> dst_local(layers);
+    for (size_t layer = 0; layer < layers; ++layer) {
+        const auto dsts = full.blocks[layer].dstNodes();
+        for (size_t i = 0; i < dsts.size(); ++i)
+            dst_local[layer].emplace(dsts[i], int64_t(i));
+    }
+    std::vector<MultiLayerBatch> micros;
+    for (const auto& group : groups) {
+        MultiLayerBatch micro;
+        micro.blocks.resize(layers);
+        std::vector<int64_t> seeds = group;
+        for (size_t layer = layers; layer-- > 0;) {
+            const Block& parent = full.blocks[layer];
+            std::vector<std::vector<int64_t>> src_per_dst;
+            for (int64_t seed : seeds) {
+                std::vector<int64_t> sources;
+                for (int64_t s :
+                     parent.inEdges(dst_local[layer].at(seed)))
+                    sources.push_back(parent.srcNodes()[size_t(s)]);
+                src_per_dst.push_back(std::move(sources));
+            }
+            micro.blocks[layer] = Block(std::move(seeds), src_per_dst);
+            seeds = micro.blocks[layer].srcNodes();
+        }
+        micros.push_back(std::move(micro));
+    }
+    return micros;
+}
+
+/** Expect @p got and @p want to hold the same blocks, array by array. */
+inline void
+expectSameBatches(const std::vector<MultiLayerBatch>& got,
+                  const std::vector<MultiLayerBatch>& want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t g = 0; g < got.size(); ++g) {
+        ASSERT_EQ(got[g].blocks.size(), want[g].blocks.size());
+        for (size_t l = 0; l < got[g].blocks.size(); ++l) {
+            const Block& a = got[g].blocks[l];
+            const Block& b = want[g].blocks[l];
+            EXPECT_EQ(a.numDst(), b.numDst())
+                << "group " << g << " layer " << l;
+            EXPECT_EQ(a.srcNodes(), b.srcNodes())
+                << "group " << g << " layer " << l;
+            EXPECT_EQ(a.edgeOffsets(), b.edgeOffsets())
+                << "group " << g << " layer " << l;
+            EXPECT_EQ(a.edgeSources(), b.edgeSources())
+                << "group " << g << " layer " << l;
+        }
+    }
 }
 
 } // namespace betty::testutil

@@ -258,6 +258,86 @@ TEST(BatchIo, RoundTripOfTinyHandBuiltBatch)
     EXPECT_EQ(loaded.inputNodes(), original.inputNodes());
 }
 
+/** One block as the batch format stores it: destinations, CSR
+ * offsets and the edges' global source ids. */
+struct RawBlock
+{
+    std::vector<int64_t> dsts;
+    std::vector<int64_t> offsets;
+    std::vector<int64_t> sources;
+};
+
+/** Write a batch file field by field, for contents saveBatch cannot
+ * produce (it only writes valid Blocks). */
+void
+writeRawBatch(const std::string& path, const std::vector<RawBlock>& blocks)
+{
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    auto u64 = [f](uint64_t value) {
+        std::fwrite(&value, sizeof(value), 1, f);
+    };
+    auto i64s = [&](const std::vector<int64_t>& values) {
+        u64(values.size());
+        std::fwrite(values.data(), sizeof(int64_t), values.size(), f);
+    };
+    u64(0x42455454595F4254ULL); // "BETTY_BT"
+    u64(1);                     // format version
+    u64(blocks.size());
+    for (const RawBlock& block : blocks) {
+        i64s(block.dsts);
+        i64s(block.offsets);
+        i64s(block.sources);
+    }
+    std::fclose(f);
+}
+
+/** Load @p path checked; the batch must come back untouched. */
+IoStatus
+loadIntoTinyBatch(const std::string& path)
+{
+    MultiLayerBatch batch = testutil::tinyBatch();
+    const IoStatus status = loadBatchChecked(batch, path);
+    std::remove(path.c_str());
+    if (!status.ok()) {
+        EXPECT_EQ(batch.numLayers(), 2);
+        EXPECT_EQ(batch.totalEdges(), testutil::tinyBatch().totalEdges());
+    }
+    return status;
+}
+
+TEST(BatchCorruption, DuplicateDestinationIsCorruptValues)
+{
+    // The same writer with distinct destinations loads fine.
+    const std::string path = tmpPath("batch_raw.bin");
+    writeRawBatch(path, {{{3, 5, 4}, {0, 1, 2, 3}, {7, 8, 9}}});
+    ASSERT_TRUE(loadIntoTinyBatch(path).ok());
+
+    writeRawBatch(path, {{{3, 5, 3}, {0, 1, 2, 3}, {7, 8, 9}}});
+    const IoStatus status = loadIntoTinyBatch(path);
+    EXPECT_EQ(status.error, IoError::CorruptValues) << status.message;
+    EXPECT_NE(status.message.find("duplicate destination 3"),
+              std::string::npos)
+        << status.message;
+}
+
+TEST(BatchCorruption, UnchainedLayersAreCorruptValues)
+{
+    // Inner destinations hold the outer block's sources, out of order.
+    Block outer({0, 1}, {{2, 3}, {3, 4}});
+    Block inner({0, 1, 3, 2, 4}, {{5}, {5, 6}, {7}, {6}, {2, 7}});
+    MultiLayerBatch unchained;
+    unchained.blocks = {inner, outer};
+    const std::string path = tmpPath("batch_unchained.bin");
+    ASSERT_TRUE(saveBatch(unchained, path));
+    const IoStatus status = loadIntoTinyBatch(path);
+    EXPECT_EQ(status.error, IoError::CorruptValues) << status.message;
+    EXPECT_NE(status.message.find("layer 0's destinations are not "
+                                  "layer 1's sources"),
+              std::string::npos)
+        << status.message;
+}
+
 TEST(BatchIoDeathTest, DatasetFileRejected)
 {
     // Writing a dataset and reading it as a batch must fail loudly.

@@ -15,6 +15,7 @@
 #include "partition/kway_partitioner.h"
 #include "partition/refine.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace betty {
 namespace {
@@ -229,6 +230,68 @@ TEST(KwayPartition, BeatsRandomOnCommunityGraph)
 
     EXPECT_LT(double(g.cutCost(parts)),
               0.6 * double(g.cutCost(random_parts)));
+}
+
+/** Restarts run one per pool slot: every lane count must return the
+ * serial loop's parts — the first run with the lowest cut. */
+class KwayLanes : public ::testing::Test
+{
+  protected:
+    void TearDown() override { ThreadPool::setGlobalThreads(1); }
+};
+
+TEST_F(KwayLanes, IdenticalPartsAtEveryLaneCount)
+{
+    SyntheticSpec spec;
+    spec.numNodes = 800;
+    spec.avgDegree = 8;
+    spec.numClasses = 5;
+    spec.homophily = 0.8;
+    spec.featureDim = 4;
+    const auto ds = makeSyntheticDataset(spec, 71);
+    std::vector<WeightedEdge> community_edges;
+    for (const auto& e : ds.graph.edgeList())
+        community_edges.push_back({e.src, e.dst, 1});
+    const std::vector<std::pair<std::string, WeightedGraph>> graphs = {
+        {"two cliques", twoCliques()},
+        {"random 300", randomGraph(300, 5, 22)},
+        {"random 1000", randomGraph(1000, 3, 72)},
+        {"community 800", WeightedGraph(ds.numNodes(), community_edges)},
+    };
+
+    for (const auto& [name, graph] : graphs) {
+        for (const int32_t k : {2, 3, 7, 16}) {
+            for (const int32_t restarts : {1, 3, 5}) {
+                SCOPED_TRACE(name + " k=" + std::to_string(k) +
+                             " restarts=" + std::to_string(restarts));
+                KwayOptions opts;
+                opts.k = k;
+                opts.restarts = restarts;
+
+                // The serial rule, one restart at a time.
+                ThreadPool::setGlobalThreads(1);
+                std::vector<int32_t> serial;
+                int64_t serial_cut = 0;
+                for (int32_t run = 0; run < restarts; ++run) {
+                    KwayOptions one = opts;
+                    one.restarts = 1;
+                    one.seed = opts.seed + uint64_t(run) * 0x9e3779b9ULL;
+                    auto parts = kwayPartition(graph, one);
+                    const int64_t cut = graph.cutCost(parts);
+                    if (run == 0 || cut < serial_cut) {
+                        serial_cut = cut;
+                        serial = std::move(parts);
+                    }
+                }
+
+                for (const int32_t lanes : {1, 2, 3, 8}) {
+                    ThreadPool::setGlobalThreads(lanes);
+                    EXPECT_EQ(kwayPartition(graph, opts), serial)
+                        << "lanes " << lanes;
+                }
+            }
+        }
+    }
 }
 
 /** Property sweep over k: validity, balance, and beating random. */

@@ -4,15 +4,19 @@
  * that underpins gradient equivalence.
  */
 #include <map>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "core/betty.h"
 #include "core/micro_batch.h"
 #include "data/catalog.h"
+#include "memory/estimator.h"
 #include "partition/partitioner.h"
 #include "sampling/neighbor_sampler.h"
 #include "test_helpers.h"
+#include "util/thread_pool.h"
 
 namespace betty {
 namespace {
@@ -149,6 +153,151 @@ TEST(MicroBatchDeathTest, UnknownOutputNodePanics)
     const auto full = testutil::tinyBatch();
     EXPECT_DEATH(extractMicroBatches(full, {{12345}}),
                  "not a destination");
+    EXPECT_DEATH(microBatchShapes(full, {{12345}}), "not a destination");
+}
+
+TEST(MicroBatchDeathTest, DuplicateOutputNodePanics)
+{
+    const auto full = testutil::tinyBatch();
+    EXPECT_DEATH(extractMicroBatches(full, {{0, 1, 0}}),
+                 "duplicate destination node 0");
+}
+
+TEST(MicroBatchDeathTest, BrokenChainingInvariantPanics)
+{
+    // The inner block's destinations are the outer block's sources,
+    // but not in their order: local indices no longer line up.
+    Block outer({0, 1}, {{2, 3}, {3, 4}});
+    Block inner({0, 1, 3, 2, 4}, {{5}, {5, 6}, {7}, {6}, {2, 7}});
+    MultiLayerBatch full;
+    full.blocks = {inner, outer};
+    EXPECT_DEATH(extractMicroBatches(full, {{0}, {1}}),
+                 "chaining invariant");
+    EXPECT_DEATH(microBatchShapes(full, {{0}, {1}}), "chaining invariant");
+}
+
+/**
+ * The local-index walk against the constructor-built reference:
+ * sampled 2- and 3-layer batches (one with fewer outputs than the
+ * largest K, so some groups are empty), range/random/Betty groups,
+ * K in {1, 2, 3, 7, 16}, on 1, 3 and 8 pool lanes — blocks, counts,
+ * and the count-based estimate under every aggregator.
+ */
+class MicroBatchWalk : public ::testing::Test
+{
+  protected:
+    void TearDown() override { ThreadPool::setGlobalThreads(1); }
+
+    struct Case
+    {
+        std::string label;
+        const MultiLayerBatch* full;
+        int64_t inputDim;
+        std::vector<std::vector<int64_t>> groups;
+        std::vector<MultiLayerBatch> reference;
+    };
+
+    static MultiLayerBatch
+    sampled(const Dataset& ds, std::vector<int64_t> fanouts,
+            size_t num_seeds, uint64_t seed)
+    {
+        NeighborSampler sampler(ds.graph, std::move(fanouts), seed);
+        std::vector<int64_t> seeds(ds.trainNodes.begin(),
+                                   ds.trainNodes.begin() +
+                                       int64_t(num_seeds));
+        return sampler.sample(seeds);
+    }
+
+    /** The count-based estimate must equal the estimate of the
+     * reference micro-batch, for every aggregator. */
+    static void
+    expectSameEstimates(const Case& c,
+                        const std::vector<std::vector<BlockShape>>& shapes)
+    {
+        for (const AggregatorKind agg :
+             {AggregatorKind::Mean, AggregatorKind::Sum,
+              AggregatorKind::Pool, AggregatorKind::Lstm,
+              AggregatorKind::Attention, AggregatorKind::Gcn,
+              AggregatorKind::Gin}) {
+            GnnSpec spec;
+            spec.inputDim = c.inputDim;
+            spec.hiddenDim = 16;
+            spec.numClasses = 7;
+            spec.numLayers = c.full->numLayers();
+            spec.aggregator = agg;
+            spec.paramCountGnn = 4000;
+            spec.paramCountAgg = 300;
+            spec.lstmIntermediatesPerNode = 30;
+            spec.attentionHeads = 2;
+            for (size_t g = 0; g < shapes.size(); ++g)
+                EXPECT_EQ(estimateMemory(shapes[g], spec),
+                          estimateBatchMemory(c.reference[g], spec))
+                    << aggregatorName(agg) << " group " << g;
+        }
+    }
+};
+
+TEST_F(MicroBatchWalk, MatchesTheConstructorReferenceAtEveryLaneCount)
+{
+    const auto cora = loadCatalogDataset("cora_like", 0.3, 41);
+    const auto products = loadCatalogDataset("products_like", 0.05, 42);
+    struct Input
+    {
+        std::string name;
+        int64_t inputDim;
+        MultiLayerBatch batch;
+    };
+    const std::vector<Input> inputs = {
+        {"cora/2 layers", cora.featureDim(), sampled(cora, {4, 6}, 90, 43)},
+        {"cora/10 outputs", cora.featureDim(),
+         sampled(cora, {4, 6}, 10, 44)},
+        {"products/3 layers", products.featureDim(),
+         sampled(products, {5, 5, 5}, 64, 45)},
+    };
+    ASSERT_EQ(inputs[2].batch.numLayers(), 3);
+
+    // Groups and references first: RandomPartitioner is stateful, so
+    // every lane count must see the same groups.
+    std::vector<Case> cases;
+    bool saw_empty_group = false;
+    for (const Input& input : inputs) {
+        std::vector<std::unique_ptr<OutputPartitioner>> partitioners;
+        partitioners.push_back(std::make_unique<RangePartitioner>());
+        partitioners.push_back(std::make_unique<RandomPartitioner>(46));
+        partitioners.push_back(std::make_unique<BettyPartitioner>());
+        for (const auto& part : partitioners) {
+            for (const int32_t k : {1, 2, 3, 7, 16}) {
+                Case c;
+                c.label = input.name + " " + part->name() + " K=" +
+                          std::to_string(k);
+                c.full = &input.batch;
+                c.inputDim = input.inputDim;
+                c.groups = part->partition(input.batch, k);
+                c.reference =
+                    testutil::referenceMicroBatches(input.batch, c.groups);
+                for (const auto& group : c.groups)
+                    saw_empty_group |= group.empty();
+                cases.push_back(std::move(c));
+            }
+        }
+    }
+    ASSERT_TRUE(saw_empty_group);
+
+    for (const int32_t lanes : {1, 3, 8}) {
+        ThreadPool::setGlobalThreads(lanes);
+        for (const Case& c : cases) {
+            SCOPED_TRACE(c.label + " lanes=" + std::to_string(lanes));
+            const auto micros = extractMicroBatches(*c.full, c.groups);
+            testutil::expectSameBatches(micros, c.reference);
+            const auto shapes = microBatchShapes(*c.full, c.groups);
+            ASSERT_EQ(shapes.size(), c.reference.size());
+            for (size_t g = 0; g < shapes.size(); ++g)
+                EXPECT_EQ(shapes[g], c.reference[g].shape())
+                    << "group " << g;
+            if (lanes == 1)
+                expectSameEstimates(c, shapes);
+        }
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include "core/betty.h"
 #include "data/catalog.h"
+#include "obs/metrics.h"
 #include "partition/partitioner.h"
 #include "sampling/neighbor_sampler.h"
 #include "test_helpers.h"
@@ -143,6 +144,66 @@ TEST(BettyPartitioner, LowerRedundancyThanRandom)
         extractMicroBatches(f.batch, random.partition(f.batch, k));
     EXPECT_LT(inputNodeRedundancy(f.batch, betty_micros),
               inputNodeRedundancy(f.batch, random_micros));
+}
+
+TEST(BettyPartitioner, KeptRegGivesTheSamePartsAsAFreshPartitioner)
+{
+    // One partitioner alternating between batches must split each one
+    // exactly as a fresh partitioner does: its kept REG may only be
+    // reused for an identical output block. The resample has the same
+    // output nodes but different sampled edges.
+    const Fixture& f = fixture();
+    NeighborSampler sampler(f.dataset.graph, {5, 10}, 3);
+    std::vector<int64_t> seeds(f.dataset.trainNodes.begin(),
+                               f.dataset.trainNodes.begin() + 120);
+    const auto same = sampler.sample(seeds);
+    const auto resample = sampler.sample(seeds);
+    ASSERT_EQ(same.blocks.back().edgeSources(),
+              f.batch.blocks.back().edgeSources());
+    ASSERT_NE(resample.blocks.back().edgeSources(),
+              f.batch.blocks.back().edgeSources());
+    std::vector<int64_t> other_seeds(f.dataset.trainNodes.begin() + 120,
+                                     f.dataset.trainNodes.begin() + 200);
+    const auto other = sampler.sample(other_seeds);
+
+    BettyPartitioner shared;
+    for (int round = 0; round < 2; ++round) {
+        for (const MultiLayerBatch* batch :
+             {&f.batch, &resample, &other, &same}) {
+            for (const int32_t k : {2, 5}) {
+                BettyPartitioner fresh;
+                EXPECT_EQ(shared.partition(*batch, k),
+                          fresh.partition(*batch, k))
+                    << "round " << round << " k " << k;
+            }
+        }
+    }
+}
+
+TEST(BettyPartitioner, BuildsTheRegOncePerBatch)
+{
+    auto& f = fixture();
+    const bool metrics_were_on = obs::Metrics::enabled();
+    obs::Metrics::setEnabled(true);
+    const obs::Counter& builds =
+        obs::Metrics::counter("partition.reg_builds");
+    const int64_t before = builds.value();
+
+    BettyPartitioner part;
+    for (const int32_t k : {2, 3, 4, 5, 6, 3})
+        part.partition(f.batch, k);
+    EXPECT_EQ(builds.value() - before, 1);
+    // Equal arrays in another object count as the same block.
+    const MultiLayerBatch copy = f.batch;
+    part.partition(copy, 4);
+    EXPECT_EQ(builds.value() - before, 1);
+
+    NeighborSampler sampler(f.dataset.graph, {5, 10}, 9);
+    std::vector<int64_t> seeds(f.dataset.trainNodes.begin(),
+                               f.dataset.trainNodes.begin() + 120);
+    part.partition(sampler.sample(seeds), 4);
+    EXPECT_EQ(builds.value() - before, 2);
+    obs::Metrics::setEnabled(metrics_were_on);
 }
 
 TEST(Partitioners, Names)

@@ -2,11 +2,17 @@
  * @file
  * Tests for the memory-aware planner (§4.4.3 re-partitioning loop).
  */
+#include <algorithm>
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "core/betty.h"
 #include "data/catalog.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sampling/neighbor_sampler.h"
+#include "test_helpers.h"
 
 namespace betty {
 namespace {
@@ -369,6 +375,196 @@ TEST(Planner, BettyNeedsNoMoreBatchesThanRandom)
     RandomPartitioner random(9);
     EXPECT_LE(planner.plan(env.full, betty).k,
               planner.plan(env.full, random).k);
+}
+
+/**
+ * The planner as it was before attempts became count-only: every K
+ * tried is extracted (with the constructor-built reference) and every
+ * micro-batch estimated. MemoryAwarePlanner must return exactly this.
+ */
+struct OraclePlanner
+{
+    GnnSpec spec;
+    int64_t capacity = 0;
+    int64_t reserved = 0;
+
+    PlanResult
+    evaluate(const MultiLayerBatch& full, OutputPartitioner& part,
+             int32_t k) const
+    {
+        PlanResult result;
+        result.k = k;
+        result.microBatches =
+            testutil::referenceMicroBatches(full, part.partition(full, k));
+        for (const auto& micro : result.microBatches) {
+            result.estimates.push_back(estimateBatchMemory(micro, spec));
+            result.maxEstimatedPeak = std::max(
+                result.maxEstimatedPeak, result.estimates.back().peak);
+        }
+        result.fits = capacity <= 0 ||
+                      result.maxEstimatedPeak + reserved <= capacity;
+        return result;
+    }
+
+    PlanResult
+    plan(const MultiLayerBatch& full, OutputPartitioner& part,
+         int32_t initial_k, int32_t max_k) const
+    {
+        const int64_t outputs = int64_t(full.outputNodes().size());
+        for (int32_t k = initial_k, attempts = 1;; ++k, ++attempts) {
+            PlanResult result = evaluate(full, part, k);
+            result.attempts = attempts;
+            if (result.fits || k >= outputs || k == max_k)
+                return result;
+        }
+    }
+
+    PlanResult
+    planGeometric(const MultiLayerBatch& full, OutputPartitioner& part,
+                  int32_t max_k) const
+    {
+        const int32_t hard_max = int32_t(std::min<int64_t>(
+            max_k, std::max<int64_t>(1, full.outputNodes().size())));
+        int32_t attempts = 0, lo = 0, k = 1;
+        PlanResult best;
+        while (true) {
+            ++attempts;
+            PlanResult result = evaluate(full, part, k);
+            if (result.fits) {
+                best = std::move(result);
+                break;
+            }
+            lo = k;
+            if (k >= hard_max) {
+                result.attempts = attempts;
+                return result;
+            }
+            k = int32_t(std::min<int64_t>(int64_t(k) * 2, hard_max));
+        }
+        int32_t hi = best.k;
+        while (hi - lo > 1) {
+            const int32_t mid = lo + (hi - lo) / 2;
+            ++attempts;
+            PlanResult result = evaluate(full, part, mid);
+            if (result.fits) {
+                best = std::move(result);
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        best.attempts = attempts;
+        return best;
+    }
+};
+
+void
+expectSamePlan(const PlanResult& got, const PlanResult& want)
+{
+    EXPECT_EQ(got.k, want.k);
+    EXPECT_EQ(got.attempts, want.attempts);
+    EXPECT_EQ(got.fits, want.fits);
+    EXPECT_EQ(got.estimates, want.estimates);
+    EXPECT_EQ(got.maxEstimatedPeak, want.maxEstimatedPeak);
+    testutil::expectSameBatches(got.microBatches, want.microBatches);
+}
+
+/** Fresh partitioners of each kind (Random with a fixed seed), so the
+ * planner and the oracle see the same group sequence. */
+std::vector<std::unique_ptr<OutputPartitioner>>
+freshPartitioners()
+{
+    std::vector<std::unique_ptr<OutputPartitioner>> parts;
+    parts.push_back(std::make_unique<RangePartitioner>());
+    parts.push_back(std::make_unique<RandomPartitioner>(61));
+    parts.push_back(std::make_unique<BettyPartitioner>());
+    return parts;
+}
+
+TEST(PlannerOracle, CountOnlySearchesMatchExtractingEveryAttempt)
+{
+    Env env;
+    const int64_t peak = estimateBatchMemory(env.full, env.spec).peak;
+    struct Budget
+    {
+        int64_t capacity;
+        int64_t reserved;
+        int32_t initialK;
+    };
+    // Unlimited, fits at K=1, splits, splits from a higher start,
+    // splits around a cache reservation, and never fits.
+    const std::vector<Budget> budgets = {
+        {0, 0, 1},           {peak + 1, 0, 1},    {peak * 3 / 4, 0, 1},
+        {peak / 2, 0, 3},    {peak * 3 / 4, peak / 8, 1},
+        {1000, 0, 1},
+    };
+    constexpr int32_t kMaxK = 12;
+    for (const Budget& budget : budgets) {
+        MemoryAwarePlanner planner(env.spec, budget.capacity);
+        planner.setReservedBytes(budget.reserved);
+        const OraclePlanner oracle{env.spec, budget.capacity,
+                                   budget.reserved};
+        auto ours = freshPartitioners();
+        auto theirs = freshPartitioners();
+        for (size_t p = 0; p < ours.size(); ++p) {
+            SCOPED_TRACE(ours[p]->name() + " capacity " +
+                         std::to_string(budget.capacity));
+            {
+                SCOPED_TRACE("plan");
+                expectSamePlan(
+                    planner.plan(env.full, *ours[p], budget.initialK,
+                                 kMaxK),
+                    oracle.plan(env.full, *theirs[p], budget.initialK,
+                                kMaxK));
+            }
+            {
+                SCOPED_TRACE("planGeometric");
+                expectSamePlan(
+                    planner.planGeometric(env.full, *ours[p], kMaxK),
+                    oracle.planGeometric(env.full, *theirs[p], kMaxK));
+            }
+        }
+    }
+}
+
+TEST(PlannerOracle, OnePlanBuildsMicroBatchesOnce)
+{
+    Env env;
+    const int64_t peak = estimateBatchMemory(env.full, env.spec).peak;
+    MemoryAwarePlanner planner(env.spec, peak / 2);
+    BettyPartitioner part;
+
+    const bool metrics_were_on = obs::Metrics::enabled();
+    const bool trace_was_on = obs::Trace::enabled();
+    obs::Metrics::setEnabled(true);
+    obs::Trace::setEnabled(true);
+    obs::Trace::clear();
+    const obs::Counter& structure_bytes =
+        obs::Metrics::counter("micro_batch.structure_bytes");
+    const obs::Counter& reg_builds =
+        obs::Metrics::counter("partition.reg_builds");
+    const int64_t bytes_before = structure_bytes.value();
+    const int64_t builds_before = reg_builds.value();
+    const auto plan = planner.plan(env.full, part);
+    obs::Metrics::setEnabled(metrics_were_on);
+    obs::Trace::setEnabled(trace_was_on);
+
+    ASSERT_TRUE(plan.fits);
+    ASSERT_GT(plan.attempts, 2);
+    auto spans = [](const char* name) {
+        int64_t count = 0;
+        for (const auto& event : obs::Trace::snapshot())
+            count += std::string(event.name) == name;
+        return count;
+    };
+    EXPECT_EQ(spans("partition/shape_micro_batches"), plan.attempts);
+    EXPECT_EQ(spans("partition/extract_micro_batches"), 1);
+    int64_t plan_bytes = 0;
+    for (const auto& micro : plan.microBatches)
+        plan_bytes += micro.structureBytes();
+    EXPECT_EQ(structure_bytes.value() - bytes_before, plan_bytes);
+    // K = 1 needs no REG; every K >= 2 reuses the one built at K = 2.
+    EXPECT_EQ(reg_builds.value() - builds_before, 1);
 }
 
 } // namespace
