@@ -133,18 +133,6 @@ MemoryAwarePlanner::evaluateK(const MultiLayerBatch& full,
 }
 
 PlanResult
-MemoryAwarePlanner::finish(const MultiLayerBatch& full, Attempt attempt,
-                           int32_t attempts)
-{
-    PlanResult result = std::move(attempt.result);
-    result.microBatches = extractMicroBatches(full, attempt.groups);
-    result.attempts = attempts;
-    if (result.fits)
-        recordPlanMetrics(result);
-    return result;
-}
-
-PlanResult
 MemoryAwarePlanner::plan(const MultiLayerBatch& full,
                          OutputPartitioner& partitioner,
                          int32_t initial_k, int32_t max_k) const
@@ -152,64 +140,39 @@ MemoryAwarePlanner::plan(const MultiLayerBatch& full,
     BETTY_ASSERT(initial_k >= 1 && max_k >= initial_k,
                  "bad K search range");
     BETTY_TRACE_SPAN_CAT("plan/search", "partition");
+    // Splitting beyond one output node per micro-batch can't help.
     const int64_t num_outputs = int64_t(full.outputNodes().size());
+    const int32_t last_k = int32_t(
+        std::max<int64_t>(initial_k, std::min<int64_t>(num_outputs, max_k)));
 
-    int32_t attempts = 0;
-    for (int32_t k = initial_k; k <= max_k; ++k) {
-        ++attempts;
-        Attempt attempt = evaluateK(full, partitioner, k);
-        // Splitting beyond one output node per micro-batch can't help.
-        if (attempt.result.fits || int64_t(k) >= num_outputs ||
-            k == max_k)
-            return finish(full, std::move(attempt), attempts);
-    }
-    panic("unreachable: plan loop must return");
-}
-
-PlanResult
-MemoryAwarePlanner::planGeometric(const MultiLayerBatch& full,
-                                  OutputPartitioner& partitioner,
-                                  int32_t max_k) const
-{
-    BETTY_ASSERT(max_k >= 1, "bad K bound");
-    BETTY_TRACE_SPAN_CAT("plan/search", "partition");
-    const int64_t num_outputs = int64_t(full.outputNodes().size());
-    const int32_t hard_max = int32_t(
-        std::min<int64_t>(max_k, std::max<int64_t>(1, num_outputs)));
-
-    int32_t attempts = 0;
-
-    // Phase 1: double K until something fits (or the bound is hit).
-    int32_t lo = 0; // largest known non-fitting K (0 = none known)
-    int32_t k = 1;
-    Attempt best;
-    while (true) {
-        ++attempts;
-        Attempt attempt = evaluateK(full, partitioner, k);
-        if (attempt.result.fits) {
-            best = std::move(attempt);
-            break;
-        }
-        lo = k;
-        if (k >= hard_max) // nothing fits
-            return finish(full, std::move(attempt), attempts);
-        k = int32_t(std::min<int64_t>(int64_t(k) * 2, hard_max));
+    // Lower bound from the whole batch's counts. The estimate is a
+    // count-free part C plus a linear function of the per-layer counts
+    // with non-negative coefficients, and the counts of any K-way
+    // split sum to at least the full batch's, so some micro-batch is
+    // estimated at >= C + (est(full) - C) / K: no K below
+    // (est(full) - C) / (capacity - reserved - C) can fit.
+    int32_t first_k = initial_k;
+    if (capacity_ > 0) {
+        const std::vector<BlockShape> empty(size_t(full.numLayers()));
+        const int64_t fixed = estimateMemory(empty, spec_).peak;
+        const int64_t need = estimateBatchMemory(full, spec_).peak - fixed;
+        const int64_t room = capacity_ - reserved_ - fixed;
+        first_k = room <= 0
+                      ? last_k
+                      : int32_t(std::clamp<int64_t>(
+                            (need + room - 1) / room, initial_k, last_k));
     }
 
-    // Phase 2: binary search (lo, best.k] for the smallest fit.
-    int32_t hi = best.result.k;
-    while (hi - lo > 1) {
-        const int32_t mid = lo + (hi - lo) / 2;
-        ++attempts;
-        Attempt attempt = evaluateK(full, partitioner, mid);
-        if (attempt.result.fits) {
-            best = std::move(attempt);
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    return finish(full, std::move(best), attempts);
+    int32_t k = first_k;
+    Attempt attempt = evaluateK(full, partitioner, k);
+    while (!attempt.result.fits && k < last_k)
+        attempt = evaluateK(full, partitioner, ++k);
+    PlanResult result = std::move(attempt.result);
+    result.microBatches = extractMicroBatches(full, attempt.groups);
+    result.attempts = k - first_k + 1;
+    if (result.fits)
+        recordPlanMetrics(result);
+    return result;
 }
 
 } // namespace betty

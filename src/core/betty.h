@@ -106,7 +106,8 @@ struct PlanResult
     /** Largest estimated micro-batch peak, bytes. */
     int64_t maxEstimatedPeak = 0;
 
-    /** How many K values were tried before fitting. */
+    /** How many K values were tried, from the planner's lower bound
+     * up to and including k. */
     int32_t attempts = 0;
 
     /** False if even maxK micro-batches exceed the capacity. */
@@ -115,13 +116,14 @@ struct PlanResult
 
 /**
  * Memory-aware batch re-partitioning (paper §4.4.3): starting from
- * K = initial_k, partition, count every micro-batch's nodes and edges
- * (core/micro_batch.h: microBatchShapes), estimate its peak memory
- * from those counts, and re-partition with K+1 until every
- * micro-batch fits the device budget — no on-device trial and error.
- * Only the returned attempt's micro-batches are built, from that
- * attempt's groups (the partitioner is not called again: it may be
- * stateful, like RandomPartitioner).
+ * the first K the whole batch's counts do not rule out, partition,
+ * count every micro-batch's nodes and edges (core/micro_batch.h:
+ * microBatchShapes), estimate its peak memory from those counts, and
+ * re-partition with K+1 until every micro-batch fits the device
+ * budget — no on-device trial and error. Only the returned attempt's
+ * micro-batches are built, from that attempt's groups (the
+ * partitioner is not called again: it may be stateful, like
+ * RandomPartitioner).
  */
 class MemoryAwarePlanner
 {
@@ -167,24 +169,19 @@ class MemoryAwarePlanner
 
     /**
      * Size K and produce the micro-batches using @p partitioner.
+     * The K -> K+1 loop starts at max(@p initial_k, ceil(need / room))
+     * with C the estimate of an all-zero shape (parameters, gradients,
+     * optimizer state), need = est(full) - C and
+     * room = capacity - reserved - C: every K below that has a
+     * micro-batch estimated above the budget, whatever the groups (a
+     * stateless partitioner's chosen K and micro-batches are the ones
+     * a loop from @p initial_k finds). With room <= 0 it tries only
+     * the loop's last K.
      * @param max_k Safety bound on the search.
      */
     PlanResult plan(const MultiLayerBatch& full,
                     OutputPartitioner& partitioner,
                     int32_t initial_k = 1, int32_t max_k = 4096) const;
-
-    /**
-     * Fast search variant (our extension; the paper's loop is the
-     * strict K -> K+1 of plan()): double K until every micro-batch
-     * fits, then binary-search the gap for the smallest fitting K.
-     * O(log K) partition+count rounds instead of O(K). Because the
-     * worst micro-batch's memory is not perfectly monotone in K, the
-     * result can occasionally sit one step above plan()'s minimum; it
-     * always fits (or reports fits=false like plan()).
-     */
-    PlanResult planGeometric(const MultiLayerBatch& full,
-                             OutputPartitioner& partitioner,
-                             int32_t max_k = 4096) const;
 
   private:
     /** One K tried: its groups and the PlanResult fields known before
@@ -200,11 +197,6 @@ class MemoryAwarePlanner
     Attempt evaluateK(const MultiLayerBatch& full,
                       OutputPartitioner& partitioner, int32_t k) const;
 
-    /** The plan a search returns after @p attempts tries: @p attempt
-     * with its micro-batches — the only ones the search builds. */
-    static PlanResult finish(const MultiLayerBatch& full, Attempt attempt,
-                             int32_t attempts);
-
     GnnSpec spec_;
     int64_t capacity_;
     int64_t reserved_ = 0;
@@ -219,7 +211,8 @@ struct BettyConfig
     /** Partitioning knobs. */
     BettyOptions partition;
 
-    /** First K the planner tries. */
+    /** Smallest K the planner tries (MemoryAwarePlanner::plan starts
+     * higher when the batch's counts rule the lower ones out). */
     int32_t initialK = 1;
 
     /** Safety bound on the K search. */
@@ -243,14 +236,6 @@ class Betty
     {
         return planner_.plan(full, partitioner_, config_.initialK,
                              config_.maxK);
-    }
-
-    /** Like plan() but with the O(log K) geometric search. */
-    PlanResult
-    planFast(const MultiLayerBatch& full)
-    {
-        return planner_.planGeometric(full, partitioner_,
-                                      config_.maxK);
     }
 
     /** Partition @p full into exactly @p k micro-batches (no planner). */

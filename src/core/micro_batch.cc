@@ -6,45 +6,12 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/markers.h"
 #include "util/thread_pool.h"
 
 namespace betty {
 
 namespace {
-
-/**
- * Marker arrays of one pool lane (thread-local), kept across calls so
- * a walk costs the micro-batch's size, not the full batch's:
- * stamp[s] == generation marks source s of the full block as already
- * placed in the block being walked, at local index local[s]. Bumping
- * the generation clears every mark at once.
- */
-struct Markers
-{
-    std::vector<uint64_t> stamp;
-    std::vector<int64_t> local;
-    uint64_t generation = 0;
-
-    /** Clear all marks for a walk over sources [0, num_src). */
-    void
-    reset(int64_t num_src)
-    {
-        if (stamp.size() < size_t(num_src)) {
-            stamp.resize(size_t(num_src), 0);
-            local.resize(size_t(num_src));
-        }
-        ++generation;
-    }
-
-    bool seen(int64_t s) const { return stamp[size_t(s)] == generation; }
-
-    void
-    mark(int64_t s, int64_t local_index)
-    {
-        stamp[size_t(s)] = generation;
-        local[size_t(s)] = local_index;
-    }
-};
 
 /** Panic unless @p full keeps MultiLayerBatch's chaining invariant. */
 void
@@ -120,6 +87,7 @@ class GroupWalk
             dsts.push_back(it->second);
         }
 
+        // One marker set per pool lane, over the full block's sources.
         thread_local Markers markers;
         shapes.resize(size_t(layers));
         if (blocks)

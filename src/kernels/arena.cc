@@ -60,10 +60,7 @@ Arena::~Arena()
 {
     BETTY_ASSERT(live_handles_ == 0, "arena destroyed with ",
                  live_handles_, " live handle(s) attached");
-    for (Chunk& chunk : chunks_) {
-        unpoisonRegion(chunk.data, chunk.size);
-        ::operator delete(chunk.data, std::align_val_t(kArenaAlign));
-    }
+    freeChunks();
 }
 
 std::size_t
@@ -131,9 +128,19 @@ Arena::reset()
                  live_handles_,
                  " live handle(s) attached — storage escaped its "
                  "micro-batch scope");
-    for (Chunk& chunk : chunks_) {
-        poisonRegion(chunk.data, chunk.used);
-        chunk.used = 0;
+    if (chunks_.size() > 1) {
+        // A request that did not fit the cursor chunk skipped that
+        // chunk's tail, so a replay of the same bytes could grow the
+        // list again. One chunk of the total serves any sequence of
+        // requests whose aligned total fits the reserved bytes.
+        const int64_t total = reserved_bytes_;
+        freeChunks();
+        growChunk(total);
+    } else {
+        for (Chunk& chunk : chunks_) {
+            poisonRegion(chunk.data, chunk.used);
+            chunk.used = 0;
+        }
     }
     cursor_ = 0;
     in_use_bytes_ = 0;
@@ -148,15 +155,21 @@ Arena::reset()
 }
 
 void
-Arena::releaseAll()
+Arena::freeChunks()
 {
-    reset();
     for (Chunk& chunk : chunks_) {
         unpoisonRegion(chunk.data, chunk.size);
         ::operator delete(chunk.data, std::align_val_t(kArenaAlign));
     }
     chunks_.clear();
     reserved_bytes_ = 0;
+}
+
+void
+Arena::releaseAll()
+{
+    reset();
+    freeChunks();
     obs::Metrics::gauge("kernel.arena.reserved_bytes").set(0);
 }
 

@@ -20,10 +20,13 @@
  *   2. Storage that must survive the scope (parameter gradients,
  *      optimizer moments) allocates under an ArenaSuspend.
  *   3. After the graph is released, the owner calls reset(): the
- *      cursor returns to the first chunk, chunks are kept (that is
- *      the high-water reuse), and under AddressSanitizer the
- *      reclaimed bytes are poisoned so any use-after-reset faults
- *      immediately.
+ *      cursor returns to the first chunk and the reserved bytes are
+ *      kept (that is the high-water reuse). A reset that finds more
+ *      than one chunk replaces them with one chunk of their total
+ *      size, so a later micro-batch whose requests add up to at most
+ *      the reserved bytes grows nothing (a request that does not fit
+ *      a chunk's tail skips it). Under AddressSanitizer the reclaimed
+ *      bytes are poisoned so any use-after-reset faults immediately.
  *
  * Tensor storage that draws from the arena registers itself with
  * noteLiveAttach()/noteLiveDetach(); reset() panics if any such
@@ -70,8 +73,10 @@ class Arena
 
     /**
      * Reclaim every allocation at once: cursor back to the first
-     * chunk, chunks retained for reuse. Panics if live handles are
-     * still attached. Under ASan the reclaimed regions are poisoned.
+     * chunk, reserved bytes retained for reuse (several chunks are
+     * merged into one of their total size). Panics if live handles
+     * are still attached. Under ASan the reclaimed regions are
+     * poisoned.
      */
     void reset();
 
@@ -111,6 +116,9 @@ class Arena
 
     /** Append a chunk of at least @p min_bytes; returns its index. */
     std::size_t growChunk(int64_t min_bytes);
+
+    /** Return every chunk to the heap. */
+    void freeChunks();
 
     int64_t chunk_bytes_;
     std::vector<Chunk> chunks_;

@@ -1,8 +1,10 @@
 #include "obs/critpath/span_graph.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/json.h"
 #include "obs/run_meta.h"
@@ -298,9 +300,21 @@ buildSegmentGraph(const SpanGraph& graph, SegmentGraph* out,
     auto clampToSpan = [](const GraphSpan& span, int64_t ts) {
         return std::clamp(ts, span.startUs, span.endUs());
     };
+    // Span indices of each flow's ends, resolved once.
+    std::vector<std::pair<int32_t, int32_t>> flow_ends;
+    flow_ends.reserve(graph.flows.size());
     for (const GraphFlow& flow : graph.flows) {
-        const GraphSpan& from = graph.spans[by_id.at(flow.from)];
-        const GraphSpan& to = graph.spans[by_id.at(flow.to)];
+        const auto from_it = by_id.find(flow.from);
+        const auto to_it = by_id.find(flow.to);
+        if (from_it == by_id.end() || to_it == by_id.end())
+            return fail(error, CritpathErrorKind::DanglingEdge,
+                        "flow edge references missing span id " +
+                            std::to_string(from_it == by_id.end()
+                                               ? flow.from
+                                               : flow.to));
+        flow_ends.emplace_back(from_it->second, to_it->second);
+        const GraphSpan& from = graph.spans[size_t(from_it->second)];
+        const GraphSpan& to = graph.spans[size_t(to_it->second)];
         lane_cuts[from.lane].push_back(clampToSpan(from, flow.tsUs));
         lane_cuts[to.lane].push_back(clampToSpan(to, flow.tsUs));
     }
@@ -426,9 +440,10 @@ buildSegmentGraph(const SpanGraph& graph, SegmentGraph* out,
         const int32_t last = it->second.back();
         return out->segments[last].endUs > to.startUs ? last : -1;
     };
-    for (const GraphFlow& flow : graph.flows) {
-        const GraphSpan& from = graph.spans[by_id.at(flow.from)];
-        const GraphSpan& to = graph.spans[by_id.at(flow.to)];
+    for (size_t f = 0; f < graph.flows.size(); ++f) {
+        const GraphFlow& flow = graph.flows[f];
+        const GraphSpan& from = graph.spans[size_t(flow_ends[f].first)];
+        const GraphSpan& to = graph.spans[size_t(flow_ends[f].second)];
         const int32_t source =
             findSource(from.lane, clampToSpan(from, flow.tsUs));
         const int32_t target = findTarget(to, clampToSpan(to, flow.tsUs));

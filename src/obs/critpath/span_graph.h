@@ -172,7 +172,9 @@ struct SegmentGraph
  * Cut lanes into segments and connect them. Fails with Cycle when
  * the flow edges are time-inconsistent enough to create one (only
  * possible in hand-made traces; live recordings are forward-in-time
- * by construction). @p graph must have passed validateSpanGraph().
+ * by construction), and with DanglingEdge when a flow names a span id
+ * the graph does not hold. @p graph should have passed
+ * validateSpanGraph(), which types the remaining errors.
  */
 bool buildSegmentGraph(const SpanGraph& graph, SegmentGraph* out,
                        CritpathError* error);

@@ -193,7 +193,9 @@ Trace::endSpan(const char* name, const char* category, uint64_t id,
         tls_span_stack.back().id == id)
         tls_span_stack.pop_back();
     ThreadBuffer& buffer = threadBuffer();
-    const size_t head = buffer.head.load(std::memory_order_relaxed);
+    // Acquire pairs with clear()'s release: a slot reused after a
+    // clear() is written only after the snapshot that read it.
+    const size_t head = buffer.head.load(std::memory_order_acquire);
     buffer.ring[head % buffer.ring.size()] =
         TraceEvent{name, category, id, start_us, dur_us,
                    currentLane()};

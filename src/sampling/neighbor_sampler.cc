@@ -18,6 +18,38 @@ constexpr int64_t kSampleGrain = 256;
  * per-(layer, dst) stream keys ("call" in ASCII). */
 constexpr uint64_t kCallStreamTag = 0x63616c6cULL;
 
+/**
+ * The block of @p dst_nodes whose in-edges @p sources (graph node ids,
+ * grouped by destination as @p offsets gives) hold: one serial pass
+ * numbers the sources, destinations first and then each new source in
+ * first-seen edge order — the numbering of Block(dst, src_per_dst) —
+ * and rewrites @p sources in place as local indices.
+ */
+Block
+numberSources(Markers& markers, int64_t num_nodes,
+              std::vector<int64_t> dst_nodes,
+              std::vector<int64_t> offsets, std::vector<int64_t> sources)
+{
+    markers.reset(num_nodes);
+    const int64_t num_dst = int64_t(dst_nodes.size());
+    std::vector<int64_t> src_nodes = std::move(dst_nodes);
+    for (int64_t i = 0; i < num_dst; ++i) {
+        const int64_t node = src_nodes[size_t(i)];
+        BETTY_ASSERT(!markers.seen(node), "duplicate destination node ",
+                     node);
+        markers.mark(node, i);
+    }
+    for (int64_t& s : sources) {
+        if (!markers.seen(s)) {
+            markers.mark(s, int64_t(src_nodes.size()));
+            src_nodes.push_back(s);
+        }
+        s = markers.local[size_t(s)];
+    }
+    return Block::fromCsr(num_dst, std::move(src_nodes),
+                          std::move(offsets), std::move(sources));
+}
+
 } // namespace
 
 NeighborSampler::NeighborSampler(const CsrGraph& graph,
@@ -51,38 +83,45 @@ NeighborSampler::sample(const std::vector<int64_t>& seeds)
     for (int64_t layer = int64_t(fanouts_.size()) - 1; layer >= 0;
          --layer) {
         const int64_t fanout = fanouts_[size_t(layer)];
-        // Each destination samples from its own counter-based stream
-        // keyed on (call_seed, layer, dst): slot i's content depends
-        // only on layer_seeds[i], so the parallel loop is
-        // deterministic for any thread count and chunk schedule.
-        std::vector<std::vector<int64_t>> src_per_dst(
-            layer_seeds.size());
+        const size_t num_dst = layer_seeds.size();
+        // Count pass: each destination keeps min(in-degree, fanout)
+        // in-edges, all of them when fanout < 0; the prefix sum gives
+        // its range of the flat edge array.
+        std::vector<int64_t> offsets(num_dst + 1, 0);
+        for (size_t i = 0; i < num_dst; ++i) {
+            const int64_t degree = graph_.inDegree(layer_seeds[i]);
+            offsets[i + 1] =
+                offsets[i] + (fanout < 0 ? degree : std::min(degree, fanout));
+        }
+        // Fill pass: each destination samples from its own
+        // counter-based stream keyed on (call_seed, layer, dst) and
+        // writes only its own range, so the edge array is the same for
+        // any thread count and chunk schedule.
+        std::vector<int64_t> sources(size_t(offsets.back()));
         ThreadPool::global().parallelFor(
-            0, int64_t(layer_seeds.size()), kSampleGrain,
+            0, int64_t(num_dst), kSampleGrain,
             [&](int64_t lo, int64_t hi) {
                 for (int64_t i = lo; i < hi; ++i) {
                     const int64_t dst = layer_seeds[size_t(i)];
                     const auto nbrs = graph_.inNeighbors(dst);
-                    std::vector<int64_t>& chosen =
-                        src_per_dst[size_t(i)];
-                    if (fanout < 0 ||
-                        int64_t(nbrs.size()) <= fanout) {
-                        chosen.assign(nbrs.begin(), nbrs.end());
-                    } else {
-                        Rng rng = Rng::stream(call_seed,
-                                              uint64_t(layer),
-                                              uint64_t(dst));
-                        const auto picks =
-                            rng.sampleWithoutReplacement(
-                                int64_t(nbrs.size()), fanout);
-                        chosen.reserve(size_t(fanout));
-                        for (int64_t p : picks)
-                            chosen.push_back(nbrs[size_t(p)]);
+                    const int64_t keep = offsets[size_t(i) + 1] -
+                                         offsets[size_t(i)];
+                    int64_t* out = sources.data() + offsets[size_t(i)];
+                    if (keep == int64_t(nbrs.size())) {
+                        std::copy(nbrs.begin(), nbrs.end(), out);
+                        continue;
                     }
+                    Rng rng = Rng::stream(call_seed, uint64_t(layer),
+                                          uint64_t(dst));
+                    for (int64_t p : rng.sampleWithoutReplacement(
+                             int64_t(nbrs.size()), keep))
+                        *out++ = nbrs[size_t(p)];
                 }
             });
         batch.blocks[size_t(layer)] =
-            Block(std::move(layer_seeds), src_per_dst);
+            numberSources(markers_, graph_.numNodes(),
+                          std::move(layer_seeds), std::move(offsets),
+                          std::move(sources));
         layer_seeds = batch.blocks[size_t(layer)].srcNodes();
     }
     if (obs::Metrics::enabled()) {

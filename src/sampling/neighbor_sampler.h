@@ -17,6 +17,7 @@
 
 #include "graph/csr_graph.h"
 #include "sampling/block.h"
+#include "util/markers.h"
 #include "util/rng.h"
 
 namespace betty {
@@ -39,7 +40,8 @@ class NeighborSampler
      * batch, or of the thread count — so repeated epochs draw fresh
      * neighborhoods while any `--threads` value replays the identical
      * sequence. Sampling is parallelized over destinations via the
-     * global ThreadPool.
+     * global ThreadPool; one serial pass then numbers each block's
+     * sources.
      */
     NeighborSampler(const CsrGraph& graph, std::vector<int64_t> fanouts,
                     uint64_t seed = 7);
@@ -51,7 +53,7 @@ class NeighborSampler
     MultiLayerBatch sample(const std::vector<int64_t>& seeds);
 
     /** @name Checkpoint/resume support (robustness/checkpoint.h)
-     * The call index is the sampler's only mutable state; saving it
+     * The call index is the only state a sample depends on; saving it
      * with a checkpoint and restoring it on resume makes the resumed
      * run draw the exact neighborhoods the uninterrupted run would
      * have (sample k is a pure function of (seed, call index)). */
@@ -64,8 +66,11 @@ class NeighborSampler
     const CsrGraph& graph_;
     std::vector<int64_t> fanouts_;
     uint64_t seed_;
-    /** Calls made so far; the only state carried between calls. */
+    /** Calls made so far; the only state a sample depends on. */
     uint64_t call_index_ = 0;
+    /** Scratch for numbering sources over graph node ids, sized on
+     * the first sample() call. */
+    Markers markers_;
 };
 
 } // namespace betty

@@ -80,21 +80,52 @@ TEST(Arena, ResetReusesChunksAtHighWater)
     EXPECT_GT(grown_chunks, 1);
     EXPECT_EQ(high_water, arena.inUseBytes());
 
+    // The first reset merges the chunks into one of their total size.
     arena.reset();
     EXPECT_EQ(arena.inUseBytes(), 0);
     EXPECT_EQ(arena.highWaterBytes(), high_water);
     EXPECT_EQ(arena.reservedBytes(), reserved);
+    EXPECT_EQ(arena.chunkAllocs(), grown_chunks + 1);
     EXPECT_EQ(arena.resets(), 1);
 
     // The same allocation pattern must be served entirely from the
-    // retained chunks — that is the high-water reuse contract.
+    // retained bytes — that is the high-water reuse contract.
     std::vector<void*> second;
     for (int i = 0; i < 32; ++i)
         second.push_back(arena.allocate(1024));
-    EXPECT_EQ(arena.chunkAllocs(), grown_chunks);
+    EXPECT_EQ(arena.chunkAllocs(), grown_chunks + 1);
     EXPECT_EQ(arena.reservedBytes(), reserved);
-    // Deterministic bump: the replay lands on the same addresses.
-    EXPECT_EQ(first, second);
+
+    // Deterministic bump: from here on a replay lands on the same
+    // addresses.
+    arena.reset();
+    std::vector<void*> third;
+    for (int i = 0; i < 32; ++i)
+        third.push_back(arena.allocate(1024));
+    EXPECT_EQ(arena.chunkAllocs(), grown_chunks + 1);
+    EXPECT_EQ(second, third);
+}
+
+TEST(Arena, NoChunkGrowthWithinReservedBytes)
+{
+    // A request that does not fit the cursor chunk skips its tail, so
+    // kept chunks can hold a round's bytes in total and still grow.
+    // After a reset, any round whose aligned total fits the reserved
+    // bytes allocates no chunk.
+    constexpr int64_t kRequest = int64_t(3) << 10;
+    Arena arena(int64_t(4) << 10);
+    for (const int requests : {3, 4, 2, 4, 3}) {
+        const int64_t reserved = arena.reservedBytes();
+        const int64_t chunks = arena.chunkAllocs();
+        for (int i = 0; i < requests; ++i)
+            arena.allocate(kRequest);
+        if (requests * kRequest <= reserved) {
+            EXPECT_EQ(arena.chunkAllocs(), chunks)
+                << requests << " requests within " << reserved
+                << " reserved bytes";
+        }
+        arena.reset();
+    }
 }
 
 TEST(Arena, OversizeRequestGetsDedicatedChunk)

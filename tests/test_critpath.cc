@@ -296,6 +296,21 @@ TEST(Validation, DanglingEdgeIsPrunedWhenEventsWereDropped)
     EXPECT_EQ(graph.prunedFlows, 1);
 }
 
+TEST(Validation, SegmentGraphOfAnUnvalidatedDanglingFlowIsTyped)
+{
+    // A graph that skipped validateSpanGraph: the segment builder
+    // reports the missing end instead of throwing.
+    SpanGraph graph;
+    graph.spans = {span(1, "a", "compute", 0, 0, 10),
+                   span(2, "b", "compute", 1, 10, 10)};
+    graph.flows = {{1, 2, 10}, {2, 77, 20}};
+    SegmentGraph segments;
+    CritpathError error;
+    EXPECT_FALSE(buildSegmentGraph(graph, &segments, &error));
+    EXPECT_EQ(error.kind, CritpathErrorKind::DanglingEdge);
+    EXPECT_NE(error.message.find("77"), std::string::npos);
+}
+
 TEST(Validation, DuplicateIdsAndNegativeDurationsAreMalformed)
 {
     {

@@ -10,6 +10,7 @@
 #include "memory/transfer_model.h"
 #include "sampling/neighbor_sampler.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace betty {
 namespace {
@@ -132,6 +133,89 @@ TEST(Estimator, MonotoneInBatchSize)
     const auto big =
         estimateBatchMemory(sampler.sample(big_seeds), spec);
     EXPECT_LT(small.peak, big.peak);
+}
+
+/** Field-by-field sum of two estimates. */
+MemoryEstimate
+addEstimates(const MemoryEstimate& x, const MemoryEstimate& y)
+{
+    MemoryEstimate sum;
+    sum.parameters = x.parameters + y.parameters;
+    sum.inputFeatures = x.inputFeatures + y.inputFeatures;
+    sum.labels = x.labels + y.labels;
+    sum.blocks = x.blocks + y.blocks;
+    sum.hidden = x.hidden + y.hidden;
+    sum.aggregator = x.aggregator + y.aggregator;
+    sum.gradients = x.gradients + y.gradients;
+    sum.optimizerStates = x.optimizerStates + y.optimizerStates;
+    sum.backwardBuffers = x.backwardBuffers + y.backwardBuffers;
+    sum.peak = x.peak + y.peak;
+    return sum;
+}
+
+/** True if every field of @p x is at most the same field of @p y. */
+bool
+fieldsAtMost(const MemoryEstimate& x, const MemoryEstimate& y)
+{
+    return x.parameters <= y.parameters &&
+           x.inputFeatures <= y.inputFeatures && x.labels <= y.labels &&
+           x.blocks <= y.blocks && x.hidden <= y.hidden &&
+           x.aggregator <= y.aggregator && x.gradients <= y.gradients &&
+           x.optimizerStates <= y.optimizerStates &&
+           x.backwardBuffers <= y.backwardBuffers && x.peak <= y.peak;
+}
+
+TEST(Estimator, AffineWithNonNegativeCoefficients)
+{
+    // The planner's lower bound on K (core/betty.h) rests on this: the
+    // estimate is est(0) plus a linear function of the per-layer counts
+    // with non-negative coefficients, so
+    // est(a + b) + est(0) == est(a) + est(b) and est(a) <= est(a + b).
+    Rng rng(23);
+    auto randomShape = [&](int64_t layers) {
+        std::vector<BlockShape> shape(static_cast<size_t>(layers));
+        for (BlockShape& block : shape) {
+            block.numDst = rng.uniformInt(0, 500);
+            block.numSrc = block.numDst + rng.uniformInt(0, 2000);
+            block.numEdges = rng.uniformInt(0, 8000);
+        }
+        return shape;
+    };
+    for (const AggregatorKind agg :
+         {AggregatorKind::Mean, AggregatorKind::Sum, AggregatorKind::Pool,
+          AggregatorKind::Lstm, AggregatorKind::Attention,
+          AggregatorKind::Gcn, AggregatorKind::Gin}) {
+        for (int64_t layers = 1; layers <= 3; ++layers) {
+            for (const int64_t heads : {1, 2, 4}) {
+                if (heads > 1 && agg != AggregatorKind::Attention)
+                    continue;
+                GnnSpec spec = specFor(agg, layers);
+                spec.attentionHeads = heads;
+                const std::vector<BlockShape> zero(static_cast<size_t>(layers));
+                const MemoryEstimate est0 = estimateMemory(zero, spec);
+                for (int trial = 0; trial < 20; ++trial) {
+                    SCOPED_TRACE(aggregatorName(agg) + " layers " +
+                                 std::to_string(layers) + " heads " +
+                                 std::to_string(heads) + " trial " +
+                                 std::to_string(trial));
+                    const auto a = randomShape(layers);
+                    const auto b = randomShape(layers);
+                    std::vector<BlockShape> sum(static_cast<size_t>(layers));
+                    for (size_t l = 0; l < sum.size(); ++l)
+                        sum[l] = {a[l].numDst + b[l].numDst,
+                                  a[l].numSrc + b[l].numSrc,
+                                  a[l].numEdges + b[l].numEdges};
+                    const MemoryEstimate est_a = estimateMemory(a, spec);
+                    const MemoryEstimate est_b = estimateMemory(b, spec);
+                    const MemoryEstimate est_sum =
+                        estimateMemory(sum, spec);
+                    EXPECT_EQ(addEstimates(est_sum, est0),
+                              addEstimates(est_a, est_b));
+                    EXPECT_TRUE(fieldsAtMost(est_a, est_sum));
+                }
+            }
+        }
+    }
 }
 
 TEST(Estimator, PeakGiB)

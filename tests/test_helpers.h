@@ -16,6 +16,7 @@
 #include "graph/csr_graph.h"
 #include "sampling/block.h"
 #include "tensor/autograd.h"
+#include "util/rng.h"
 
 namespace betty::testutil {
 
@@ -87,6 +88,45 @@ tinyBatch()
     Block inner(std::move(inner_dst),
                 {{5}, {5, 6}, {6}, {7}, {2, 7}});
     batch.blocks = {inner, outer};
+    return batch;
+}
+
+/**
+ * Neighbor sampling rebuilt with per-destination source lists and the
+ * public Block(dst, src_per_dst) constructor — the original algorithm,
+ * kept as the oracle call @p call_index of
+ * NeighborSampler(graph, fanouts, seed) must match byte for byte.
+ */
+inline MultiLayerBatch
+referenceSample(const CsrGraph& graph, const std::vector<int64_t>& fanouts,
+                uint64_t seed, uint64_t call_index,
+                const std::vector<int64_t>& seeds)
+{
+    // The sampler's per-call seed derivation ("call" in ASCII).
+    const uint64_t call_seed =
+        Rng::streamKey(seed, 0x63616c6cULL, call_index);
+    MultiLayerBatch batch;
+    batch.blocks.resize(fanouts.size());
+    std::vector<int64_t> layer_seeds = seeds;
+    for (size_t layer = fanouts.size(); layer-- > 0;) {
+        const int64_t fanout = fanouts[layer];
+        std::vector<std::vector<int64_t>> src_per_dst;
+        for (int64_t dst : layer_seeds) {
+            const auto nbrs = graph.inNeighbors(dst);
+            std::vector<int64_t> chosen;
+            if (fanout < 0 || int64_t(nbrs.size()) <= fanout) {
+                chosen.assign(nbrs.begin(), nbrs.end());
+            } else {
+                Rng rng = Rng::stream(call_seed, layer, uint64_t(dst));
+                for (int64_t p : rng.sampleWithoutReplacement(
+                         int64_t(nbrs.size()), fanout))
+                    chosen.push_back(nbrs[size_t(p)]);
+            }
+            src_per_dst.push_back(std::move(chosen));
+        }
+        batch.blocks[layer] = Block(std::move(layer_seeds), src_per_dst);
+        layer_seeds = batch.blocks[layer].srcNodes();
+    }
     return batch;
 }
 

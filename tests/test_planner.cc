@@ -41,6 +41,34 @@ struct Env
     GnnSpec spec;
 };
 
+/**
+ * The first K plan() tries, worked out here from estimateMemory: the
+ * smallest K in the loop's range [initial_k, last] with
+ * K * room >= need, where C is the estimate of an all-zero shape,
+ * need = est(full) - C and room = capacity - reserved - C.
+ */
+int32_t
+boundK(const MultiLayerBatch& full, const GnnSpec& spec,
+       int64_t capacity, int64_t reserved, int32_t initial_k,
+       int32_t max_k)
+{
+    const int64_t outputs = int64_t(full.outputNodes().size());
+    const int32_t last = int32_t(
+        std::max<int64_t>(initial_k, std::min<int64_t>(outputs, max_k)));
+    if (capacity <= 0)
+        return initial_k;
+    const std::vector<BlockShape> zero(full.blocks.size());
+    const int64_t fixed = estimateMemory(zero, spec).peak;
+    const int64_t need = estimateBatchMemory(full, spec).peak - fixed;
+    const int64_t room = capacity - reserved - fixed;
+    if (room <= 0)
+        return last;
+    int32_t k = initial_k;
+    while (k < last && int64_t(k) * room < need)
+        ++k;
+    return k;
+}
+
 TEST(Planner, UnlimitedCapacityKeepsKOne)
 {
     Env env;
@@ -74,7 +102,9 @@ TEST(Planner, TightCapacityIncreasesK)
     const auto plan = planner.plan(env.full, part);
     EXPECT_TRUE(plan.fits);
     EXPECT_GT(plan.k, 1);
-    EXPECT_EQ(plan.attempts, plan.k);
+    const int32_t first =
+        boundK(env.full, env.spec, full_est.peak * 3 / 4, 0, 1, 4096);
+    EXPECT_EQ(plan.attempts, plan.k - first + 1);
     EXPECT_LE(plan.maxEstimatedPeak, full_est.peak * 3 / 4);
 }
 
@@ -111,7 +141,7 @@ TEST(Planner, ImpossibleBudgetReportsNoFit)
     BettyPartitioner part;
     const auto plan = planner.plan(env.full, part, 1, 8);
     EXPECT_FALSE(plan.fits);
-    EXPECT_GE(plan.attempts, 8);
+    EXPECT_EQ(plan.attempts, 1);
 }
 
 TEST(Planner, InitialKRespected)
@@ -137,69 +167,6 @@ TEST(Planner, WorksWithBaselinePartitioners)
         EXPECT_TRUE(plan.fits) << part->name();
         EXPECT_GT(plan.k, 1) << part->name();
     }
-}
-
-TEST(PlannerGeometric, MatchesLinearSearchResult)
-{
-    Env env;
-    const auto full_est = estimateBatchMemory(env.full, env.spec);
-    // Divisor 2 fits at this scale; tighter budgets fall below the
-    // fixed-cost floor (params + optimizer states live in EVERY
-    // micro-batch) and must be reported unfittable by BOTH searches.
-    for (int64_t divisor : {2, 3, 5}) {
-        const int64_t budget = full_est.peak / divisor;
-        MemoryAwarePlanner planner(env.spec, budget);
-        BettyPartitioner part;
-        const auto linear = planner.plan(env.full, part);
-        const auto fast = planner.planGeometric(env.full, part);
-        ASSERT_EQ(linear.fits, fast.fits) << "divisor " << divisor;
-        if (linear.fits) {
-            // Never below the strict minimum (linear returns the
-            // first fitting K, so any fitting K is >= it). Above it,
-            // worst-case memory is not monotone in K — repartitioning
-            // can make the worst micro-batch of K+1 larger than K's —
-            // so the binary search may skip past a fitting K it never
-            // probed and settle a couple of steps high.
-            EXPECT_GE(fast.k, linear.k) << "divisor " << divisor;
-            EXPECT_LE(fast.k, linear.k + 2) << "divisor " << divisor;
-            EXPECT_LE(fast.maxEstimatedPeak, budget);
-        }
-    }
-}
-
-TEST(PlannerGeometric, FewerAttemptsWhenKIsLarge)
-{
-    // Whether or not the tight budget fits, geometric probing must
-    // reach its conclusion in O(log K) rounds where linear needs O(K).
-    Env env;
-    const auto full_est = estimateBatchMemory(env.full, env.spec);
-    MemoryAwarePlanner planner(env.spec, full_est.peak / 8);
-    BettyPartitioner part;
-    const auto linear = planner.plan(env.full, part);
-    const auto fast = planner.planGeometric(env.full, part);
-    EXPECT_EQ(linear.fits, fast.fits);
-    if (linear.attempts >= 8)
-        EXPECT_LT(fast.attempts, linear.attempts / 2);
-}
-
-TEST(PlannerGeometric, UnlimitedCapacityIsKOne)
-{
-    Env env;
-    MemoryAwarePlanner planner(env.spec, 0);
-    BettyPartitioner part;
-    const auto plan = planner.planGeometric(env.full, part);
-    EXPECT_TRUE(plan.fits);
-    EXPECT_EQ(plan.k, 1);
-    EXPECT_EQ(plan.attempts, 1);
-}
-
-TEST(PlannerGeometric, ImpossibleBudgetReportsNoFit)
-{
-    Env env;
-    MemoryAwarePlanner planner(env.spec, 1000);
-    BettyPartitioner part;
-    const auto plan = planner.planGeometric(env.full, part);
-    EXPECT_FALSE(plan.fits);
 }
 
 /** A partitioner with a deliberately pathological K: for one chosen
@@ -248,7 +215,7 @@ TEST(Planner, ExhaustionAtMaxKIsReportedNotFatal)
     const auto plan = planner.plan(env.full, part, 1, 8);
     EXPECT_FALSE(plan.fits);
     EXPECT_EQ(plan.k, 8) << "stops exactly at max_k";
-    EXPECT_GE(plan.attempts, 8);
+    EXPECT_EQ(plan.attempts, 1) << "no K below max_k can fit";
     ASSERT_EQ(plan.microBatches.size(), 8u)
         << "the last attempted plan is still returned";
     EXPECT_EQ(plan.estimates.size(), plan.microBatches.size());
@@ -310,36 +277,6 @@ TEST(Planner, LinearSearchSurvivesNonMonotoneWorstCase)
     ASSERT_TRUE(from_bad.fits);
     EXPECT_GT(from_bad.k, kBadK);
     EXPECT_LE(from_bad.maxEstimatedPeak, worst_at_3);
-}
-
-TEST(PlannerGeometric, NonMonotoneWorstCaseStillFindsAFit)
-{
-    Env env;
-    constexpr int32_t kBadK = 4;
-    SpitefulPartitioner part(kBadK);
-    MemoryAwarePlanner probe(env.spec, 0);
-    const int64_t worst_at_3 =
-        probe.plan(env.full, part, 3).maxEstimatedPeak;
-
-    // The geometric search may probe the pathological K and settle
-    // above the strict minimum, but whatever it returns must fit.
-    MemoryAwarePlanner planner(env.spec, worst_at_3);
-    const auto fast = planner.planGeometric(env.full, part);
-    ASSERT_TRUE(fast.fits);
-    EXPECT_LE(fast.maxEstimatedPeak, worst_at_3);
-    EXPECT_GE(fast.k, 2);
-}
-
-TEST(BettyFacade, PlanFastFitsBudget)
-{
-    Env env;
-    const auto full_est = estimateBatchMemory(env.full, env.spec);
-    BettyConfig config;
-    config.deviceCapacityBytes = full_est.peak * 3 / 5;
-    Betty betty(env.spec, config);
-    const auto plan = betty.planFast(env.full);
-    ASSERT_TRUE(plan.fits);
-    EXPECT_LE(plan.maxEstimatedPeak, config.deviceCapacityBytes);
 }
 
 TEST(BettyFacade, PlanAndPartition)
@@ -406,55 +343,18 @@ struct OraclePlanner
         return result;
     }
 
+    /** The K -> K+1 loop from @p first_k, with no bound of its own. */
     PlanResult
     plan(const MultiLayerBatch& full, OutputPartitioner& part,
-         int32_t initial_k, int32_t max_k) const
+         int32_t first_k, int32_t max_k) const
     {
         const int64_t outputs = int64_t(full.outputNodes().size());
-        for (int32_t k = initial_k, attempts = 1;; ++k, ++attempts) {
+        for (int32_t k = first_k, attempts = 1;; ++k, ++attempts) {
             PlanResult result = evaluate(full, part, k);
             result.attempts = attempts;
             if (result.fits || k >= outputs || k == max_k)
                 return result;
         }
-    }
-
-    PlanResult
-    planGeometric(const MultiLayerBatch& full, OutputPartitioner& part,
-                  int32_t max_k) const
-    {
-        const int32_t hard_max = int32_t(std::min<int64_t>(
-            max_k, std::max<int64_t>(1, full.outputNodes().size())));
-        int32_t attempts = 0, lo = 0, k = 1;
-        PlanResult best;
-        while (true) {
-            ++attempts;
-            PlanResult result = evaluate(full, part, k);
-            if (result.fits) {
-                best = std::move(result);
-                break;
-            }
-            lo = k;
-            if (k >= hard_max) {
-                result.attempts = attempts;
-                return result;
-            }
-            k = int32_t(std::min<int64_t>(int64_t(k) * 2, hard_max));
-        }
-        int32_t hi = best.k;
-        while (hi - lo > 1) {
-            const int32_t mid = lo + (hi - lo) / 2;
-            ++attempts;
-            PlanResult result = evaluate(full, part, mid);
-            if (result.fits) {
-                best = std::move(result);
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        best.attempts = attempts;
-        return best;
     }
 };
 
@@ -481,47 +381,114 @@ freshPartitioners()
     return parts;
 }
 
-TEST(PlannerOracle, CountOnlySearchesMatchExtractingEveryAttempt)
+struct Budget
 {
-    Env env;
-    const int64_t peak = estimateBatchMemory(env.full, env.spec).peak;
-    struct Budget
-    {
-        int64_t capacity;
-        int64_t reserved;
-        int32_t initialK;
-    };
-    // Unlimited, fits at K=1, splits, splits from a higher start,
-    // splits around a cache reservation, and never fits.
-    const std::vector<Budget> budgets = {
+    int64_t capacity;
+    int64_t reserved;
+    int32_t initialK;
+};
+
+/** Unlimited, fits at K=1, splits, splits from a higher start, splits
+ * around a cache reservation, and never fits. */
+std::vector<Budget>
+oracleBudgets(int64_t peak)
+{
+    return {
         {0, 0, 1},           {peak + 1, 0, 1},    {peak * 3 / 4, 0, 1},
         {peak / 2, 0, 3},    {peak * 3 / 4, peak / 8, 1},
         {1000, 0, 1},
     };
+}
+
+/** The partitioners whose groups depend only on the batch and K. */
+std::vector<std::unique_ptr<OutputPartitioner>>
+statelessPartitioners(const CsrGraph& graph)
+{
+    std::vector<std::unique_ptr<OutputPartitioner>> parts;
+    parts.push_back(std::make_unique<RangePartitioner>());
+    parts.push_back(std::make_unique<MetisBaselinePartitioner>(graph));
+    parts.push_back(std::make_unique<BettyPartitioner>());
+    return parts;
+}
+
+TEST(PlannerOracle, CountOnlySearchesMatchExtractingEveryAttempt)
+{
+    Env env;
+    const int64_t peak = estimateBatchMemory(env.full, env.spec).peak;
     constexpr int32_t kMaxK = 12;
-    for (const Budget& budget : budgets) {
+    for (const Budget& budget : oracleBudgets(peak)) {
         MemoryAwarePlanner planner(env.spec, budget.capacity);
         planner.setReservedBytes(budget.reserved);
         const OraclePlanner oracle{env.spec, budget.capacity,
                                    budget.reserved};
+        // The oracle starts where the planner's bound does, so a
+        // stateful partitioner (Random) sees the same calls.
+        const int32_t first =
+            boundK(env.full, env.spec, budget.capacity, budget.reserved,
+                   budget.initialK, kMaxK);
         auto ours = freshPartitioners();
         auto theirs = freshPartitioners();
         for (size_t p = 0; p < ours.size(); ++p) {
             SCOPED_TRACE(ours[p]->name() + " capacity " +
                          std::to_string(budget.capacity));
-            {
-                SCOPED_TRACE("plan");
-                expectSamePlan(
-                    planner.plan(env.full, *ours[p], budget.initialK,
-                                 kMaxK),
-                    oracle.plan(env.full, *theirs[p], budget.initialK,
-                                kMaxK));
-            }
-            {
-                SCOPED_TRACE("planGeometric");
-                expectSamePlan(
-                    planner.planGeometric(env.full, *ours[p], kMaxK),
-                    oracle.planGeometric(env.full, *theirs[p], kMaxK));
+            expectSamePlan(
+                planner.plan(env.full, *ours[p], budget.initialK, kMaxK),
+                oracle.plan(env.full, *theirs[p], first, kMaxK));
+        }
+    }
+}
+
+TEST(PlannerBound, NeverSkipsAFittingK)
+{
+    // For stateless partitioners the bound only skips K values that
+    // cannot fit: plan() returns what the loop from initial_k finds,
+    // in (k - first + 1) attempts.
+    Env env;
+    constexpr int32_t kMaxK = 24;
+    for (const AggregatorKind agg :
+         {AggregatorKind::Mean, AggregatorKind::Pool,
+          AggregatorKind::Lstm}) {
+        GnnSpec spec = env.spec;
+        spec.aggregator = agg;
+        spec.paramCountAgg = agg == AggregatorKind::Mean ? 0 : 20000;
+        const int64_t peak = estimateBatchMemory(env.full, spec).peak;
+        const std::vector<BlockShape> zero(env.full.blocks.size());
+        const int64_t fixed = estimateMemory(zero, spec).peak;
+        std::vector<Budget> budgets = oracleBudgets(peak);
+        // Two budgets that need K >= 6.
+        budgets.push_back({fixed + (peak - fixed) / 3, 0, 1});
+        budgets.push_back(
+            {fixed + (peak - fixed) / 4 + peak / 16, peak / 16, 2});
+        for (size_t b = 0; b < budgets.size(); ++b) {
+            const Budget& budget = budgets[b];
+            const int32_t first =
+                boundK(env.full, spec, budget.capacity, budget.reserved,
+                       budget.initialK, kMaxK);
+            MemoryAwarePlanner planner(spec, budget.capacity);
+            planner.setReservedBytes(budget.reserved);
+            const OraclePlanner oracle{spec, budget.capacity,
+                                       budget.reserved};
+            auto ours = statelessPartitioners(env.dataset.graph);
+            auto theirs = statelessPartitioners(env.dataset.graph);
+            for (size_t p = 0; p < ours.size(); ++p) {
+                SCOPED_TRACE(aggregatorName(agg) + " " + ours[p]->name() +
+                             " capacity " +
+                             std::to_string(budget.capacity));
+                const PlanResult got = planner.plan(
+                    env.full, *ours[p], budget.initialK, kMaxK);
+                const PlanResult want = oracle.plan(
+                    env.full, *theirs[p], budget.initialK, kMaxK);
+                EXPECT_EQ(got.k, want.k);
+                EXPECT_EQ(got.fits, want.fits);
+                EXPECT_EQ(got.estimates, want.estimates);
+                EXPECT_EQ(got.maxEstimatedPeak, want.maxEstimatedPeak);
+                testutil::expectSameBatches(got.microBatches,
+                                            want.microBatches);
+                EXPECT_EQ(got.attempts, got.k - first + 1);
+                if (b + 2 >= budgets.size()) {
+                    EXPECT_TRUE(want.fits);
+                    EXPECT_GE(want.k, 6);
+                }
             }
         }
     }

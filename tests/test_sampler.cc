@@ -10,6 +10,7 @@
 #include "sampling/neighbor_sampler.h"
 #include "test_helpers.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace betty {
 namespace {
@@ -129,6 +130,66 @@ TEST(NeighborSamplerDeathTest, EmptySeedsPanics)
     const auto g = testutil::toyGraph();
     NeighborSampler sampler(g, {2});
     EXPECT_DEATH(sampler.sample({}), "empty seed");
+}
+
+TEST(NeighborSamplerDeathTest, DuplicateSeedsPanic)
+{
+    const auto g = testutil::toyGraph();
+    NeighborSampler sampler(g, {2, 2});
+    EXPECT_DEATH(sampler.sample({1, 8, 1}), "duplicate destination node");
+}
+
+/**
+ * The flat-CSR sampler against the per-destination reference
+ * (testutil::referenceSample): full fanout, destinations without
+ * in-edges at the output and inner layers, a 3-layer products batch,
+ * two calls each, on 1, 3 and 8 pool lanes.
+ */
+class NeighborSamplerReference : public ::testing::Test
+{
+  protected:
+    void TearDown() override { ThreadPool::setGlobalThreads(1); }
+};
+
+TEST_F(NeighborSamplerReference, MatchesPerDestinationBlocksAtEveryLaneCount)
+{
+    // toyGraph plus nodes 10-13 without in-edges; 10 and 11 feed it,
+    // so they also appear as inner-layer destinations of degree 0.
+    std::vector<Edge> edges = testutil::toyGraph().edgeList();
+    edges.push_back({10, 1});
+    edges.push_back({11, 8});
+    const CsrGraph toy(14, edges);
+    const auto products = loadCatalogDataset("products_like", 0.05, 42);
+    std::vector<int64_t> product_seeds(products.trainNodes.begin(),
+                                       products.trainNodes.begin() + 300);
+    struct Case
+    {
+        std::string label;
+        const CsrGraph* graph;
+        std::vector<int64_t> fanouts;
+        std::vector<int64_t> seeds;
+    };
+    const std::vector<Case> cases = {
+        {"toy full", &toy, {-1, -1}, {1, 12, 8, 13}},
+        {"toy mixed", &toy, {2, -1, 1}, {13, 6, 1}},
+        {"products 3 layers", &products.graph, {5, 10, 15},
+         product_seeds},
+        {"products full outer", &products.graph, {4, -1},
+         {product_seeds.begin(), product_seeds.begin() + 40}},
+    };
+    for (const int32_t lanes : {1, 3, 8}) {
+        ThreadPool::setGlobalThreads(lanes);
+        for (const Case& c : cases) {
+            SCOPED_TRACE(c.label + " lanes=" + std::to_string(lanes));
+            NeighborSampler sampler(*c.graph, c.fanouts, 51);
+            for (uint64_t call = 0; call < 2; ++call) {
+                testutil::expectSameBatches(
+                    {sampler.sample(c.seeds)},
+                    {testutil::referenceSample(*c.graph, c.fanouts, 51,
+                                               call, c.seeds)});
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------------------
