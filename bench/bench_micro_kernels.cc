@@ -19,7 +19,7 @@
  *    lanes of everything else). The run ends with an aligned sweep
  *    table: per kernel and lane count, the avx2-vs-scalar speedup
  *    and, on 4 lanes, the speedup over 1 lane. On hardware or builds
- *    without AVX2+FMA the avx2 rows fall back to scalar
+ *    without AVX2 the avx2 rows fall back to scalar
  *    (kernels/dispatch.h) and the table says so.
  *
  *   bench_micro_kernels [--trace-out=FILE] [--metrics-out=FILE]
@@ -450,7 +450,7 @@ printSweepTable(benchutil::ObsSession& obs_session)
     TablePrinter table(avx2
                            ? "Kernel sweep: scalar vs avx2, 1 vs 4 "
                              "lanes (mean seconds per repeat)"
-                           : "Kernel sweep: AVX2+FMA UNAVAILABLE — "
+                           : "Kernel sweep: AVX2 UNAVAILABLE — "
                              "avx2 rows fell back to scalar");
     table.setHeader({"kernel", "lanes", "scalar_s", "avx2_s",
                      "avx2 speedup", "lane speedup scalar",

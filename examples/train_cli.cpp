@@ -10,7 +10,7 @@
  *               [--lr F] [--budget-mib N] [--devices N]
  *               [--interconnect nvlink|pcie]
  *               [--partitioner betty|metis|random|range] [--warm]
- *               [--threads N] [--kernels scalar|avx2|auto]
+ *               [--threads N] [--kernels auto|scalar|avx2]
  *               [--no-pipeline]
  *               [--cache-gib F] [--cache-policy lru|lru-pinned]
  *               [--data-cache FILE] [--trace-out=FILE]
@@ -60,14 +60,12 @@
  * BETTY_THREADS) is fully serial. --no-pipeline disables the
  * transfer-compute overlap without changing the pool size.
  *
- * --kernels scalar|avx2|auto (or BETTY_KERNELS) picks the compute
+ * --kernels auto|scalar|avx2 (or BETTY_KERNELS) picks the compute
  * backend for the aggregation/GEMM hot paths (docs/KERNELS.md):
- * "scalar" is the bit-exact reference and the default, "avx2" the
- * vectorized path (falls back to scalar with one warning if the CPU
- * or build lacks AVX2+FMA), "auto" vectorizes when available.
- * Sum/max aggregation and all elementwise updates are bit-identical
- * across backends; GEMM and mean aggregation agree within the
- * documented ULP bounds.
+ * "auto", the default, vectorizes when the CPU and build have AVX2;
+ * "scalar" is the reference; "avx2" is the vectorized path (falls
+ * back to scalar with one warning if the CPU or build lacks AVX2).
+ * Every kernel is bit-identical across backends.
  *
  * Every epoch resamples the full batch, (re)partitions it under the
  * memory budget, trains with gradient accumulation and prints loss /
@@ -155,8 +153,8 @@ struct Args
     bool warm = false;
     /** Global ThreadPool lanes (0 = leave default/BETTY_THREADS). */
     int32_t threads = 0;
-    /** Compute-kernel backend (flag > BETTY_KERNELS > "scalar";
-     * vocabulary in kernels/dispatch.h, docs/KERNELS.md). */
+    /** Compute-kernel backend; empty leaves the choice to
+     * kernels/dispatch.h (BETTY_KERNELS, else auto). */
     std::string kernels;
     /** Disable transfer-compute pipelining in the trainer. */
     bool no_pipeline = false;
@@ -363,16 +361,13 @@ main(int argc, char** argv)
             args.flight_recorder_out);
     if (args.threads > 0)
         ThreadPool::setGlobalThreads(args.threads);
-    // Kernel backend: flag > BETTY_KERNELS > scalar, strict
-    // vocabulary (kernels/dispatch.h). "scalar" is the bit-exact
-    // reference; "avx2"/"auto" vectorize the aggregation/GEMM hot
-    // paths (docs/KERNELS.md).
-    {
-        const std::string kernels_text = envcfg::resolveString(
-            args.kernels, "BETTY_KERNELS", "scalar");
+    // Kernel backend: only --kernels overrides it here, with the
+    // same strict vocabulary; otherwise kernels/dispatch.h reads
+    // BETTY_KERNELS and defaults to auto.
+    if (!args.kernels.empty()) {
         kernels::KernelMode mode;
-        if (!kernels::parseKernelMode(kernels_text, &mode))
-            fatal("malformed --kernels='", kernels_text,
+        if (!kernels::parseKernelMode(args.kernels, &mode))
+            fatal("malformed --kernels='", args.kernels,
                   "': expected scalar, avx2, or auto");
         kernels::setKernelMode(mode);
     }

@@ -1,18 +1,16 @@
 /**
  * @file
- * AVX2/FMA backend. This translation unit is the only one compiled
- * with -mavx2 -mfma (see src/kernels/CMakeLists.txt); nothing here
- * runs unless dispatch.cc verified the CPU reports both features.
+ * AVX2 backend. This translation unit is the only one compiled with
+ * -mavx2 (see src/kernels/CMakeLists.txt); nothing here runs unless
+ * dispatch.cc verified the CPU reports AVX2.
  *
- * Numeric design (docs/KERNELS.md): every vectorized loop keeps the
- * SCALAR ACCUMULATION ORDER per output element — vector lanes run
- * across output columns, never across the reduction axis, so each
- * element sees its contributions in exactly the scalar sequence.
- * The only differences from the reference are (a) FMA fusing the
- * multiply-add in gemm/gemmTransA/aggregate sums, and (b) gemmTransB
- * accumulating in two double lanes instead of one. Elementwise ops
- * and Max reductions use the same per-element operations as scalar
- * and are bit-exact.
+ * Numeric design (docs/KERNELS.md): every kernel is bit-exact with
+ * the scalar reference. Vector lanes run across output columns, never
+ * across the reduction axis, so each element sees its contributions
+ * in exactly the scalar sequence, and every multiply-add is a
+ * multiply then an add, rounded twice like the scalar `c += a * b`
+ * (the build enables no FMA). gemmTransB keeps the reference's one
+ * double accumulator per output element, in k order.
  */
 #include "kernels/kernels_internal.h"
 
@@ -36,15 +34,27 @@ sourceRow(const int64_t* sources, int64_t e)
     return sources ? sources[e] : e;
 }
 
-/** Horizontal sum of a 4-lane double vector. */
-inline double
-hsum(__m256d v)
+/** acc + a * b, rounded after the multiply and again after the add,
+ * exactly like the scalar `acc += a * b` (never fused). */
+inline __m256
+mulAdd(__m256 acc, __m256 a, __m256 b)
 {
-    const __m128d lo = _mm256_castpd256_pd128(v);
-    const __m128d hi = _mm256_extractf128_pd(v, 1);
-    const __m128d pair = _mm_add_pd(lo, hi);
-    const __m128d swapped = _mm_unpackhi_pd(pair, pair);
-    return _mm_cvtsd_f64(_mm_add_sd(pair, swapped));
+    return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
+}
+
+/** The double-precision mulAdd of gemmTransB's accumulators. */
+inline __m256d
+mulAdd(__m256d acc, __m256d a, __m256d b)
+{
+    return _mm256_add_pd(acc, _mm256_mul_pd(a, b));
+}
+
+/** c[0..4) += float(sum[0..4)): each lane like the scalar
+ * `c += static_cast<float>(acc)`. */
+inline void
+addRounded(float* c, __m256d sum)
+{
+    _mm_storeu_ps(c, _mm_add_ps(_mm_loadu_ps(c), _mm256_cvtpd_ps(sum)));
 }
 
 } // namespace
@@ -73,13 +83,10 @@ gemmAvx2(const float* a, const float* b, float* c, int64_t m,
                     continue;
                 const __m256 av = _mm256_set1_ps(aval);
                 const float* btile = b + kk * n + j;
-                c0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(btile), c0);
-                c1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(btile + 8),
-                                     c1);
-                c2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(btile + 16),
-                                     c2);
-                c3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(btile + 24),
-                                     c3);
+                c0 = mulAdd(c0, av, _mm256_loadu_ps(btile));
+                c1 = mulAdd(c1, av, _mm256_loadu_ps(btile + 8));
+                c2 = mulAdd(c2, av, _mm256_loadu_ps(btile + 16));
+                c3 = mulAdd(c3, av, _mm256_loadu_ps(btile + 24));
             }
             _mm256_storeu_ps(ctile, c0);
             _mm256_storeu_ps(ctile + 8, c1);
@@ -92,9 +99,8 @@ gemmAvx2(const float* a, const float* b, float* c, int64_t m,
                 const float aval = arow[kk];
                 if (aval == 0.0f)
                     continue;
-                c0 = _mm256_fmadd_ps(_mm256_set1_ps(aval),
-                                     _mm256_loadu_ps(b + kk * n + j),
-                                     c0);
+                c0 = mulAdd(c0, _mm256_set1_ps(aval),
+                            _mm256_loadu_ps(b + kk * n + j));
             }
             _mm256_storeu_ps(crow + j, c0);
         }
@@ -128,10 +134,9 @@ gemmTransAAvx2(const float* a, const float* b, float* c, int64_t m,
             float* crow = c + i * n;
             int64_t j = 0;
             for (; j + 8 <= n; j += 8)
-                _mm256_storeu_ps(
-                    crow + j,
-                    _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + j),
-                                    _mm256_loadu_ps(crow + j)));
+                _mm256_storeu_ps(crow + j,
+                                 mulAdd(_mm256_loadu_ps(crow + j), av,
+                                        _mm256_loadu_ps(brow + j)));
             for (; j < n; ++j)
                 crow[j] += aval * brow[j];
         }
@@ -139,36 +144,56 @@ gemmTransAAvx2(const float* a, const float* b, float* c, int64_t m,
 }
 
 void
-gemmTransBAvx2(const float* a, const float* b, float* c, int64_t m,
+gemmTransBAvx2(const float* a, const double* bt, float* c, int64_t m,
                int64_t k, int64_t n)
 {
-    // Dot products accumulate in two 4-lane DOUBLE vectors to stay
-    // within rounding noise of the scalar reference's single double
-    // accumulator (the lane split reassociates, but in double the
-    // residual is far below float resolution).
+    // bt holds B transposed (k x n) and widened to double, so the
+    // lanes run across output columns. Each lane is one output
+    // element's double accumulator: it sums the exact float x float
+    // products in k order, and only the finished sum is rounded to
+    // float and added to C, as in the scalar reference. A 32-column
+    // tile keeps eight independent accumulator chains in flight.
     for (int64_t i = 0; i < m; ++i) {
         const float* arow = a + i * k;
         float* crow = c + i * n;
-        for (int64_t j = 0; j < n; ++j) {
-            const float* brow = b + j * k;
-            __m256d acc_lo = _mm256_setzero_pd();
-            __m256d acc_hi = _mm256_setzero_pd();
-            int64_t kk = 0;
-            for (; kk + 8 <= k; kk += 8) {
-                const __m256 av = _mm256_loadu_ps(arow + kk);
-                const __m256 bv = _mm256_loadu_ps(brow + kk);
-                acc_lo = _mm256_fmadd_pd(
-                    _mm256_cvtps_pd(_mm256_castps256_ps128(av)),
-                    _mm256_cvtps_pd(_mm256_castps256_ps128(bv)),
-                    acc_lo);
-                acc_hi = _mm256_fmadd_pd(
-                    _mm256_cvtps_pd(_mm256_extractf128_ps(av, 1)),
-                    _mm256_cvtps_pd(_mm256_extractf128_ps(bv, 1)),
-                    acc_hi);
+        int64_t j = 0;
+        for (; j + 32 <= n; j += 32) {
+            __m256d s0 = _mm256_setzero_pd(), s1 = _mm256_setzero_pd();
+            __m256d s2 = _mm256_setzero_pd(), s3 = _mm256_setzero_pd();
+            __m256d s4 = _mm256_setzero_pd(), s5 = _mm256_setzero_pd();
+            __m256d s6 = _mm256_setzero_pd(), s7 = _mm256_setzero_pd();
+            for (int64_t kk = 0; kk < k; ++kk) {
+                const __m256d av = _mm256_set1_pd(double(arow[kk]));
+                const double* btile = bt + kk * n + j;
+                s0 = mulAdd(s0, av, _mm256_loadu_pd(btile));
+                s1 = mulAdd(s1, av, _mm256_loadu_pd(btile + 4));
+                s2 = mulAdd(s2, av, _mm256_loadu_pd(btile + 8));
+                s3 = mulAdd(s3, av, _mm256_loadu_pd(btile + 12));
+                s4 = mulAdd(s4, av, _mm256_loadu_pd(btile + 16));
+                s5 = mulAdd(s5, av, _mm256_loadu_pd(btile + 20));
+                s6 = mulAdd(s6, av, _mm256_loadu_pd(btile + 24));
+                s7 = mulAdd(s7, av, _mm256_loadu_pd(btile + 28));
             }
-            double acc = hsum(_mm256_add_pd(acc_lo, acc_hi));
-            for (; kk < k; ++kk)
-                acc += double(arow[kk]) * double(brow[kk]);
+            addRounded(crow + j, s0);
+            addRounded(crow + j + 4, s1);
+            addRounded(crow + j + 8, s2);
+            addRounded(crow + j + 12, s3);
+            addRounded(crow + j + 16, s4);
+            addRounded(crow + j + 20, s5);
+            addRounded(crow + j + 24, s6);
+            addRounded(crow + j + 28, s7);
+        }
+        for (; j + 4 <= n; j += 4) {
+            __m256d s0 = _mm256_setzero_pd();
+            for (int64_t kk = 0; kk < k; ++kk)
+                s0 = mulAdd(s0, _mm256_set1_pd(double(arow[kk])),
+                            _mm256_loadu_pd(bt + kk * n + j));
+            addRounded(crow + j, s0);
+        }
+        for (; j < n; ++j) {
+            double acc = 0.0;
+            for (int64_t kk = 0; kk < k; ++kk)
+                acc += double(arow[kk]) * bt[kk * n + j];
             crow[j] += static_cast<float>(acc);
         }
     }
@@ -273,13 +298,10 @@ gatherAggregateAvx2(const float* x, int64_t rows, int64_t cols,
                 BETTY_ASSERT(src >= 0 && src < rows,
                              "source index out of range");
                 const float* xtile = x + src * cols + j;
-                a0 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(xtile), a0);
-                a1 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(xtile + 8),
-                                     a1);
-                a2 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(xtile + 16),
-                                     a2);
-                a3 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(xtile + 24),
-                                     a3);
+                a0 = mulAdd(a0, sv, _mm256_loadu_ps(xtile));
+                a1 = mulAdd(a1, sv, _mm256_loadu_ps(xtile + 8));
+                a2 = mulAdd(a2, sv, _mm256_loadu_ps(xtile + 16));
+                a3 = mulAdd(a3, sv, _mm256_loadu_ps(xtile + 24));
             }
             _mm256_storeu_ps(orow + j, a0);
             _mm256_storeu_ps(orow + j + 8, a1);
@@ -290,8 +312,8 @@ gatherAggregateAvx2(const float* x, int64_t rows, int64_t cols,
             __m256 acc = _mm256_setzero_ps();
             for (int64_t e = begin; e < end; ++e) {
                 const int64_t src = sourceRow(sources, e);
-                acc = _mm256_fmadd_ps(
-                    sv, _mm256_loadu_ps(x + src * cols + j), acc);
+                acc = mulAdd(acc, sv,
+                             _mm256_loadu_ps(x + src * cols + j));
             }
             _mm256_storeu_ps(orow + j, acc);
         }
@@ -325,10 +347,9 @@ gatherAggregateBackwardAvx2(const float* grad_out, int64_t cols,
             float* xrow = grad_x + sourceRow(sources, e) * cols;
             int64_t j = 0;
             for (; j + 8 <= cols; j += 8)
-                _mm256_storeu_ps(
-                    xrow + j,
-                    _mm256_fmadd_ps(sv, _mm256_loadu_ps(grow + j),
-                                    _mm256_loadu_ps(xrow + j)));
+                _mm256_storeu_ps(xrow + j,
+                                 mulAdd(_mm256_loadu_ps(xrow + j), sv,
+                                        _mm256_loadu_ps(grow + j)));
             for (; j < cols; ++j)
                 xrow[j] += scale * grow[j];
         }
@@ -350,16 +371,11 @@ addInPlaceAvx2(float* y, const float* x, int64_t n)
 void
 addScaledInPlaceAvx2(float* y, const float* x, float alpha, int64_t n)
 {
-    // mul then add, NOT fmadd: each element must round identically to
-    // the scalar `y[i] += alpha * x[i]` (optimizer updates feed the
-    // checkpoint-resume determinism tier).
     const __m256 av = _mm256_set1_ps(alpha);
     int64_t i = 0;
     for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(
-            y + i,
-            _mm256_add_ps(_mm256_loadu_ps(y + i),
-                          _mm256_mul_ps(av, _mm256_loadu_ps(x + i))));
+        _mm256_storeu_ps(y + i, mulAdd(_mm256_loadu_ps(y + i), av,
+                                       _mm256_loadu_ps(x + i)));
     for (; i < n; ++i)
         y[i] += alpha * x[i];
 }

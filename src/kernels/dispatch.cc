@@ -26,7 +26,7 @@ KernelMode
 modeFromEnv()
 {
     const std::string text =
-        envcfg::envString("BETTY_KERNELS", "scalar");
+        envcfg::envString("BETTY_KERNELS", "auto");
     KernelMode mode;
     if (!parseKernelMode(text, &mode))
         fatal("malformed BETTY_KERNELS='", text,
@@ -48,7 +48,7 @@ resolve(KernelMode mode)
         obs::Metrics::counter("kernel.dispatch.fallbacks").add(1);
         warnOnce("BETTY_KERNELS=avx2 requested but ",
                  builtWithAvx2()
-                     ? "this CPU lacks AVX2/FMA"
+                     ? "this CPU lacks AVX2"
                      : "this binary was built without AVX2 support",
                  "; falling back to the scalar reference kernels");
         return Backend::Scalar;
@@ -126,8 +126,7 @@ cpuSupportsAvx2()
     if (forced >= 0)
         return forced != 0;
 #if defined(__x86_64__) || defined(__i386__)
-    return __builtin_cpu_supports("avx2") &&
-           __builtin_cpu_supports("fma");
+    return __builtin_cpu_supports("avx2");
 #else
     return false;
 #endif

@@ -2,24 +2,25 @@
  * @file
  * Runtime CPU dispatch for the compute kernels (docs/KERNELS.md).
  *
- * Two backends implement every kernel in kernels/kernels.h:
+ * Two backends implement every kernel in kernels/kernels.h, with
+ * bit-identical results:
  *
  *  - Scalar: the original loops, moved verbatim from tensor.cc /
- *    autograd.cc. This is the bit-exact reference path — the
- *    golden-hash and differential test tiers run on it, and it is the
- *    process default.
- *  - Avx2: AVX2/FMA vectorized (kernels/avx2.cc), compiled only when
- *    the toolchain supports -mavx2 -mfma and selected only when the
- *    running CPU reports both features.
+ *    autograd.cc. This is the reference the kernel tests compare
+ *    against, and the only backend on CPUs without AVX2.
+ *  - Avx2: AVX2 vectorized (kernels/avx2.cc), compiled only when the
+ *    toolchain supports -mavx2 and selected only when the running
+ *    CPU reports AVX2.
  *
  * Selection, with flag > environment > default precedence via
  * util/env_config.h:
  *
- *   BETTY_KERNELS=scalar   always the reference path (default)
- *   BETTY_KERNELS=avx2     vectorized path; if the binary or CPU
- *                          lacks AVX2+FMA, falls back to scalar with
- *                          a single warnOnce
  *   BETTY_KERNELS=auto     avx2 when available, else scalar silently
+ *                          (default)
+ *   BETTY_KERNELS=scalar   always the reference path
+ *   BETTY_KERNELS=avx2     vectorized path; if the binary or CPU
+ *                          lacks AVX2, falls back to scalar with a
+ *                          single warnOnce
  *
  * Any other value is fatal (strict parsing, like every BETTY_* knob).
  * The resolved backend is cached; setKernelMode() (tests, CLI flags)
@@ -51,7 +52,7 @@ const char* backendName(Backend backend);
 
 /**
  * The requested mode: the last setKernelMode() value, else
- * BETTY_KERNELS, else Scalar. A set-but-malformed environment value
+ * BETTY_KERNELS, else Auto. A set-but-malformed environment value
  * is fatal, naming the variable.
  */
 KernelMode kernelMode();
@@ -62,7 +63,7 @@ void setKernelMode(KernelMode mode);
 /** True if this binary contains the AVX2 kernel translation unit. */
 bool builtWithAvx2();
 
-/** True if the running CPU reports AVX2 and FMA. */
+/** True if the running CPU reports AVX2. */
 bool cpuSupportsAvx2();
 
 /**

@@ -11,7 +11,10 @@
 #include "kernels/kernels.h"
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
+#include "kernels/arena.h"
 #include "kernels/dispatch.h"
 #include "kernels/kernels_internal.h"
 #include "obs/metrics.h"
@@ -278,13 +281,35 @@ gemmTransB(const float* a, const float* b, float* c, int64_t m,
     static obs::Counter& flops = obs::Metrics::counter("kernel.gemm.flops");
     calls.add(1);
     flops.add(2 * m * k * n);
-    [[maybe_unused]] const bool avx2 = useAvx2();
-    forEachRowBlock(m, k, n, [=](int64_t lo, int64_t hi) {
 #ifdef BETTY_KERNELS_HAVE_AVX2
-        if (avx2)
-            return detail::gemmTransBAvx2(a + lo * k, b, c + lo * n,
-                                          hi - lo, k, n);
+    if (useAvx2()) {
+        // The AVX2 loop runs across output columns, so it reads B
+        // transposed and widened to double. The calling thread packs
+        // it once per call into a buffer it keeps: a warm caller
+        // allocates nothing, and nothing comes from the arena, so the
+        // arena's counters are the same under both backends. The
+        // packed matrix starts on a cache line, like tensor storage
+        // (the buffer has one to spare): at malloc's 16-byte alignment
+        // half of the kernel's 32-byte loads could straddle two lines,
+        // so where the heap put the buffer would set the kernel's
+        // speed for a whole run.
+        thread_local std::vector<double> packed;
+        const size_t count = size_t(k * n);
+        packed.resize(count + size_t(kArenaAlign) / sizeof(double));
+        void* start = packed.data();
+        size_t space = packed.size() * sizeof(double);
+        double* bt = static_cast<double*>(std::align(
+            size_t(kArenaAlign), count * sizeof(double), start, space));
+        for (int64_t j = 0; j < n; ++j)
+            for (int64_t kk = 0; kk < k; ++kk)
+                bt[kk * n + j] = double(b[j * k + kk]);
+        return forEachRowBlock(m, k, n, [=](int64_t lo, int64_t hi) {
+            detail::gemmTransBAvx2(a + lo * k, bt, c + lo * n, hi - lo,
+                                   k, n);
+        });
+    }
 #endif
+    forEachRowBlock(m, k, n, [=](int64_t lo, int64_t hi) {
         detail::gemmTransBScalar(a + lo * k, b, c + lo * n, hi - lo, k,
                                  n);
     });

@@ -2,24 +2,20 @@
  * @file
  * The compute hot-path kernels behind tensor/tensor.cc and
  * tensor/autograd.cc, dispatched at runtime between the scalar
- * reference backend and the AVX2/FMA backend (kernels/dispatch.h).
+ * reference backend and the AVX2 backend (kernels/dispatch.h).
  *
  * Everything here works on raw row-major float32 buffers so both the
  * Tensor layer and the trainer's host-side staging gather
  * (train/trainer.cc) can call in without materializing wrappers.
  *
- * Numeric contract (docs/KERNELS.md "ULP policy"):
- *  - The scalar backend is bit-identical to the pre-kernel code.
- *  - gatherRows / scatterAddRows / addInPlace / addScaledInPlace /
- *    scaleInPlace / gatherAggregate Max are bit-identical across
- *    backends (no reassociation; max uses the same `v > best`
- *    comparison chain in both).
- *  - gemm* and gatherAggregate Sum/Mean keep the scalar accumulation
- *    ORDER on the AVX2 path but fuse multiply+add (FMA) and, for
- *    gemmTransB, accumulate in float lanes instead of one double —
- *    results agree within the BLAS-style forward error bound
- *    |avx2 - scalar| <= C * depth * eps * ||inputs|| that
- *    tests/test_kernels.cc enforces over randomized shapes.
+ * Numeric contract (docs/KERNELS.md): every kernel is bit-identical
+ * across backends, and the scalar backend is bit-identical to the
+ * pre-kernel code. The AVX2 backend keeps each output element's
+ * scalar operation sequence: vector lanes run across output columns,
+ * never along the reduction axis; every multiply-add rounds twice
+ * (no FMA); gemmTransB sums each element in one double, in k order;
+ * and gemm / gemmTransA skip the terms of zero entries of A, so an
+ * Inf or NaN opposite such a zero never reaches C.
  */
 #ifndef BETTY_KERNELS_KERNELS_H
 #define BETTY_KERNELS_KERNELS_H

@@ -42,10 +42,8 @@ void scaleInPlaceScalar(float* y, float alpha, int64_t n);
 /** @} */
 
 #ifdef BETTY_KERNELS_HAVE_AVX2
-/** @name AVX2/FMA backend (avx2.cc, compiled with -mavx2 -mfma)
- * Numerics per the kernels.h contract: elementwise and Max reductions
- * bit-exact with scalar, accumulating kernels within the documented
- * forward error bound.
+/** @name AVX2 backend (avx2.cc, compiled with -mavx2)
+ * Bit-exact with the scalar reference, per the kernels.h contract.
  */
 /** @{ */
 void gemmAvx2(const float* a, const float* b, float* c, int64_t m,
@@ -54,7 +52,8 @@ void gemmAvx2(const float* a, const float* b, float* c, int64_t m,
 void gemmTransAAvx2(const float* a, const float* b, float* c,
                     int64_t m, int64_t k, int64_t n, int64_t row_lo,
                     int64_t row_hi);
-void gemmTransBAvx2(const float* a, const float* b, float* c,
+/** @p bt is B transposed (k x n) and widened to double. */
+void gemmTransBAvx2(const float* a, const double* bt, float* c,
                     int64_t m, int64_t k, int64_t n);
 void gatherAggregateAvx2(const float* x, int64_t rows, int64_t cols,
                          const int64_t* sources,

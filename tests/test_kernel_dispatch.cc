@@ -2,9 +2,9 @@
  * @file
  * Runtime kernel dispatch tests (kernels/dispatch.h): strict
  * BETTY_KERNELS parsing (malformed values are fatal, naming the
- * variable), the avx2-unavailable fallback with its single-warning /
- * counter contract, auto resolution on both kinds of hardware, and
- * backend caching.
+ * variable), the auto default, the avx2-unavailable fallback with its
+ * single-warning / counter contract, auto resolution on both kinds of
+ * hardware, and backend caching.
  */
 #include <gtest/gtest.h>
 
@@ -24,7 +24,7 @@ class DispatchTest : public ::testing::Test
     {
         ::unsetenv("BETTY_KERNELS");
         setCpuSupportsAvx2ForTest(-1);
-        setKernelMode(KernelMode::Scalar);
+        resetKernelModeForTest();
     }
 };
 
@@ -54,12 +54,17 @@ TEST_F(DispatchTest, ModeAndBackendNames)
     EXPECT_STREQ(backendName(Backend::Avx2), "avx2");
 }
 
-TEST_F(DispatchTest, DefaultModeIsScalar)
+TEST_F(DispatchTest, DefaultModeIsAuto)
 {
     ::unsetenv("BETTY_KERNELS");
     resetKernelModeForTest();
-    EXPECT_EQ(kernelMode(), KernelMode::Scalar);
+    EXPECT_EQ(kernelMode(), KernelMode::Auto);
+    setCpuSupportsAvx2ForTest(0);
     EXPECT_EQ(activeBackend(), Backend::Scalar);
+    if (builtWithAvx2()) {
+        setCpuSupportsAvx2ForTest(1);
+        EXPECT_EQ(activeBackend(), Backend::Avx2);
+    }
 }
 
 TEST_F(DispatchTest, EnvironmentSelectsTheMode)
@@ -98,7 +103,7 @@ TEST_F(DispatchTest, Avx2ModeUsesAvx2WhenAvailable)
 
 TEST_F(DispatchTest, Avx2ModeFallsBackOnceWhenCpuLacksAvx2)
 {
-    // Pretend the CPU has no AVX2/FMA: the request degrades to the
+    // Pretend the CPU has no AVX2: the request degrades to the
     // scalar reference with exactly one fallback tally per
     // resolution, not one per kernel call (the backend is cached).
     setCpuSupportsAvx2ForTest(0);

@@ -2,24 +2,24 @@
  * @file
  * Differential kernel-equivalence tier (`ctest -L kernels`,
  * docs/KERNELS.md): the AVX2 backend must agree with the scalar
- * reference — bit-for-bit where the ULP policy promises it
- * (elementwise, gatherRows, Sum aggregation, Max aggregation
- * including argmax and NaN ordering), and within a BLAS-style
- * forward error bound everywhere FMA or lane-split accumulation
- * reassociates rounding (gemm*, Mean aggregation). Shapes are
- * randomized across remainder lanes, empty rows, and single-row
- * blocks; the end-to-end tests check gradient and loss parity of a
- * real model between kernel modes.
+ * reference bit for bit, everywhere — GEMMs, Sum/Mean/Max
+ * aggregation (argmax and NaN ordering included), row movement and
+ * the elementwise kernels. Shapes are randomized across remainder
+ * lanes, empty rows, and single-row blocks; targeted cases pin
+ * gemmTransB's k order and the zero-skip of gemm / gemmTransA; the
+ * end-to-end tests require equal losses and gradients of a real
+ * model between kernel modes.
  *
  * Every equivalence test skips (vacuously passes) on hardware or
- * toolchains without AVX2+FMA — the dispatch tier covers that
- * fallback. The lane-count tier runs each available backend: a GEMM
- * split over the pool's lanes must be bit-identical to the same
- * backend on one lane.
+ * toolchains without AVX2 — the dispatch tier covers that fallback.
+ * The lane-count tier runs each available backend: a GEMM split over
+ * the pool's lanes must be bit-identical to the same backend on one
+ * lane.
  */
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -60,7 +60,7 @@ runBothBackends(size_t out_elems, Fn&& fn)
     fn(scalar_out.data());
     kernels::setKernelMode(kernels::KernelMode::Avx2);
     fn(avx2_out.data());
-    kernels::setKernelMode(kernels::KernelMode::Scalar);
+    kernels::resetKernelModeForTest();
     return {std::move(scalar_out), std::move(avx2_out)};
 }
 
@@ -78,34 +78,6 @@ expectBitExact(const std::vector<float>& ref,
         std::memcpy(&gb, &got[i], 4);
         ASSERT_EQ(rb, gb) << "elem " << i << ": " << ref[i] << " vs "
                           << got[i];
-    }
-}
-
-/**
- * The docs/KERNELS.md forward error bound:
- * |got - ref| <= C * depth * eps * scale, with C = 8, depth the
- * reduction length, and scale the magnitude of the inputs feeding
- * one output element. NaN matches NaN; +-0 are equal; infinities
- * must match exactly.
- */
-void
-expectWithinBound(const std::vector<float>& ref,
-                  const std::vector<float>& got, int64_t depth,
-                  float scale)
-{
-    ASSERT_EQ(ref.size(), got.size());
-    const float tol = 8.0f * float(depth) * 1.1920929e-7f * scale;
-    for (size_t i = 0; i < ref.size(); ++i) {
-        if (std::isnan(ref[i])) {
-            ASSERT_TRUE(std::isnan(got[i])) << "elem " << i;
-            continue;
-        }
-        if (std::isinf(ref[i])) {
-            ASSERT_EQ(ref[i], got[i]) << "elem " << i;
-            continue;
-        }
-        ASSERT_NEAR(ref[i], got[i], tol)
-            << "elem " << i << " (depth " << depth << ")";
     }
 }
 
@@ -144,17 +116,14 @@ class KernelEquivalence : public ::testing::Test
     void SetUp() override
     {
         if (!avx2Available())
-            GTEST_SKIP() << "AVX2+FMA unavailable; covered by the "
+            GTEST_SKIP() << "AVX2 unavailable; covered by the "
                             "dispatch fallback tier";
     }
 
-    void TearDown() override
-    {
-        kernels::setKernelMode(kernels::KernelMode::Scalar);
-    }
+    void TearDown() override { kernels::resetKernelModeForTest(); }
 };
 
-TEST_F(KernelEquivalence, GemmRandomShapesWithinBound)
+TEST_F(KernelEquivalence, GemmRandomShapesBitExact)
 {
     Rng rng(101);
     for (int trial = 0; trial < 30; ++trial) {
@@ -172,11 +141,11 @@ TEST_F(KernelEquivalence, GemmRandomShapesWithinBound)
             size_t(m * n), [&](float* out) {
                 kernels::gemm(a.data(), b.data(), out, m, k, n);
             });
-        expectWithinBound(ref, got, k, 4.0f * float(k));
+        expectBitExact(ref, got);
     }
 }
 
-TEST_F(KernelEquivalence, GemmTransAWithinBound)
+TEST_F(KernelEquivalence, GemmTransABitExact)
 {
     Rng rng(102);
     for (int trial = 0; trial < 30; ++trial) {
@@ -189,24 +158,106 @@ TEST_F(KernelEquivalence, GemmTransAWithinBound)
             size_t(m * n), [&](float* out) {
                 kernels::gemmTransA(a.data(), b.data(), out, m, k, n);
             });
-        expectWithinBound(ref, got, k, 4.0f * float(k));
+        expectBitExact(ref, got);
     }
 }
 
-TEST_F(KernelEquivalence, GemmTransBWithinBound)
+TEST_F(KernelEquivalence, GemmTransBBitExact)
 {
     Rng rng(103);
     for (int trial = 0; trial < 30; ++trial) {
+        // n in [1, 40] straddles the 32-column tile, the 4-column
+        // block and the scalar tail.
         const int64_t m = rng.uniformInt(17) + 1;
         const int64_t k = rng.uniformInt(40) + 1;
-        const int64_t n = rng.uniformInt(17) + 1;
+        const int64_t n = rng.uniformInt(40) + 1;
         auto a = randomValues(rng, m * k);
         auto b = randomValues(rng, n * k);
         auto [ref, got] = runBothBackends(
             size_t(m * n), [&](float* out) {
                 kernels::gemmTransB(a.data(), b.data(), out, m, k, n);
             });
-        expectWithinBound(ref, got, k, 4.0f * float(k));
+        expectBitExact(ref, got);
+    }
+}
+
+TEST_F(KernelEquivalence, GemmTransBKeepsTheReferenceOrder)
+{
+    // The reference sums each output element in one double, in k
+    // order: after the leading 1.0 every 2^-60 term rounds away, and
+    // the final 1 + 2^-24 is a tie that rounds to 1.0f. A sum split
+    // over lanes adds the 257 terms of 2^-60 up first, lands above
+    // the tie and rounds to 1 + 2^-23 instead.
+    const int64_t m = 3, k = 2056;
+    std::vector<float> a(size_t(m * k), 0.0f);
+    for (int64_t i = 0; i < m; ++i) {
+        float* row = a.data() + i * k;
+        row[0] = 1.0f;
+        row[8] = std::ldexp(1.0f, -24);
+        for (int64_t kk = 1; kk < k; kk += 8)
+            row[kk] = std::ldexp(1.0f, -60);
+    }
+    // Around the 32-column tile, its 4-column block and scalar tail.
+    for (const int64_t n : {1, 3, 4, 5, 31, 32, 33, 36, 39, 64, 71}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n);
+        const std::vector<float> b(size_t(n * k), 1.0f);
+        auto [ref, got] = runBothBackends(
+            size_t(m * n), [&](float* out) {
+                kernels::gemmTransB(a.data(), b.data(), out, m, k, n);
+            });
+        EXPECT_EQ(ref, std::vector<float>(size_t(m * n), 1.0f));
+        expectBitExact(ref, got);
+    }
+}
+
+TEST_F(KernelEquivalence, ZeroEntriesOfASkipInfAndNanInB)
+{
+    // A zero entry of A skips its term in gemm and gemmTransA, so the
+    // Inf and NaN rows of B never reach C, and a C row whose A row is
+    // all zeros keeps its values bit for bit, -0.0 included (adding
+    // a 0 * b term would turn -0.0 into +0.0).
+    Rng rng(111);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::nanf("");
+    const int64_t m = 6, k = 9;
+    for (const int64_t n : {5, 8, 13, 32, 45}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n);
+        auto a = randomValues(rng, m * k);
+        auto b = randomValues(rng, k * n);
+        for (int64_t j = 0; j < n; ++j) {
+            b[size_t(2 * n + j)] = j % 2 ? inf : -inf;
+            b[size_t(5 * n + j)] = nan;
+        }
+        for (int64_t i = 0; i < m; ++i) {
+            a[size_t(i * k + 2)] = 0.0f;
+            a[size_t(i * k + 5)] = -0.0f;
+        }
+        std::fill_n(a.begin(), k, 0.0f);
+        auto seed_c = randomValues(rng, m * n);
+        for (int64_t j = 0; j < m * n; j += 3)
+            seed_c[size_t(j)] = -0.0f;
+        std::vector<float> a_t(a.size()); // a stored k x m
+        for (int64_t i = 0; i < m; ++i)
+            for (int64_t kk = 0; kk < k; ++kk)
+                a_t[size_t(kk * m + i)] = a[size_t(i * k + kk)];
+
+        for (const bool trans_a : {false, true}) {
+            auto [ref, got] = runBothBackends(
+                size_t(m * n), [&](float* out) {
+                    std::copy(seed_c.begin(), seed_c.end(), out);
+                    if (trans_a)
+                        kernels::gemmTransA(a_t.data(), b.data(), out,
+                                            m, k, n);
+                    else
+                        kernels::gemm(a.data(), b.data(), out, m, k, n);
+                });
+            expectBitExact(ref, got);
+            for (const float v : got)
+                ASSERT_TRUE(std::isfinite(v));
+            expectBitExact(
+                std::vector<float>(seed_c.begin(), seed_c.begin() + n),
+                std::vector<float>(got.begin(), got.begin() + n));
+        }
     }
 }
 
@@ -222,7 +273,7 @@ TEST_F(KernelEquivalence, GemmAccumulatesIntoExistingOutput)
             std::copy(seed_c.begin(), seed_c.end(), out);
             kernels::gemm(a.data(), b.data(), out, m, k, n);
         });
-    expectWithinBound(ref, got, k, 4.0f * float(k));
+    expectBitExact(ref, got);
 }
 
 TEST_F(KernelEquivalence, GatherAggregateSumBitExact)
@@ -241,13 +292,11 @@ TEST_F(KernelEquivalence, GatherAggregateSumBitExact)
                     offsets.data(), segments, kernels::Reduce::Sum,
                     out);
             });
-        // Sum multiplies by exactly 1.0, which FMA cannot re-round:
-        // the vector path is bit-identical, not merely close.
         expectBitExact(ref, got);
     }
 }
 
-TEST_F(KernelEquivalence, GatherAggregateMeanWithinBound)
+TEST_F(KernelEquivalence, GatherAggregateMeanBitExact)
 {
     Rng rng(106);
     for (int trial = 0; trial < 30; ++trial) {
@@ -256,11 +305,6 @@ TEST_F(KernelEquivalence, GatherAggregateMeanWithinBound)
         const int64_t segments = rng.uniformInt(12) + 1;
         auto x = randomValues(rng, rows * cols);
         auto [sources, offsets] = randomCsr(rng, segments, rows);
-        int64_t max_deg = 1;
-        for (int64_t s = 0; s < segments; ++s)
-            max_deg = std::max(max_deg,
-                               offsets[size_t(s) + 1] -
-                                   offsets[size_t(s)]);
         auto [ref, got] = runBothBackends(
             size_t(segments * cols), [&](float* out) {
                 kernels::gatherAggregate(
@@ -268,7 +312,7 @@ TEST_F(KernelEquivalence, GatherAggregateMeanWithinBound)
                     offsets.data(), segments, kernels::Reduce::Mean,
                     out);
             });
-        expectWithinBound(ref, got, max_deg, 4.0f);
+        expectBitExact(ref, got);
     }
 }
 
@@ -298,7 +342,7 @@ TEST_F(KernelEquivalence, GatherAggregateMaxBitExactWithArgmax)
                                  offsets.data(), segments,
                                  kernels::Reduce::Max, got.data(),
                                  got_arg.data());
-        kernels::setKernelMode(kernels::KernelMode::Scalar);
+        kernels::resetKernelModeForTest();
         expectBitExact(ref, got);
         EXPECT_EQ(ref_arg, got_arg);
     }
@@ -338,12 +382,13 @@ TEST_F(KernelEquivalence, NanAndInfPropagateIdenticallyInAggregates)
                     is_max ? arg.data() : nullptr);
             });
         expectBitExact(ref, got);
-        if (is_max)
+        if (is_max) {
             EXPECT_EQ(ref_arg, got_arg);
+        }
     }
 }
 
-TEST_F(KernelEquivalence, AggregateBackwardSumBitExactMeanBounded)
+TEST_F(KernelEquivalence, AggregateBackwardSumAndMeanBitExact)
 {
     Rng rng(108);
     for (int trial = 0; trial < 20; ++trial) {
@@ -359,11 +404,7 @@ TEST_F(KernelEquivalence, AggregateBackwardSumBitExactMeanBounded)
                         grad_out.data(), cols, sources.data(),
                         offsets.data(), segments, mean, gx);
                 });
-            if (mean)
-                expectWithinBound(
-                    ref, got, int64_t(sources.size()), 4.0f);
-            else
-                expectBitExact(ref, got);
+            expectBitExact(ref, got);
         }
     }
 }
@@ -452,7 +493,7 @@ class GemmLanes : public ::testing::Test
     void TearDown() override
     {
         ThreadPool::setGlobalThreads(1);
-        kernels::setKernelMode(kernels::KernelMode::Scalar);
+        kernels::resetKernelModeForTest();
         obs::Metrics::setEnabled(metricsWereOn_);
     }
 
@@ -504,10 +545,11 @@ TEST_F(GemmLanes, BitIdenticalAtEveryLaneCountUnderEachBackend)
                     auto c = runGemm(variant, a, b, m, k, n, m);
                     // Non-vacuous: shapes past one block really went
                     // through the pool, the rest ran inline.
-                    if (m > block)
+                    if (m > block) {
                         EXPECT_GT(parallel_fors.value(), before);
-                    else
+                    } else {
                         EXPECT_EQ(parallel_fors.value(), before);
+                    }
                     const auto key =
                         std::make_tuple(int(mode), int(variant), m);
                     if (lanes == 1) {
@@ -584,7 +626,7 @@ lossAndGrads(TrainSetup& setup, AggregatorKind aggregator,
                             ? Tensor::zeros(p->value.rows(),
                                             p->value.cols())
                             : p->grad.clone());
-    kernels::setKernelMode(kernels::KernelMode::Scalar);
+    kernels::resetKernelModeForTest();
     return {loss->value.at(0, 0), std::move(grads)};
 }
 
@@ -595,13 +637,10 @@ class KernelEndToEnd
     void SetUp() override
     {
         if (!avx2Available())
-            GTEST_SKIP() << "AVX2+FMA unavailable";
+            GTEST_SKIP() << "AVX2 unavailable";
     }
 
-    void TearDown() override
-    {
-        kernels::setKernelMode(kernels::KernelMode::Scalar);
-    }
+    void TearDown() override { kernels::resetKernelModeForTest(); }
 };
 
 TEST_P(KernelEndToEnd, GradientEquivalenceAcrossBackends)
@@ -612,16 +651,14 @@ TEST_P(KernelEndToEnd, GradientEquivalenceAcrossBackends)
     auto [avx2_loss, avx2_grads] =
         lossAndGrads(setup, GetParam(), kernels::KernelMode::Avx2);
 
-    EXPECT_NEAR(scalar_loss, avx2_loss,
-                1e-4f * std::max(1.0f, std::fabs(scalar_loss)));
+    EXPECT_EQ(scalar_loss, avx2_loss);
     ASSERT_EQ(scalar_grads.size(), avx2_grads.size());
+    const auto values = [](const Tensor& t) {
+        return std::vector<float>(t.data(), t.data() + t.numel());
+    };
     for (size_t i = 0; i < scalar_grads.size(); ++i) {
-        const float scale =
-            std::max(1e-6f, scalar_grads[i].maxAbs());
-        for (int64_t j = 0; j < scalar_grads[i].numel(); ++j)
-            ASSERT_NEAR(scalar_grads[i].data()[j],
-                        avx2_grads[i].data()[j], 2e-4f * scale)
-                << "param " << i << " elem " << j;
+        SCOPED_TRACE(testing::Message() << "param " << i);
+        expectBitExact(values(scalar_grads[i]), values(avx2_grads[i]));
     }
 }
 
@@ -633,10 +670,8 @@ INSTANTIATE_TEST_SUITE_P(Aggregators, KernelEndToEnd,
 TEST_F(KernelEquivalence, EndToEndLossParityOverEpochs)
 {
     // Full Trainer loop (arena, pipelining, micro-batches) under each
-    // backend: per-epoch losses must track within tolerance — the
-    // backends are interchangeable for training, which is what lets
-    // bench_training_time report auto-mode speedups against
-    // scalar-mode baselines.
+    // backend: per-epoch losses must be equal — the backends are
+    // interchangeable for training, bit for bit.
     std::vector<std::vector<double>> losses;
     for (auto mode : {kernels::KernelMode::Scalar,
                       kernels::KernelMode::Avx2}) {
@@ -653,13 +688,9 @@ TEST_F(KernelEquivalence, EndToEndLossParityOverEpochs)
             epoch_losses.push_back(
                 trainer.trainMicroBatches(micros).loss);
         losses.push_back(std::move(epoch_losses));
-        kernels::setKernelMode(kernels::KernelMode::Scalar);
+        kernels::resetKernelModeForTest();
     }
-    ASSERT_EQ(losses[0].size(), losses[1].size());
-    for (size_t e = 0; e < losses[0].size(); ++e)
-        EXPECT_NEAR(losses[0][e], losses[1][e],
-                    1e-3 * std::max(1.0, std::fabs(losses[0][e])))
-            << "epoch " << e;
+    EXPECT_EQ(losses[0], losses[1]);
 }
 
 } // namespace

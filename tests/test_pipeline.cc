@@ -7,8 +7,8 @@
  * bit-identical to the serial schedule — overlapping the host-side
  * gather of micro-batch k+1 with the compute of k may only change
  * wall-clock. The same holds for the pool lanes the GEMM kernels
- * split their rows over, under each kernel backend, and for the exact
- * work counters, which are also pinned to a golden corpus.
+ * split their rows over and for the kernel backend, and for the
+ * exact work counters, which are also pinned to a golden corpus.
  */
 #include <cstring>
 #include <map>
@@ -39,6 +39,7 @@ namespace {
 const char* const kWorkCounters[] = {
     "kernel.gemm.calls",  "kernel.gemm.flops", "kernel.agg.edges",
     "kernel.gather.rows", "transfer.bytes",    "device.alloc_count",
+    "kernel.arena.chunk_allocs",
 };
 
 /** Everything one epoch run can be compared on, bit for bit. */
@@ -51,6 +52,8 @@ struct RunResult
     uint64_t paramHash = 0;
     /** kWorkCounters deltas of this run. */
     std::map<std::string, uint64_t> work;
+    /** Arena chunks grown after the first epoch (warm-up). */
+    int64_t laterChunkAllocs = 0;
 };
 
 uint64_t
@@ -117,9 +120,16 @@ struct Env
         Trainer trainer(dataset, model, adam, &device, &transfer);
         trainer.setPipeline(pipeline);
 
+        const obs::Counter& chunk_allocs =
+            obs::Metrics::counter("kernel.arena.chunk_allocs");
         RunResult result;
-        for (int epoch = 0; epoch < epochs; ++epoch)
+        int64_t warm_chunks = 0;
+        for (int epoch = 0; epoch < epochs; ++epoch) {
             result.stats = trainer.trainMicroBatches(micros);
+            if (epoch == 0)
+                warm_chunks = chunk_allocs.value();
+        }
+        result.laterChunkAllocs = chunk_allocs.value() - warm_chunks;
 
         result.peakBytes = device.peakBytes();
         for (size_t c = 0; c < obs::kMemCategoryCount; ++c)
@@ -205,13 +215,15 @@ TEST(Pipeline, LanesChangeNeitherResultsNorWorkUnderEitherBackend)
 {
     // The GEMMs split their output rows over every pool lane. Under
     // each available backend, 4 lanes must train bit-identically to 1
-    // and count exactly the same work — the values the serial kernels
-    // recorded in tests/golden/work_counters.golden.
+    // and count exactly the same work — the values recorded in
+    // tests/golden/work_counters.golden — and the AVX2 run must train
+    // bit-identically to the scalar reference. The arena grows only
+    // in the first epoch.
     std::vector<kernels::KernelMode> modes = {kernels::KernelMode::Scalar};
     if (kernels::builtWithAvx2() && kernels::cpuSupportsAvx2())
         modes.push_back(kernels::KernelMode::Avx2);
     Env env;
-    std::map<std::string, uint64_t> scalar_work;
+    RunResult scalar_one;
     for (const kernels::KernelMode mode : modes) {
         SCOPED_TRACE(kernels::kernelModeName(mode));
         kernels::setKernelMode(mode);
@@ -220,18 +232,22 @@ TEST(Pipeline, LanesChangeNeitherResultsNorWorkUnderEitherBackend)
             obs::Metrics::counter("pool.parallel_fors");
         const int64_t splits_before = splits.value();
         const RunResult four = env.run(4, true, 2);
-        kernels::setKernelMode(kernels::KernelMode::Scalar);
+        kernels::resetKernelModeForTest();
         // Non-vacuous: the 4-lane run really split GEMMs over the pool.
         EXPECT_GT(splits.value(), splits_before);
         expectBitIdentical(one, four);
         EXPECT_EQ(one.work, four.work);
         EXPECT_GT(one.work.at("kernel.gemm.flops"), 0u);
-        if (mode == kernels::KernelMode::Scalar)
-            scalar_work = one.work;
-        else
-            EXPECT_EQ(one.work, scalar_work);
+        EXPECT_EQ(one.laterChunkAllocs, 0);
+        EXPECT_EQ(four.laterChunkAllocs, 0);
+        if (mode == kernels::KernelMode::Scalar) {
+            scalar_one = one;
+        } else {
+            expectBitIdentical(scalar_one, one);
+            EXPECT_EQ(one.work, scalar_one.work);
+        }
     }
-    testutil::checkAgainstGolden("work_counters", scalar_work);
+    testutil::checkAgainstGolden("work_counters", scalar_one.work);
 }
 
 TEST(Pipeline, SingleMicroBatchFallsBackToSerial)
