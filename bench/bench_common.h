@@ -43,6 +43,7 @@
 #include "memory/transfer_model.h"
 #include "nn/models.h"
 #include "nn/optim.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/partitioner.h"
@@ -195,10 +196,10 @@ class ObsSession
     ~ObsSession()
     {
         if (!trace_out_.empty() &&
-            !obs::Trace::writeChromeTrace(trace_out_))
+            !obs::writeJsonFile(trace_out_, obs::Trace::chromeTraceJson()))
             warn("could not write trace '", trace_out_, "'");
         if (!metrics_out_.empty() &&
-            !obs::Metrics::writeJson(metrics_out_))
+            !obs::writeJsonFile(metrics_out_, obs::Metrics::snapshotJson()))
             warn("could not write metrics '", metrics_out_, "'");
         if (!json_out_.empty() &&
             !writeBenchJson(json_out_, bench_name_, results_))
@@ -258,24 +259,17 @@ writeBenchJson(const std::string& path, const std::string& bench_name,
                const std::vector<std::pair<std::string, double>>&
                    results)
 {
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    if (!file)
-        return false;
-    std::string out = "{\n  \"bench\": \"" + bench_name + "\",\n";
-    out += "  \"results\": {";
-    for (size_t i = 0; i < results.size(); ++i) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", results[i].second);
-        out += i ? ",\n    \"" : "\n    \"";
-        out += results[i].first + "\": " + buf;
-    }
-    out += results.empty() ? "},\n" : "\n  },\n";
-    out += "  \"metrics\": " + obs::Metrics::snapshotJson();
-    out += "}\n";
-    const size_t written =
-        std::fwrite(out.data(), 1, out.size(), file);
-    std::fclose(file);
-    return written == out.size();
+    obs::JsonWriter out;
+    out.beginObject();
+    out.key("bench").string(bench_name);
+    out.key("results").beginObject();
+    for (const auto& [name, value] : results)
+        out.key(name).number(value);
+    out.endObject();
+    out.key("metrics");
+    obs::Metrics::writeSnapshot(out);
+    out.endObject();
+    return obs::writeJsonFile(path, out.take());
 }
 
 } // namespace betty::benchutil

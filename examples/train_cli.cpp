@@ -11,15 +11,13 @@
  *               [--interconnect nvlink|pcie]
  *               [--partitioner betty|metis|random|range] [--warm]
  *               [--threads N] [--kernels auto|scalar|avx2]
- *               [--no-pipeline]
  *               [--cache-gib F] [--cache-policy lru|lru-pinned]
  *               [--data-cache FILE] [--trace-out=FILE]
  *               [--critpath-out=FILE] [--trace-ring N]
  *               [--metrics-out=FILE] [--memprof-out=FILE]
  *               [--faults SPEC] [--fault-seed N]
  *               [--checkpoint-out FILE] [--checkpoint-every N]
- *               [--resume FILE] [--recover-on-oom]
- *               [--flight-recorder-out FILE]
+ *               [--resume FILE] [--flight-recorder-out FILE]
  *
  * --flight-recorder-out FILE dumps the always-on flight recorder
  * (obs/perf/flight_recorder.h) — the last N structured events: epoch
@@ -37,8 +35,7 @@
  * variable, grammar in util/fault.h), the epoch's gradients are
  * rolled back, the batch is re-planned at K+1, and training retries;
  * when recovery is exhausted the epoch is skipped with a report
- * instead of crashing. --recover-on-oom additionally re-plans on
- * real (non-injected) over-capacity episodes. --checkpoint-out
+ * instead of crashing. --checkpoint-out
  * writes a resumable checkpoint every --checkpoint-every epochs
  * (and after the last); --resume restores one and continues
  * bit-identically to an uninterrupted run.
@@ -57,8 +54,7 @@
  * (parallel REG construction, parallel neighbor sampling) and by the
  * trainer's transfer-compute pipelining. Every result is bit-
  * identical for any N (docs/PARALLELISM.md); N=1 (the default, or
- * BETTY_THREADS) is fully serial. --no-pipeline disables the
- * transfer-compute overlap without changing the pool size.
+ * BETTY_THREADS) is fully serial.
  *
  * --kernels auto|scalar|avx2 (or BETTY_KERNELS) picks the compute
  * backend for the aggregation/GEMM hot paths (docs/KERNELS.md):
@@ -111,6 +107,7 @@
 #include "obs/critpath/critical_path.h"
 #include "obs/critpath/critpath_report.h"
 #include "obs/critpath/span_graph.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/run_meta.h"
 #include "obs/run_report.h"
@@ -156,8 +153,6 @@ struct Args
     /** Compute-kernel backend; empty leaves the choice to
      * kernels/dispatch.h (BETTY_KERNELS, else auto). */
     std::string kernels;
-    /** Disable transfer-compute pipelining in the trainer. */
-    bool no_pipeline = false;
     /** Feature-cache reservation in GiB (0 = no cache). The cache
      * stays opt-in here: BETTY_CACHE_GIB scales the bench sweeps,
      * not a user's training run. */
@@ -191,8 +186,6 @@ struct Args
     int checkpoint_every = 1;
     /** Checkpoint to restore before training ("" = fresh start). */
     std::string resume;
-    /** Re-plan on real over-capacity episodes, not just faults. */
-    bool recover_on_oom = false;
     /** Flight-recorder dump destination ("" = no dump file; the
      * ring still records either way). */
     std::string flight_recorder_out;
@@ -276,8 +269,6 @@ parseArgs(int argc, char** argv)
             args.threads = int32_t(intFlag(flag, next()));
         } else if (flag == "--kernels") {
             args.kernels = next();
-        } else if (flag == "--no-pipeline") {
-            args.no_pipeline = true;
         } else if (flag == "--cache-gib") {
             args.cache_gib = doubleFlag(flag, next());
             if (args.cache_gib < 0.0)
@@ -308,8 +299,6 @@ parseArgs(int argc, char** argv)
                 fatal("--checkpoint-every must be at least 1");
         } else if (flag == "--resume") {
             args.resume = next();
-        } else if (flag == "--recover-on-oom") {
-            args.recover_on_oom = true;
         } else if (flag == "--flight-recorder-out") {
             args.flight_recorder_out = next();
         } else if (flag == "--help") {
@@ -515,8 +504,6 @@ main(int argc, char** argv)
     MemoryAwarePlanner planner(model->memorySpec(), budget);
     TransferModel transfer;
     Trainer trainer(ds, *model, adam, &device, &transfer);
-    if (args.no_pipeline)
-        trainer.setPipeline(false);
 
     // Feature cache: a reservation carved out of the device budget
     // that keeps hot/duplicated input rows from re-crossing the link
@@ -567,12 +554,9 @@ main(int argc, char** argv)
         }
     }
 
-    RecoveryPolicy recovery_policy;
-    recovery_policy.reactToActualOom = args.recover_on_oom;
     ResilientTrainer resilient(trainer, model->memorySpec(),
                                *partitioner,
-                               args.devices == 1 ? &device : nullptr,
-                               recovery_policy);
+                               args.devices == 1 ? &device : nullptr);
     resilient.setFeatureSource(&ds.features);
     resilient.setFeatureCache(cache.get());
     MultiDeviceConfig multi_config;
@@ -585,7 +569,6 @@ main(int argc, char** argv)
     multi_config.cacheBytesPerDevice =
         args.devices > 1 ? gib(args.cache_gib) : 0;
     multi_config.cachePolicy = cache_policy;
-    multi_config.pipeline = !args.no_pipeline;
     std::unique_ptr<MultiDeviceEngine> multi_engine;
     if (args.devices > 1)
         multi_engine = std::make_unique<MultiDeviceEngine>(
@@ -771,7 +754,8 @@ main(int argc, char** argv)
     summary.print();
 
     if (!args.trace_out.empty()) {
-        if (obs::Trace::writeChromeTrace(args.trace_out))
+        if (obs::writeJsonFile(args.trace_out,
+                               obs::Trace::chromeTraceJson()))
             inform("wrote trace '", args.trace_out,
                    "' (open in chrome://tracing or ui.perfetto.dev)");
         else
@@ -795,8 +779,9 @@ main(int argc, char** argv)
         } else {
             const critpath::CriticalPathResult result =
                 critpath::analyzeCriticalPath(graph, segments);
-            if (critpath::writeCritpathReport(args.critpath_out,
-                                              graph, result, {}))
+            if (obs::writeJsonFile(
+                    args.critpath_out,
+                    critpath::critpathReportJson(graph, result, {})))
                 inform("wrote critpath report '", args.critpath_out,
                        "' (", result.steps.size(),
                        " steps, coverage ",
@@ -808,7 +793,8 @@ main(int argc, char** argv)
         }
     }
     if (!args.metrics_out.empty()) {
-        if (obs::Metrics::writeJson(args.metrics_out))
+        if (obs::writeJsonFile(args.metrics_out,
+                               obs::Metrics::snapshotJson()))
             inform("wrote metrics '", args.metrics_out, "'");
         else
             warn("could not write metrics '", args.metrics_out, "'");
@@ -856,7 +842,7 @@ main(int argc, char** argv)
             obs::Metrics::counter("retry.exhausted").value();
         recovery.faultsActive = fault::Injector::active();
         report.setRecovery(recovery);
-        if (report.writeJson(args.memprof_out))
+        if (obs::writeJsonFile(args.memprof_out, report.toJson()))
             inform("wrote run report '", args.memprof_out,
                    "' (inspect with betty_report)");
         else
@@ -864,7 +850,8 @@ main(int argc, char** argv)
                  "'");
     }
     if (!args.flight_recorder_out.empty()) {
-        if (obs::FlightRecorder::writeJson(args.flight_recorder_out))
+        if (obs::writeJsonFile(args.flight_recorder_out,
+                               obs::FlightRecorder::dumpJson()))
             inform("wrote flight recorder '",
                    args.flight_recorder_out, "' (",
                    obs::FlightRecorder::recordedEvents(),

@@ -186,15 +186,6 @@ FeatureCache::shrinkTo(int64_t new_capacity_bytes)
 }
 
 void
-FeatureCache::invalidate()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    resident_.clear();
-    pinned_rows_ = 0;
-}
-
-void
 FeatureCache::setRecordEvictions(bool record)
 {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -139,11 +139,6 @@ class FeatureCache
     /** shrinkTo(0): give the whole reservation back. */
     void releaseAll() { shrinkTo(0); }
 
-    /** Drop all residency state (rows become cold) without touching
-     * the reservation. Resume paths use this: checkpoints never
-     * persist cache contents, so a resumed run starts cold. */
-    void invalidate();
-
     /** Record every evicted row ID into evictionLog() (off by
      * default; the determinism tests turn it on). */
     void setRecordEvictions(bool record);

@@ -99,26 +99,6 @@ CsrGraph::maxInDegree() const
     return best;
 }
 
-std::vector<int64_t>
-CsrGraph::inDegreeBuckets(int64_t max_bucket,
-                          const std::vector<int64_t>& nodes) const
-{
-    BETTY_ASSERT(max_bucket >= 1, "need at least one bucket");
-    std::vector<int64_t> buckets(size_t(max_bucket) + 1, 0);
-    auto account = [&](int64_t v) {
-        const int64_t d = inDegree(v);
-        ++buckets[size_t(std::min(d, max_bucket))];
-    };
-    if (nodes.empty()) {
-        for (int64_t v = 0; v < num_nodes_; ++v)
-            account(v);
-    } else {
-        for (int64_t v : nodes)
-            account(v);
-    }
-    return buckets;
-}
-
 std::vector<Edge>
 CsrGraph::edgeList() const
 {

@@ -54,16 +54,6 @@ class CsrGraph
     /** Maximum in-degree across all nodes (0 for an empty graph). */
     int64_t maxInDegree() const;
 
-    /**
-     * Histogram of in-degrees, bucketed the way DGL's in-degree
-     * bucketing does (paper §4.4.2): buckets 0..max_bucket-1 hold exact
-     * degrees; the final bucket accumulates the long tail of nodes with
-     * in-degree >= max_bucket. Restricted to @p nodes if nonempty.
-     */
-    std::vector<int64_t> inDegreeBuckets(
-        int64_t max_bucket,
-        const std::vector<int64_t>& nodes = {}) const;
-
     /** Reconstruct the edge list (src, dst) in out-CSR order. */
     std::vector<Edge> edgeList() const;
 

@@ -232,7 +232,7 @@ class DeviceMemoryModel : public AllocationObserver
      * window peak answers "what did THIS micro-batch reach" while
      * peakBytes() keeps the epoch-wide maximum — the trainer uses it
      * to measure per-micro-batch actual peaks for estimator-residual
-     * telemetry (obs/residual.h) without disturbing epoch stats.
+     * telemetry (obs/memprof.h) without disturbing epoch stats.
      */
     void
     resetWindow()

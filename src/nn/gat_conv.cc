@@ -7,7 +7,7 @@ namespace betty {
 
 GatConv::GatConv(int64_t in_dim, int64_t out_dim, int64_t num_heads,
                  Rng& rng)
-    : in_dim_(in_dim), out_dim_(out_dim)
+    : in_dim_(in_dim)
 {
     BETTY_ASSERT(num_heads >= 1, "need at least one head");
     heads_.reserve(size_t(num_heads));

@@ -40,7 +40,6 @@ class GatConv : public Module
                         bool average_heads = false) const;
 
     int64_t inDim() const { return in_dim_; }
-    int64_t outDimPerHead() const { return out_dim_; }
     int64_t numHeads() const { return int64_t(heads_.size()); }
 
   private:
@@ -58,7 +57,6 @@ class GatConv : public Module
                             const std::vector<int64_t>& offsets) const;
 
     int64_t in_dim_;
-    int64_t out_dim_;
     std::vector<Head> heads_;
 };
 

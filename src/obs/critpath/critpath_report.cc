@@ -1,95 +1,40 @@
 #include "obs/critpath/critpath_report.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "obs/json.h"
 #include "obs/run_meta.h"
 
 namespace betty::obs::critpath {
-
-namespace {
-
-void
-appendEscaped(std::string& out, const std::string& text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void
-appendNumber(std::string& out, double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += buf;
-}
-
-} // namespace
 
 std::string
 critpathReportJson(const SpanGraph& graph,
                    const CriticalPathResult& result,
                    const std::vector<WhatIfResult>& what_ifs)
 {
-    std::string out = "{\"critpath_schema_version\": ";
-    out += std::to_string(kCritpathSchemaVersion);
-    out += ", \"schema_version\": ";
-    out += std::to_string(kObsSchemaVersion);
-    out += ", \"meta\": ";
-    out += runMetaJson();
-    out += ", \"wall_us\": ";
-    out += std::to_string(result.wallUs);
-    out += ", \"critical_path_us\": ";
-    out += std::to_string(result.cpUs);
-    out += ", \"coverage\": ";
-    appendNumber(out, result.coverage);
-    out += ", \"longest_step_us\": ";
-    out += std::to_string(result.longestStepUs);
-    out += ", \"span_count\": ";
-    out += std::to_string(graph.spans.size());
-    out += ", \"flow_count\": ";
-    out += std::to_string(graph.flows.size());
-    out += ", \"dropped_events\": ";
-    out += std::to_string(graph.droppedEvents);
-    out += ", \"pruned_flows\": ";
-    out += std::to_string(graph.prunedFlows);
+    JsonWriter out;
+    out.beginObject();
+    out.key("critpath_schema_version").integer(kCritpathSchemaVersion);
+    out.key("schema_version").integer(kObsSchemaVersion);
+    out.key("meta");
+    writeRunMeta(out);
+    out.key("wall_us").integer(result.wallUs);
+    out.key("critical_path_us").integer(result.cpUs);
+    out.key("coverage").number(result.coverage);
+    out.key("longest_step_us").integer(result.longestStepUs);
+    out.key("span_count").integer(int64_t(graph.spans.size()));
+    out.key("flow_count").integer(int64_t(graph.flows.size()));
+    out.key("dropped_events").integer(graph.droppedEvents);
+    out.key("pruned_flows").integer(graph.prunedFlows);
 
-    out += ", \"categories\": {";
-    for (size_t i = 0; i < result.categories.size(); ++i) {
-        const CategoryShare& share = result.categories[i];
-        if (i)
-            out += ", ";
-        out += "\"";
-        appendEscaped(out, share.category);
-        out += "\": {\"us\": ";
-        out += std::to_string(share.us);
-        out += ", \"share\": ";
-        appendNumber(out, share.share);
-        out += "}";
+    out.key("categories").beginObject();
+    for (const CategoryShare& share : result.categories) {
+        out.key(share.category).beginObject();
+        out.key("us").integer(share.us);
+        out.key("share").number(share.share);
+        out.endObject();
     }
-    out += "}";
+    out.endObject();
 
     // Cap the serialized path at the longest steps, re-sorted back
     // into chronological order.
@@ -107,64 +52,35 @@ critpathReportJson(const SpanGraph& graph,
         order.resize(kMaxReportSteps);
         std::sort(order.begin(), order.end());
     }
-    out += ", \"critical_path\": [";
-    for (size_t i = 0; i < order.size(); ++i) {
-        const PathStep& step = result.steps[order[i]];
-        const GraphSpan& span =
-            graph.spans[size_t(step.spanIndex)];
-        if (i)
-            out += ", ";
-        out += "{\"name\": \"";
-        appendEscaped(out, span.name);
-        out += "\", \"category\": \"";
-        appendEscaped(out, spanCategory(span));
-        out += "\", \"lane\": ";
-        out += std::to_string(span.lane);
-        out += ", \"start_us\": ";
-        out += std::to_string(step.startUs);
-        out += ", \"dur_us\": ";
-        out += std::to_string(step.endUs - step.startUs);
-        out += ", \"stall_before_us\": ";
-        out += std::to_string(step.stallBeforeUs);
-        out += "}";
+    out.key("critical_path").beginArray();
+    for (const size_t index : order) {
+        const PathStep& step = result.steps[index];
+        const GraphSpan& span = graph.spans[size_t(step.spanIndex)];
+        out.beginObject();
+        out.key("name").string(span.name);
+        out.key("category").string(spanCategory(span));
+        out.key("lane").integer(span.lane);
+        out.key("start_us").integer(step.startUs);
+        out.key("dur_us").integer(step.endUs - step.startUs);
+        out.key("stall_before_us").integer(step.stallBeforeUs);
+        out.endObject();
     }
-    out += "]";
+    out.endArray();
 
-    out += ", \"what_if\": [";
-    for (size_t i = 0; i < what_ifs.size(); ++i) {
-        const WhatIfResult& what_if = what_ifs[i];
-        if (i)
-            out += ", ";
-        out += "{\"category\": \"";
-        appendEscaped(out, what_if.spec.category);
-        out += "\", \"scale\": ";
-        appendNumber(out, what_if.spec.scale);
-        out += ", \"baseline_model_us\": ";
-        appendNumber(out, what_if.baselineModelUs);
-        out += ", \"projected_us\": ";
-        appendNumber(out, what_if.projectedUs);
-        out += ", \"projected_speedup_pct\": ";
-        appendNumber(out, what_if.projectedSpeedupPct);
-        out += "}";
+    out.key("what_if").beginArray();
+    for (const WhatIfResult& what_if : what_ifs) {
+        out.beginObject();
+        out.key("category").string(what_if.spec.category);
+        out.key("scale").number(what_if.spec.scale);
+        out.key("baseline_model_us").number(what_if.baselineModelUs);
+        out.key("projected_us").number(what_if.projectedUs);
+        out.key("projected_speedup_pct")
+            .number(what_if.projectedSpeedupPct);
+        out.endObject();
     }
-    out += "]}";
-    return out;
-}
-
-bool
-writeCritpathReport(const std::string& path, const SpanGraph& graph,
-                    const CriticalPathResult& result,
-                    const std::vector<WhatIfResult>& what_ifs)
-{
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    if (!file)
-        return false;
-    const std::string json =
-        critpathReportJson(graph, result, what_ifs);
-    const size_t written =
-        std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-    return written == json.size();
+    out.endArray();
+    out.endObject();
+    return out.take();
 }
 
 } // namespace betty::obs::critpath

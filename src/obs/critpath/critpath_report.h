@@ -48,12 +48,6 @@ std::string critpathReportJson(
     const SpanGraph& graph, const CriticalPathResult& result,
     const std::vector<WhatIfResult>& what_ifs);
 
-/** Write critpathReportJson() to @p path; returns success. */
-bool writeCritpathReport(const std::string& path,
-                         const SpanGraph& graph,
-                         const CriticalPathResult& result,
-                         const std::vector<WhatIfResult>& what_ifs);
-
 } // namespace betty::obs::critpath
 
 #endif // BETTY_OBS_CRITPATH_CRITPATH_REPORT_H

@@ -4,8 +4,8 @@
  *
  * Input is a set of completed spans (id, category, lane, interval)
  * plus explicit dependency (flow) edges between span ids — either the
- * live obs::Trace buffers or a Chrome trace JSON file written by
- * Trace::writeChromeTrace(). Output is a SegmentGraph: each lane's
+ * live obs::Trace buffers or a Chrome trace JSON file written from
+ * Trace::chromeTraceJson(). Output is a SegmentGraph: each lane's
  * timeline is cut into leaf "self intervals" (the innermost active
  * span owns the time; cuts are also made where flow edges bind), and
  * edges connect segments

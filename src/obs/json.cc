@@ -1,8 +1,12 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace betty::obs {
 
@@ -14,6 +18,8 @@ struct Parser
     const std::string& text;
     size_t pos = 0;
     std::string error;
+    /** Arrays and objects open around the cursor. */
+    int depth = 0;
 
     bool
     fail(const std::string& message)
@@ -136,10 +142,17 @@ struct Parser
         if (pos >= text.size())
             return fail("unexpected end of input");
         const char c = text[pos];
-        if (c == '{')
-            return parseObject(out);
-        if (c == '[')
-            return parseArray(out);
+        if (c == '{' || c == '[') {
+            // Recursion depth follows the input: cap it before a
+            // hostile document exhausts the stack.
+            if (depth == kMaxJsonDepth)
+                return fail("nesting deeper than " +
+                            std::to_string(kMaxJsonDepth) + " levels");
+            ++depth;
+            const bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth;
+            return ok;
+        }
         if (c == '"') {
             out.kind = JsonValue::Kind::String;
             return parseString(out.string);
@@ -244,7 +257,7 @@ struct Parser
 bool
 parseJson(const std::string& text, JsonValue& out, std::string* error)
 {
-    Parser parser{text, 0, {}};
+    Parser parser{text, 0, {}, 0};
     if (!parser.parseValue(out)) {
         if (error)
             *error = parser.error;
@@ -258,6 +271,156 @@ parseJson(const std::string& text, JsonValue& out, std::string* error)
         return false;
     }
     return true;
+}
+
+bool
+readJsonFile(const std::string& path, JsonValue& out, std::string* error)
+{
+    std::ifstream file(path, std::ios::binary);
+    if (!file) {
+        if (error)
+            *error = "cannot read '" + path + "'";
+        return false;
+    }
+    std::ostringstream buffer;
+    buffer << file.rdbuf();
+    std::string parse_error;
+    if (!parseJson(buffer.str(), out, &parse_error)) {
+        if (error)
+            *error = "'" + path + "' is not valid JSON: " + parse_error;
+        return false;
+    }
+    return true;
+}
+
+bool
+writeJsonFile(const std::string& path, const std::string& text)
+{
+    std::FILE* file = std::fopen(path.c_str(), "w");
+    if (!file)
+        return false;
+    const bool written =
+        std::fwrite(text.data(), 1, text.size(), file) == text.size();
+    const bool closed = std::fclose(file) == 0;
+    return written && closed;
+}
+
+JsonWriter&
+JsonWriter::key(std::string_view name)
+{
+    beginItem();
+    quoted(name);
+    out_ += ": ";
+    afterKey_ = true;
+    return *this;
+}
+
+JsonWriter&
+JsonWriter::string(std::string_view text)
+{
+    beginItem();
+    quoted(text);
+    return *this;
+}
+
+JsonWriter&
+JsonWriter::number(double value)
+{
+    beginItem();
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    out_ += buf;
+    return *this;
+}
+
+JsonWriter&
+JsonWriter::integer(int64_t value)
+{
+    beginItem();
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    return *this;
+}
+
+JsonWriter&
+JsonWriter::boolean(bool value)
+{
+    beginItem();
+    out_ += value ? "true" : "false";
+    return *this;
+}
+
+JsonWriter&
+JsonWriter::open(char bracket)
+{
+    beginItem();
+    out_ += bracket;
+    items_.push_back(0);
+    return *this;
+}
+
+JsonWriter&
+JsonWriter::close(char bracket)
+{
+    if (items_.back() > 0 && items_.size() <= 2) {
+        out_ += '\n';
+        out_.append(2 * (items_.size() - 1), ' ');
+    }
+    out_ += bracket;
+    items_.pop_back();
+    if (items_.empty())
+        out_ += '\n';
+    return *this;
+}
+
+void
+JsonWriter::beginItem()
+{
+    if (afterKey_) {
+        afterKey_ = false;
+        return;
+    }
+    if (items_.empty())
+        return;
+    if (items_.back()++ > 0)
+        out_ += ',';
+    if (items_.size() <= 2) {
+        out_ += '\n';
+        out_.append(2 * items_.size(), ' ');
+    } else if (items_.back() > 1) {
+        out_ += ' ';
+    }
+}
+
+void
+JsonWriter::quoted(std::string_view text)
+{
+    out_ += '"';
+    for (const char c : text) {
+        switch (c) {
+          case '"':
+            out_ += "\\\"";
+            break;
+          case '\\':
+            out_ += "\\\\";
+            break;
+          case '\n':
+            out_ += "\\n";
+            break;
+          case '\t':
+            out_ += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char hex[8];
+                std::snprintf(hex, sizeof(hex), "\\u%04x", c);
+                out_ += hex;
+            } else {
+                out_ += c;
+            }
+        }
+    }
+    out_ += '"';
 }
 
 } // namespace betty::obs

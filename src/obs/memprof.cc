@@ -1,5 +1,9 @@
 #include "obs/memprof.h"
 
+#include <algorithm>
+#include <cmath>
+
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
 
@@ -99,62 +103,107 @@ MemProfiler::reset()
     records_.clear();
 }
 
-std::string
-MemProfiler::toJson() const
-{
-    const auto records = this->records();
-
-    std::string out = "{\"micro_batches\": [";
-    for (size_t i = 0; i < records.size(); ++i) {
-        const MicroBatchMemRecord& record = records[i];
-        out += i ? ",\n    " : "\n    ";
-        out += "{\"index\": " + std::to_string(i);
-        out += ", \"actual_peak_bytes\": " +
-               std::to_string(record.actualTotalPeak);
-        out += ", \"predicted_peak_bytes\": " +
-               std::to_string(record.predictedTotalPeak);
-        out += ", \"categories\": {";
-        for (size_t c = 0; c < kMemCategoryCount; ++c) {
-            if (c)
-                out += ", ";
-            const int64_t predicted = record.predicted[c];
-            const int64_t actual = record.actualPeak[c];
-            out += "\"";
-            out += kCategoryNames[c];
-            out += "\": {\"predicted_bytes\": " +
-                   std::to_string(predicted);
-            out += ", \"actual_bytes\": " + std::to_string(actual);
-            out += ", \"residual_bytes\": " +
-                   std::to_string(predicted - actual);
-            out += "}";
-        }
-        out += "}}";
-    }
-    out += records.empty() ? "]" : "\n  ]";
-
-    // Worst (max) measured peak per category across micro-batches:
-    // the number a budget has to accommodate.
-    out += ", \"category_peaks\": {";
-    for (size_t c = 0; c < kMemCategoryCount; ++c) {
-        int64_t worst = 0;
-        for (const MicroBatchMemRecord& record : records)
-            if (record.actualPeak[c] > worst)
-                worst = record.actualPeak[c];
-        if (c)
-            out += ", ";
-        out += "\"";
-        out += kCategoryNames[c];
-        out += "\": " + std::to_string(worst);
-    }
-    out += "}}";
-    return out;
-}
-
 MemProfiler&
 memProfiler()
 {
     static MemProfiler* instance = new MemProfiler; // leaked: outlives threads
     return *instance;
+}
+
+ResidualSummary
+residualSummary(const std::vector<MicroBatchMemRecord>& records)
+{
+    ResidualSummary summary;
+    summary.count = int64_t(records.size());
+    if (records.empty())
+        return summary;
+
+    double abs_bytes = 0.0, abs_rel = 0.0, signed_rel = 0.0;
+    int64_t rel_count = 0;
+    for (const MicroBatchMemRecord& record : records) {
+        abs_bytes += std::abs(double(record.residualBytes()));
+        if (record.actualTotalPeak != 0) {
+            const double rel = record.relativeError();
+            abs_rel += std::abs(rel);
+            signed_rel += rel;
+            summary.maxAbsRelative =
+                std::max(summary.maxAbsRelative, std::abs(rel));
+            ++rel_count;
+        }
+    }
+    summary.meanAbsBytes = abs_bytes / double(records.size());
+    if (rel_count > 0) {
+        summary.meanAbsRelative = abs_rel / double(rel_count);
+        summary.bias = signed_rel / double(rel_count);
+    }
+    return summary;
+}
+
+void
+writeMemoryProfile(JsonWriter& out,
+                   const std::vector<MicroBatchMemRecord>& records)
+{
+    out.beginObject();
+    out.key("micro_batches").beginArray();
+    for (size_t i = 0; i < records.size(); ++i) {
+        const MicroBatchMemRecord& record = records[i];
+        out.beginObject();
+        out.key("index").integer(int64_t(i));
+        out.key("actual_peak_bytes").integer(record.actualTotalPeak);
+        out.key("predicted_peak_bytes").integer(record.predictedTotalPeak);
+        out.key("categories").beginObject();
+        for (size_t c = 0; c < kMemCategoryCount; ++c) {
+            out.key(kCategoryNames[c]).beginObject();
+            out.key("predicted_bytes").integer(record.predicted[c]);
+            out.key("actual_bytes").integer(record.actualPeak[c]);
+            out.key("residual_bytes")
+                .integer(record.predicted[c] - record.actualPeak[c]);
+            out.endObject();
+        }
+        out.endObject();
+        out.endObject();
+    }
+    out.endArray();
+
+    // Worst (max) measured peak per category across micro-batches:
+    // the number a budget has to accommodate.
+    out.key("category_peaks").beginObject();
+    for (size_t c = 0; c < kMemCategoryCount; ++c) {
+        int64_t worst = 0;
+        for (const MicroBatchMemRecord& record : records)
+            worst = std::max(worst, record.actualPeak[c]);
+        out.key(kCategoryNames[c]).integer(worst);
+    }
+    out.endObject();
+    out.endObject();
+}
+
+void
+writeEstimatorResiduals(JsonWriter& out,
+                        const std::vector<MicroBatchMemRecord>& records)
+{
+    out.beginObject();
+    out.key("entries").beginArray();
+    for (size_t i = 0; i < records.size(); ++i) {
+        const MicroBatchMemRecord& record = records[i];
+        out.beginObject();
+        out.key("index").integer(int64_t(i));
+        out.key("predicted_bytes").integer(record.predictedTotalPeak);
+        out.key("actual_bytes").integer(record.actualTotalPeak);
+        out.key("residual_bytes").integer(record.residualBytes());
+        out.key("relative_error").number(record.relativeError());
+        out.endObject();
+    }
+    out.endArray();
+    const ResidualSummary summary = residualSummary(records);
+    out.key("summary").beginObject();
+    out.key("count").integer(summary.count);
+    out.key("mean_abs_bytes").number(summary.meanAbsBytes);
+    out.key("mean_abs_relative").number(summary.meanAbsRelative);
+    out.key("max_abs_relative").number(summary.maxAbsRelative);
+    out.key("bias").number(summary.bias);
+    out.endObject();
+    out.endObject();
 }
 
 } // namespace betty::obs

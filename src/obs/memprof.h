@@ -11,7 +11,11 @@
  * category, and DeviceMemoryModel keeps per-category live/peak
  * counters. The result is a *measured* Table 3 column next to the
  * analytical one, per micro-batch, so estimator drift is localized to
- * a component instead of reported only in aggregate.
+ * a component instead of reported only in aggregate. The same records
+ * carry each micro-batch's predicted vs. measured total peak, which
+ * the exports summarize as "estimator_residuals": if the planner's
+ * model (paper §4.4.3) drifts from what the device allocates, that
+ * drift is a queryable number instead of a silent mis-split.
  *
  * Cost model matches the rest of obs/: category tagging itself is one
  * thread-local read at allocation time (always on — it is how paired
@@ -28,6 +32,8 @@
 #include <vector>
 
 namespace betty::obs {
+
+class JsonWriter;
 
 /**
  * Table 3 memory component a tensor allocation belongs to. Values
@@ -103,12 +109,51 @@ struct MicroBatchMemRecord
 
     /** Estimator's total peak prediction. */
     int64_t predictedTotalPeak = 0;
+
+    /** Total predicted - actual (positive = overestimate). */
+    int64_t
+    residualBytes() const
+    {
+        return predictedTotalPeak - actualTotalPeak;
+    }
+
+    /** residualBytes() / actual total; 0 when the actual is 0. */
+    double
+    relativeError() const
+    {
+        if (actualTotalPeak == 0)
+            return 0.0;
+        return double(residualBytes()) / double(actualTotalPeak);
+    }
 };
+
+/** Aggregate estimator error over micro-batch total peaks. */
+struct ResidualSummary
+{
+    int64_t count = 0;
+
+    /** Mean |predicted - actual| in bytes. */
+    double meanAbsBytes = 0.0;
+
+    /** Mean |relative error| (records with actual == 0 excluded). */
+    double meanAbsRelative = 0.0;
+
+    /** Largest |relative error|. */
+    double maxAbsRelative = 0.0;
+
+    /** Mean signed relative error: > 0 means the estimator
+     * systematically overestimates. */
+    double bias = 0.0;
+};
+
+/** Summarize the total-peak residuals of @p records. */
+ResidualSummary
+residualSummary(const std::vector<MicroBatchMemRecord>& records);
 
 /**
  * Thread-safe accumulator of per-micro-batch category breakdowns,
  * embedded in the metrics snapshot and the run report as
- * "memory_profile".
+ * "memory_profile" and "estimator_residuals".
  */
 class MemProfiler
 {
@@ -121,13 +166,6 @@ class MemProfiler
 
     void reset();
 
-    /**
-     * JSON object: {"micro_batches": [{"index", "actual_peak_bytes",
-     * "predicted_peak_bytes", "categories": {name: {"predicted_bytes",
-     * "actual_bytes", "residual_bytes"}}}], "category_peaks": {...}}.
-     */
-    std::string toJson() const;
-
   private:
     mutable std::mutex mutex_;
     std::vector<MicroBatchMemRecord> records_;
@@ -135,6 +173,25 @@ class MemProfiler
 
 /** The process-wide profiler the trainers record into. */
 MemProfiler& memProfiler();
+
+/**
+ * Write @p records as the "memory_profile" object:
+ * {"micro_batches": [{"index", "actual_peak_bytes",
+ * "predicted_peak_bytes", "categories": {name: {"predicted_bytes",
+ * "actual_bytes", "residual_bytes"}}}], "category_peaks": {...}}.
+ */
+void writeMemoryProfile(JsonWriter& out,
+                        const std::vector<MicroBatchMemRecord>& records);
+
+/**
+ * Write the total peaks of @p records as the "estimator_residuals"
+ * object: {"entries": [{"index", "predicted_bytes", "actual_bytes",
+ * "residual_bytes", "relative_error"}], "summary": {"count",
+ * "mean_abs_bytes", "mean_abs_relative", "max_abs_relative",
+ * "bias"}}.
+ */
+void writeEstimatorResiduals(
+    JsonWriter& out, const std::vector<MicroBatchMemRecord>& records);
 
 } // namespace betty::obs
 

@@ -1,13 +1,12 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "obs/json.h"
 #include "obs/memprof.h"
-#include "obs/residual.h"
 #include "obs/run_meta.h"
 
 namespace betty::obs {
@@ -44,15 +43,6 @@ defaultSecondsBounds()
     for (double b = 1e-6; b < 200.0; b *= 4.0)
         bounds.push_back(b);
     return bounds;
-}
-
-void
-appendNumber(std::string& out, double value)
-{
-    char buf[64];
-    // %.17g round-trips doubles; integers print without a point.
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += buf;
 }
 
 } // namespace
@@ -198,89 +188,65 @@ Metrics::reset()
         gauge->reset();
     for (auto& [name, histogram] : reg.histograms)
         histogram->reset();
-    residuals().reset();
     memProfiler().reset();
+}
+
+void
+Metrics::writeSnapshot(JsonWriter& out)
+{
+    auto& reg = registry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+
+    out.beginObject();
+    out.key("schema_version").integer(kObsSchemaVersion);
+    out.key("meta");
+    writeRunMeta(out);
+    out.key("counters").beginObject();
+    for (const auto& [name, counter] : reg.counters)
+        out.key(name).integer(counter->value());
+    out.endObject();
+
+    out.key("gauges").beginObject();
+    for (const auto& [name, gauge] : reg.gauges)
+        out.key(name).integer(gauge->value());
+    out.endObject();
+
+    out.key("histograms").beginObject();
+    for (const auto& [name, histogram] : reg.histograms) {
+        out.key(name).beginObject();
+        out.key("bounds").beginArray();
+        for (const double bound : histogram->bounds())
+            out.number(bound);
+        out.endArray();
+        out.key("counts").beginArray();
+        for (size_t i = 0; i <= histogram->bounds().size(); ++i)
+            out.integer(histogram->bucketCount(i));
+        out.endArray();
+        out.key("count").integer(histogram->count());
+        out.key("sum").number(histogram->sum());
+        out.key("p50").number(histogram->percentile(0.50));
+        out.key("p95").number(histogram->percentile(0.95));
+        out.key("p99").number(histogram->percentile(0.99));
+        out.key("count_consistent").boolean(histogram->bucketsConsistent());
+        out.endObject();
+    }
+    out.endObject();
+
+    const std::vector<MicroBatchMemRecord> records =
+        memProfiler().records();
+    out.key("estimator_residuals");
+    writeEstimatorResiduals(out, records);
+    out.key("memory_profile");
+    writeMemoryProfile(out, records);
+    out.endObject();
 }
 
 std::string
 Metrics::snapshotJson()
 {
-    auto& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-
-    std::string out = "{\n  \"schema_version\": " +
-                      std::to_string(kObsSchemaVersion) + ",\n";
-    out += "  \"meta\": " + runMetaJson() + ",\n";
-    out += "  \"counters\": {";
-    bool first = true;
-    for (const auto& [name, counter] : reg.counters) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    \"" + name + "\": ";
-        out += std::to_string(counter->value());
-    }
-    out += first ? "},\n" : "\n  },\n";
-
-    out += "  \"gauges\": {";
-    first = true;
-    for (const auto& [name, gauge] : reg.gauges) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    \"" + name + "\": ";
-        out += std::to_string(gauge->value());
-    }
-    out += first ? "},\n" : "\n  },\n";
-
-    out += "  \"histograms\": {";
-    first = true;
-    for (const auto& [name, histogram] : reg.histograms) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    \"" + name + "\": {\"bounds\": [";
-        const auto& bounds = histogram->bounds();
-        for (size_t i = 0; i < bounds.size(); ++i) {
-            if (i)
-                out += ", ";
-            appendNumber(out, bounds[i]);
-        }
-        out += "], \"counts\": [";
-        for (size_t i = 0; i <= bounds.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += std::to_string(histogram->bucketCount(i));
-        }
-        out += "], \"count\": " + std::to_string(histogram->count());
-        out += ", \"sum\": ";
-        appendNumber(out, histogram->sum());
-        out += ", \"p50\": ";
-        appendNumber(out, histogram->percentile(0.50));
-        out += ", \"p95\": ";
-        appendNumber(out, histogram->percentile(0.95));
-        out += ", \"p99\": ";
-        appendNumber(out, histogram->percentile(0.99));
-        out += ", \"count_consistent\": ";
-        out += histogram->bucketsConsistent() ? "true" : "false";
-        out += "}";
-    }
-    out += first ? "},\n" : "\n  },\n";
-
-    out += "  \"estimator_residuals\": " + residuals().toJson();
-    out += ",\n  \"memory_profile\": " + memProfiler().toJson();
-    out += "\n}\n";
-    return out;
-}
-
-bool
-Metrics::writeJson(const std::string& path)
-{
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    if (!file)
-        return false;
-    const std::string json = snapshotJson();
-    const size_t written =
-        std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-    return written == json.size();
+    JsonWriter out;
+    writeSnapshot(out);
+    return out.take();
 }
 
 } // namespace betty::obs

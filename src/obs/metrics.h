@@ -26,6 +26,7 @@
 
 namespace betty::obs {
 
+class JsonWriter;
 class Metrics;
 
 /** Monotonically increasing sum (e.g. bytes transferred). */
@@ -157,14 +158,15 @@ class Metrics
     static void reset();
 
     /**
-     * The registry as one JSON object: {"schema_version": N, "meta":
-     * {...}, "counters": {...}, "gauges": {...}, "histograms": {...},
-     * "estimator_residuals": {...}, "memory_profile": {...}}.
+     * Write the registry as one JSON object: {"schema_version": N,
+     * "meta": {...}, "counters": {...}, "gauges": {...},
+     * "histograms": {...}, "estimator_residuals": {...},
+     * "memory_profile": {...}}.
      */
-    static std::string snapshotJson();
+    static void writeSnapshot(JsonWriter& out);
 
-    /** Write snapshotJson() to @p path; returns success. */
-    static bool writeJson(const std::string& path);
+    /** writeSnapshot() as a standalone document. */
+    static std::string snapshotJson();
 
   private:
     static std::atomic<bool> enabled_;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 
+#include "obs/json.h"
 #include "obs/run_meta.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -140,7 +141,7 @@ fatalDump()
     const std::string path = FlightRecorder::fatalDumpPath();
     if (path.empty())
         return;
-    if (FlightRecorder::writeJson(path))
+    if (writeJsonFile(path, FlightRecorder::dumpJson()))
         std::fprintf(stderr,
                      "flight recorder: dumped %lld event(s) to '%s'\n",
                      (long long)FlightRecorder::snapshot().size(),
@@ -149,16 +150,6 @@ fatalDump()
         std::fprintf(stderr,
                      "flight recorder: could not write '%s'\n",
                      path.c_str());
-}
-
-void
-appendEscaped(std::string& out, const char* text)
-{
-    for (const char* c = text; *c; ++c) {
-        if (*c == '"' || *c == '\\')
-            out += '\\';
-        out += *c;
-    }
 }
 
 } // namespace
@@ -297,47 +288,32 @@ std::string
 FlightRecorder::dumpJson()
 {
     const std::vector<FrEvent> events = snapshot();
-    std::string out = "{\n  \"schema_version\": " +
-                      std::to_string(kObsSchemaVersion) + ",\n";
-    out += "  \"meta\": " + runMetaJson() + ",\n";
-    out += "  \"capacity\": " + std::to_string(capacity()) + ",\n";
-    out += "  \"recorded\": " + std::to_string(recordedEvents()) +
-           ",\n";
-    out += "  \"dropped\": " + std::to_string(droppedEvents()) +
-           ",\n";
-    out += "  \"events\": [";
-    for (size_t i = 0; i < events.size(); ++i) {
-        const FrEvent& event = events[i];
-        out += i ? ",\n    " : "\n    ";
-        out += "{\"seq\": " + std::to_string(event.seq);
-        out += ", \"ts_us\": " + std::to_string(event.tsUs);
-        out += ", \"category\": \"";
-        out += frCategoryName(event.category);
-        out += "\", \"phase\": \"";
-        out += event.phase == FrPhase::Begin
-                   ? "begin"
-                   : event.phase == FrPhase::End ? "end" : "instant";
-        out += "\", \"lane\": " + std::to_string(event.lane);
-        out += ", \"name\": \"";
-        appendEscaped(out, event.name ? event.name : "");
-        out += "\", \"a\": " + std::to_string(event.a);
-        out += ", \"b\": " + std::to_string(event.b) + "}";
+    JsonWriter out;
+    out.beginObject();
+    out.key("schema_version").integer(kObsSchemaVersion);
+    out.key("meta");
+    writeRunMeta(out);
+    out.key("capacity").integer(int64_t(capacity()));
+    out.key("recorded").integer(recordedEvents());
+    out.key("dropped").integer(droppedEvents());
+    out.key("events").beginArray();
+    for (const FrEvent& event : events) {
+        out.beginObject();
+        out.key("seq").integer(event.seq);
+        out.key("ts_us").integer(event.tsUs);
+        out.key("category").string(frCategoryName(event.category));
+        out.key("phase").string(event.phase == FrPhase::Begin ? "begin"
+                                : event.phase == FrPhase::End ? "end"
+                                                              : "instant");
+        out.key("lane").integer(event.lane);
+        out.key("name").string(event.name ? event.name : "");
+        out.key("a").integer(event.a);
+        out.key("b").integer(event.b);
+        out.endObject();
     }
-    out += events.empty() ? "]\n}\n" : "\n  ]\n}\n";
-    return out;
-}
-
-bool
-FlightRecorder::writeJson(const std::string& path)
-{
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    if (!file)
-        return false;
-    const std::string json = dumpJson();
-    const size_t written =
-        std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-    return written == json.size();
+    out.endArray();
+    out.endObject();
+    return out.take();
 }
 
 void

@@ -134,9 +134,6 @@ class FlightRecorder
     /** The ring as one JSON document (schema_version, meta, events). */
     static std::string dumpJson();
 
-    /** Write dumpJson() to @p path; returns success. */
-    static bool writeJson(const std::string& path);
-
     /**
      * Register @p path as the automatic post-mortem destination:
      * fatal() (util/logging.h) dumps the ring there before exiting,

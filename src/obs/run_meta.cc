@@ -1,9 +1,10 @@
 #include "obs/run_meta.h"
 
-#include <cstdio>
 #include <ctime>
 #include <map>
 #include <mutex>
+
+#include "obs/json.h"
 
 namespace betty::obs {
 
@@ -20,35 +21,6 @@ metaRegistry()
 {
     static MetaRegistry* instance = new MetaRegistry;
     return *instance;
-}
-
-void
-appendJsonEscaped(std::string& out, const std::string& text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
 }
 
 std::string
@@ -80,22 +52,16 @@ clearRunMeta()
     reg.entries.clear();
 }
 
-std::string
-runMetaJson()
+void
+writeRunMeta(JsonWriter& out)
 {
     auto& reg = metaRegistry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-
-    std::string out = "{\"timestamp\": \"" + isoTimestampUtc() + "\"";
-    for (const auto& [key, value] : reg.entries) {
-        out += ", \"";
-        appendJsonEscaped(out, key);
-        out += "\": \"";
-        appendJsonEscaped(out, value);
-        out += "\"";
-    }
-    out += "}";
-    return out;
+    out.beginObject();
+    out.key("timestamp").string(isoTimestampUtc());
+    for (const auto& [key, value] : reg.entries)
+        out.key(key).string(value);
+    out.endObject();
 }
 
 } // namespace betty::obs

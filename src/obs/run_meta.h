@@ -17,6 +17,8 @@
 
 namespace betty::obs {
 
+class JsonWriter;
+
 /**
  * Version of every obs JSON export layout. Bump when a field is
  * renamed, removed, or changes meaning (additions are compatible and
@@ -39,10 +41,10 @@ void setRunMeta(const std::string& key, const std::string& value);
 void clearRunMeta();
 
 /**
- * The metadata as one JSON object: all registered keys plus
- * "timestamp" (ISO-8601 UTC, captured at call time).
+ * Write the metadata as one JSON object: "timestamp" (ISO-8601 UTC,
+ * captured at call time), then every registered key in sorted order.
  */
-std::string runMetaJson();
+void writeRunMeta(JsonWriter& out);
 
 } // namespace betty::obs
 

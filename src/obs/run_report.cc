@@ -1,52 +1,9 @@
 #include "obs/run_report.h"
 
-#include <cstdio>
-
-#include "obs/residual.h"
+#include "obs/json.h"
 #include "obs/run_meta.h"
 
 namespace betty::obs {
-
-namespace {
-
-void
-appendJsonEscaped(std::string& out, const std::string& text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void
-appendNumber(std::string& out, double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += buf;
-}
-
-} // namespace
 
 void
 RunReport::setConfig(const std::string& key, const std::string& value)
@@ -69,149 +26,103 @@ RunReport::addEpoch(const RunReportEpoch& epoch)
 std::string
 RunReport::toJson() const
 {
-    std::string out = "{\n";
-    out += "  \"schema_version\": " +
-           std::to_string(kObsSchemaVersion) + ",\n";
+    JsonWriter out;
+    out.beginObject();
+    out.key("schema_version").integer(kObsSchemaVersion);
+    out.key("meta");
+    writeRunMeta(out);
+    out.key("binary").string(binary_);
 
-    out += "  \"meta\": " + runMetaJson() + ",\n";
+    out.key("dataset").beginObject();
+    out.key("name").string(datasetName_);
+    out.key("nodes").integer(datasetNodes_);
+    out.key("edges").integer(datasetEdges_);
+    out.key("classes").integer(datasetClasses_);
+    out.key("feature_dim").integer(datasetFeatureDim_);
+    out.endObject();
 
-    out += "  \"binary\": \"";
-    appendJsonEscaped(out, binary_);
-    out += "\",\n";
+    out.key("config").beginObject();
+    for (const auto& [key, value] : config_)
+        out.key(key).string(value);
+    out.endObject();
 
-    out += "  \"dataset\": {\"name\": \"";
-    appendJsonEscaped(out, datasetName_);
-    out += "\", \"nodes\": " + std::to_string(datasetNodes_);
-    out += ", \"edges\": " + std::to_string(datasetEdges_);
-    out += ", \"classes\": " + std::to_string(datasetClasses_);
-    out += ", \"feature_dim\": " + std::to_string(datasetFeatureDim_);
-    out += "},\n";
-
-    out += "  \"config\": {";
-    for (size_t i = 0; i < config_.size(); ++i) {
-        out += i ? ", \"" : "\"";
-        appendJsonEscaped(out, config_[i].first);
-        out += "\": \"";
-        appendJsonEscaped(out, config_[i].second);
-        out += "\"";
+    out.key("epochs").beginArray();
+    for (const RunReportEpoch& epoch : epochs_) {
+        out.beginObject();
+        out.key("epoch").integer(epoch.epoch);
+        out.key("k").integer(epoch.k);
+        out.key("loss").number(epoch.loss);
+        out.key("accuracy").number(epoch.accuracy);
+        out.key("test_accuracy").number(epoch.testAccuracy);
+        out.key("peak_bytes").integer(epoch.peakBytes);
+        out.key("compute_seconds").number(epoch.computeSeconds);
+        out.key("transfer_seconds").number(epoch.transferSeconds);
+        out.key("oom").boolean(epoch.oom);
+        out.endObject();
     }
-    out += "},\n";
+    out.endArray();
 
-    out += "  \"epochs\": [";
-    for (size_t i = 0; i < epochs_.size(); ++i) {
-        const RunReportEpoch& epoch = epochs_[i];
-        out += i ? ",\n    " : "\n    ";
-        out += "{\"epoch\": " + std::to_string(epoch.epoch);
-        out += ", \"k\": " + std::to_string(epoch.k);
-        out += ", \"loss\": ";
-        appendNumber(out, epoch.loss);
-        out += ", \"accuracy\": ";
-        appendNumber(out, epoch.accuracy);
-        out += ", \"test_accuracy\": ";
-        appendNumber(out, epoch.testAccuracy);
-        out += ", \"peak_bytes\": " + std::to_string(epoch.peakBytes);
-        out += ", \"compute_seconds\": ";
-        appendNumber(out, epoch.computeSeconds);
-        out += ", \"transfer_seconds\": ";
-        appendNumber(out, epoch.transferSeconds);
-        out += ", \"oom\": ";
-        out += epoch.oom ? "true" : "false";
-        out += "}";
-    }
-    out += epochs_.empty() ? "],\n" : "\n  ],\n";
-
-    out += "  \"summary\": {";
-    out += "\"peak_bytes\": " + std::to_string(peakBytes_);
-    out += ", \"total_compute_seconds\": ";
-    appendNumber(out, totalComputeSeconds_);
-    out += ", \"total_transfer_seconds\": ";
-    appendNumber(out, totalTransferSeconds_);
-    out += ", \"final_test_accuracy\": ";
-    appendNumber(out, finalTestAccuracy_);
-    out += ", \"edge_cut\": " + std::to_string(edgeCut_);
-    out += ", \"transfer_bytes\": " + std::to_string(transferBytes_);
-    out += ", \"oom_events\": " + std::to_string(oomEvents_);
-    out += "},\n";
+    out.key("summary").beginObject();
+    out.key("peak_bytes").integer(peakBytes_);
+    out.key("total_compute_seconds").number(totalComputeSeconds_);
+    out.key("total_transfer_seconds").number(totalTransferSeconds_);
+    out.key("final_test_accuracy").number(finalTestAccuracy_);
+    out.key("edge_cut").integer(edgeCut_);
+    out.key("transfer_bytes").integer(transferBytes_);
+    out.key("oom_events").integer(oomEvents_);
+    out.endObject();
 
     if (hasRecovery_) {
-        out += "  \"recovery\": {";
-        out += "\"faults_active\": ";
-        out += recovery_.faultsActive ? "true" : "false";
-        out += ", \"replans\": " + std::to_string(recovery_.replans);
-        out += ", \"oom_retries\": " +
-               std::to_string(recovery_.oomRetries);
-        out += ", \"transfer_retries\": " +
-               std::to_string(recovery_.transferRetries);
-        out += ", \"batches_skipped\": " +
-               std::to_string(recovery_.batchesSkipped);
-        out += ", \"corrupt_rows_repaired\": " +
-               std::to_string(recovery_.corruptRowsRepaired);
-        out += ", \"faults_injected\": " +
-               std::to_string(recovery_.faultsInjected);
-        out += ", \"retry_failures\": " +
-               std::to_string(recovery_.retryFailures);
-        out += ", \"retry_backoff_us\": " +
-               std::to_string(recovery_.retryBackoffUs);
-        out += ", \"retry_exhausted\": " +
-               std::to_string(recovery_.retryExhausted);
-        out += "},\n";
+        out.key("recovery").beginObject();
+        out.key("faults_active").boolean(recovery_.faultsActive);
+        out.key("replans").integer(recovery_.replans);
+        out.key("oom_retries").integer(recovery_.oomRetries);
+        out.key("transfer_retries").integer(recovery_.transferRetries);
+        out.key("batches_skipped").integer(recovery_.batchesSkipped);
+        out.key("corrupt_rows_repaired")
+            .integer(recovery_.corruptRowsRepaired);
+        out.key("faults_injected").integer(recovery_.faultsInjected);
+        out.key("retry_failures").integer(recovery_.retryFailures);
+        out.key("retry_backoff_us").integer(recovery_.retryBackoffUs);
+        out.key("retry_exhausted").integer(recovery_.retryExhausted);
+        out.endObject();
     }
 
-    out += "  \"cache\": {";
-    out += "\"enabled\": ";
-    out += cache_.enabled ? "true" : "false";
-    out += ", \"policy\": \"";
-    appendJsonEscaped(out, cache_.policy);
-    out += "\", \"capacity_bytes\": " +
-           std::to_string(cache_.capacityBytes);
-    out += ", \"reserved_bytes\": " +
-           std::to_string(cache_.reservedBytes);
-    out += ", \"hits\": " + std::to_string(cache_.hits);
-    out += ", \"misses\": " + std::to_string(cache_.misses);
-    out += ", \"bytes_saved\": " + std::to_string(cache_.bytesSaved);
-    out += ", \"evictions\": " + std::to_string(cache_.evictions);
-    out += ", \"releases\": " + std::to_string(cache_.releases);
-    out += ", \"released_bytes\": " +
-           std::to_string(cache_.releasedBytes);
-    out += "},\n";
+    out.key("cache").beginObject();
+    out.key("enabled").boolean(cache_.enabled);
+    out.key("policy").string(cache_.policy);
+    out.key("capacity_bytes").integer(cache_.capacityBytes);
+    out.key("reserved_bytes").integer(cache_.reservedBytes);
+    out.key("hits").integer(cache_.hits);
+    out.key("misses").integer(cache_.misses);
+    out.key("bytes_saved").integer(cache_.bytesSaved);
+    out.key("evictions").integer(cache_.evictions);
+    out.key("releases").integer(cache_.releases);
+    out.key("released_bytes").integer(cache_.releasedBytes);
+    out.endObject();
 
-    out += "  \"memory_profile\": " + memProfiler().toJson() + ",\n";
-    out += "  \"estimator_residuals\": " + residuals().toJson() + ",\n";
+    const std::vector<MicroBatchMemRecord> records =
+        memProfiler().records();
+    out.key("memory_profile");
+    writeMemoryProfile(out, records);
+    out.key("estimator_residuals");
+    writeEstimatorResiduals(out, records);
 
-    out += "  \"timeline\": [";
-    for (size_t i = 0; i < timeline_.size(); ++i) {
-        const MemTimelineSample& sample = timeline_[i];
-        out += i ? ",\n    " : "\n    ";
-        out += "{\"ts_us\": " + std::to_string(sample.tsUs);
-        out += ", \"total_live_bytes\": " +
-               std::to_string(sample.totalLive);
-        out += ", \"categories\": {";
-        for (size_t c = 0; c < kMemCategoryCount; ++c) {
-            if (c)
-                out += ", ";
-            out += "\"";
-            out += memCategoryName(MemCategory(c));
-            out += "\": " + std::to_string(sample.live[c]);
-        }
-        out += "}}";
+    out.key("timeline").beginArray();
+    for (const MemTimelineSample& sample : timeline_) {
+        out.beginObject();
+        out.key("ts_us").integer(sample.tsUs);
+        out.key("total_live_bytes").integer(sample.totalLive);
+        out.key("categories").beginObject();
+        for (size_t c = 0; c < kMemCategoryCount; ++c)
+            out.key(memCategoryName(MemCategory(c)))
+                .integer(sample.live[c]);
+        out.endObject();
+        out.endObject();
     }
-    out += timeline_.empty() ? "]\n" : "\n  ]\n";
-
-    out += "}\n";
-    return out;
-}
-
-bool
-RunReport::writeJson(const std::string& path) const
-{
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    if (!file)
-        return false;
-    const std::string json = toJson();
-    const size_t written =
-        std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-    return written == json.size();
+    out.endArray();
+    out.endObject();
+    return out.take();
 }
 
 } // namespace betty::obs

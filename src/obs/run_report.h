@@ -96,7 +96,8 @@ struct RunReportCache
 /**
  * Collects one run's facts and serializes them as the run-report
  * JSON. The memory_profile and estimator_residuals sections are
- * pulled from the process-wide collectors at toJson() time.
+ * written from the process-wide MemProfiler's records at toJson()
+ * time.
  */
 class RunReport
 {
@@ -153,9 +154,6 @@ class RunReport
 
     /** The complete report as a JSON document. */
     std::string toJson() const;
-
-    /** Write toJson() to @p path; returns success. */
-    bool writeJson(const std::string& path) const;
 
   private:
     std::string binary_;

@@ -1,11 +1,11 @@
 #include "obs/trace.h"
 
+#include "obs/json.h"
 #include "obs/run_meta.h"
 #include "util/env_config.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -98,51 +98,37 @@ threadBuffer()
     return *tls_buffer;
 }
 
+/** A Chrome metadata event ("process_name" / "thread_name"). */
 void
-appendJsonEscaped(std::string& out, const std::string& text)
+writeMetadataEvent(JsonWriter& out, const char* kind, int32_t lane,
+                   const std::string& name)
 {
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
+    out.beginObject();
+    out.key("name").string(kind);
+    out.key("ph").string("M");
+    out.key("pid").integer(1);
+    out.key("tid").integer(lane);
+    out.key("args").beginObject().key("name").string(name).endObject();
+    out.endObject();
 }
 
+/** One end of a Perfetto flow arrow: ph "s" starts it, "f" finishes
+ * it on the enclosing slice. */
 void
-appendSpanEvent(std::string& out, const TraceEvent& event)
+writeFlowEvent(JsonWriter& out, bool finish, size_t id, int64_t ts,
+               int32_t lane)
 {
-    std::string name;
-    appendJsonEscaped(name, event.name);
-    char line[320];
-    std::snprintf(line, sizeof(line),
-                  ",{\"name\":\"%s\",\"cat\":\"%s\","
-                  "\"ph\":\"X\",\"ts\":%lld,\"dur\":%lld,"
-                  "\"pid\":1,\"tid\":%d,"
-                  "\"args\":{\"span_id\":%llu}}",
-                  name.c_str(),
-                  event.category ? event.category : "betty",
-                  (long long)event.startUs, (long long)event.durUs,
-                  event.lane, (unsigned long long)event.id);
-    out += line;
+    out.beginObject();
+    out.key("name").string("dep");
+    out.key("cat").string("betty.flow");
+    out.key("ph").string(finish ? "f" : "s");
+    if (finish)
+        out.key("bp").string("e");
+    out.key("id").integer(int64_t(id));
+    out.key("ts").integer(ts);
+    out.key("pid").integer(1);
+    out.key("tid").integer(lane);
+    out.endObject();
 }
 
 } // namespace
@@ -163,15 +149,6 @@ Trace::nowUs()
         .count();
 }
 
-void
-Trace::record(const char* name, int64_t start_us, int64_t dur_us)
-{
-    const uint64_t id =
-        g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-    endSpan(name, nullptr, id | (uint64_t(1) << 63), start_us,
-            dur_us);
-}
-
 uint64_t
 Trace::beginSpan(const char* category)
 {
@@ -185,12 +162,7 @@ void
 Trace::endSpan(const char* name, const char* category, uint64_t id,
                int64_t start_us, int64_t dur_us)
 {
-    // record() reuses this path for stack-less one-shot events by
-    // setting the top bit; strip it and skip the pop.
-    const bool on_stack = (id >> 63) == 0;
-    id &= ~(uint64_t(1) << 63);
-    if (on_stack && !tls_span_stack.empty() &&
-        tls_span_stack.back().id == id)
+    if (!tls_span_stack.empty() && tls_span_stack.back().id == id)
         tls_span_stack.pop_back();
     ThreadBuffer& buffer = threadBuffer();
     // Acquire pairs with clear()'s release: a slot reused after a
@@ -387,47 +359,45 @@ Trace::chromeTraceJson()
         if (event.id != 0)
             by_id.emplace(event.id, &event);
 
-    std::string out;
-    out.reserve(events.size() * 128 + counters.size() * 192 +
-                flows.size() * 224 + 512);
-    out += "{\"displayTimeUnit\":\"ms\",\"schema_version\":";
-    out += std::to_string(kObsSchemaVersion);
-    out += ",\"otherData\":";
-    out += runMetaJson();
-    out += ",\"metadata\":{\"droppedEvents\":";
-    out += std::to_string(dropped);
-    out += ",\"ringCapacity\":";
-    out += std::to_string(ring_capacity);
-    out += "}";
+    JsonWriter out;
+    out.beginObject();
+    out.key("displayTimeUnit").string("ms");
+    out.key("schema_version").integer(kObsSchemaVersion);
+    out.key("otherData");
+    writeRunMeta(out);
+    out.key("metadata").beginObject();
+    out.key("droppedEvents").integer(dropped);
+    out.key("ringCapacity").integer(int64_t(ring_capacity));
+    out.endObject();
     // Machine-readable dependency edges: betty_report critpath reads
     // these; the ph "s"/"f" pairs below are only for Perfetto arrows.
-    out += ",\"flows\":[";
-    for (size_t i = 0; i < flows.size(); ++i) {
-        if (i)
-            out += ",";
-        out += "{\"from\":";
-        out += std::to_string(flows[i].fromSpan);
-        out += ",\"to\":";
-        out += std::to_string(flows[i].toSpan);
-        out += ",\"ts\":";
-        out += std::to_string(flows[i].tsUs);
-        out += "}";
+    out.key("flows").beginArray();
+    for (const FlowEdge& flow : flows) {
+        out.beginObject();
+        out.key("from").integer(int64_t(flow.fromSpan));
+        out.key("to").integer(int64_t(flow.toSpan));
+        out.key("ts").integer(flow.tsUs);
+        out.endObject();
     }
-    out += "]";
-    out += ",\"traceEvents\":[";
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-           "\"tid\":0,\"args\":{\"name\":\"betty\"}}";
-    for (const auto& [lane, name] : lane_names) {
-        out += ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-               "\"tid\":";
-        out += std::to_string(lane);
-        out += ",\"args\":{\"name\":\"";
-        appendJsonEscaped(out, name);
-        out += "\"}}";
+    out.endArray();
+    out.key("traceEvents").beginArray();
+    writeMetadataEvent(out, "process_name", 0, "betty");
+    for (const auto& [lane, name] : lane_names)
+        writeMetadataEvent(out, "thread_name", lane, name);
+    for (const TraceEvent& event : events) {
+        out.beginObject();
+        out.key("name").string(event.name);
+        out.key("cat").string(event.category ? event.category : "betty");
+        out.key("ph").string("X");
+        out.key("ts").integer(event.startUs);
+        out.key("dur").integer(event.durUs);
+        out.key("pid").integer(1);
+        out.key("tid").integer(event.lane);
+        out.key("args").beginObject();
+        out.key("span_id").integer(int64_t(event.id));
+        out.endObject();
+        out.endObject();
     }
-    for (const auto& event : events)
-        appendSpanEvent(out, event);
-    char line[256];
     for (size_t i = 0; i < flows.size(); ++i) {
         const auto from = by_id.find(flows[i].fromSpan);
         const auto to = by_id.find(flows[i].toSpan);
@@ -435,58 +405,29 @@ Trace::chromeTraceJson()
             continue; // endpoint dropped from a ring: no arrow
         const TraceEvent& src = *from->second;
         const TraceEvent& dst = *to->second;
-        const int64_t src_ts =
-            std::min(flows[i].tsUs, src.startUs + src.durUs);
-        const int64_t dst_ts =
-            std::max(flows[i].tsUs, dst.startUs);
-        std::snprintf(line, sizeof(line),
-                      ",{\"name\":\"dep\",\"cat\":\"betty.flow\","
-                      "\"ph\":\"s\",\"id\":%zu,\"ts\":%lld,"
-                      "\"pid\":1,\"tid\":%d}",
-                      i, (long long)src_ts, src.lane);
-        out += line;
-        std::snprintf(line, sizeof(line),
-                      ",{\"name\":\"dep\",\"cat\":\"betty.flow\","
-                      "\"ph\":\"f\",\"bp\":\"e\",\"id\":%zu,"
-                      "\"ts\":%lld,\"pid\":1,\"tid\":%d}",
-                      i, (long long)dst_ts, dst.lane);
-        out += line;
+        writeFlowEvent(out, false, i,
+                       std::min(flows[i].tsUs, src.startUs + src.durUs),
+                       src.lane);
+        writeFlowEvent(out, true, i, std::max(flows[i].tsUs, dst.startUs),
+                       dst.lane);
     }
-    for (const auto& sample : counters) {
-        out += ",{\"name\":\"";
-        appendJsonEscaped(out, sample.track);
-        out += "\",\"cat\":\"betty\",\"ph\":\"C\",\"ts\":";
-        out += std::to_string(sample.tsUs);
-        out += ",\"pid\":1,\"tid\":";
-        out += std::to_string(sample.lane);
-        out += ",\"args\":{";
-        bool first_value = true;
-        for (const auto& [key, value] : sample.values) {
-            if (!first_value)
-                out += ",";
-            first_value = false;
-            out += "\"";
-            appendJsonEscaped(out, key);
-            out += "\":";
-            out += std::to_string(value);
-        }
-        out += "}}";
+    for (const CounterSample& sample : counters) {
+        out.beginObject();
+        out.key("name").string(sample.track);
+        out.key("cat").string("betty");
+        out.key("ph").string("C");
+        out.key("ts").integer(sample.tsUs);
+        out.key("pid").integer(1);
+        out.key("tid").integer(sample.lane);
+        out.key("args").beginObject();
+        for (const auto& [key, value] : sample.values)
+            out.key(key).integer(value);
+        out.endObject();
+        out.endObject();
     }
-    out += "]}";
-    return out;
-}
-
-bool
-Trace::writeChromeTrace(const std::string& path)
-{
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    if (!file)
-        return false;
-    const std::string json = chromeTraceJson();
-    const size_t written =
-        std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-    return written == json.size();
+    out.endArray();
+    out.endObject();
+    return out.take();
 }
 
 TraceLaneScope::TraceLaneScope(int32_t lane, const std::string& name)

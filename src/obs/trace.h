@@ -6,9 +6,9 @@
  * REG construction vs. K-way partitioning vs. transfer vs. compute
  * (paper §4.3–§4.4) — so the hot paths are bracketed with
  * BETTY_TRACE_SPAN("phase/name") markers. Each span records into a
- * per-thread ring buffer; Trace::writeChromeTrace() merges the buffers
- * into a JSON file that chrome://tracing or https://ui.perfetto.dev
- * can open directly.
+ * per-thread ring buffer; Trace::chromeTraceJson() merges the buffers
+ * into a JSON document that chrome://tracing or
+ * https://ui.perfetto.dev can open directly.
  *
  * Spans additionally carry a process-unique id, an optional category
  * tag ("compute", "transfer", ...), and may be connected by explicit
@@ -129,11 +129,6 @@ class Trace
     /** Microseconds since the process time anchor (first use). */
     static int64_t nowUs();
 
-    /** Append one completed span for the calling thread (fresh id,
-     * no category). Prefer TraceSpan for scoped use. */
-    static void record(const char* name, int64_t start_us,
-                       int64_t dur_us);
-
     /**
      * Open a span on the calling thread: allocates a fresh id and
      * pushes it (with @p category, a literal or nullptr) on the
@@ -214,9 +209,6 @@ class Trace
 
     /** The merged trace as a Chrome trace_event JSON document. */
     static std::string chromeTraceJson();
-
-    /** Write chromeTraceJson() to @p path; returns success. */
-    static bool writeChromeTrace(const std::string& path);
 
   private:
     static std::atomic<bool> enabled_;

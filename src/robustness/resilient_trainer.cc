@@ -56,10 +56,8 @@ class RecoveryArbiter : public MicroBatchArbiter
 {
   public:
     RecoveryArbiter(ResilientTrainer& owner, DeviceMemoryModel* device,
-                    const RecoveryPolicy& policy,
                     const std::vector<MemoryEstimate>& estimates)
-        : owner_(owner), device_(device), policy_(policy),
-          estimates_(estimates)
+        : owner_(owner), device_(device), estimates_(estimates)
     {
     }
 
@@ -67,7 +65,6 @@ class RecoveryArbiter : public MicroBatchArbiter
     admit(size_t index, const MultiLayerBatch&) override
     {
         fault::Injector::beginMicroBatch(int64_t(index));
-        episodes_at_admit_ = device_ ? device_->oomEpisodeCount() : 0;
         ballast_overshoot_ = false;
 
         double factor = 0.0;
@@ -118,20 +115,15 @@ class RecoveryArbiter : public MicroBatchArbiter
             ballast_overshoot_ = false;
             return false;
         }
-        if (policy_.reactToActualOom && device_ &&
-            device_->oomEpisodeCount() > episodes_at_admit_)
-            return false;
         return true;
     }
 
   private:
     ResilientTrainer& owner_;
     DeviceMemoryModel* device_;
-    const RecoveryPolicy& policy_;
     const std::vector<MemoryEstimate>& estimates_;
     Tensor ballast_;
     bool ballast_overshoot_ = false;
-    int64_t episodes_at_admit_ = 0;
 };
 
 ResilientTrainer::ResilientTrainer(Trainer& trainer, GnnSpec spec,
@@ -269,7 +261,7 @@ ResilientTrainer::trainEpoch(const MultiLayerBatch& full,
     double fraction = 0.0;
     if (fault::Injector::takeCorruptFeatures(&fraction))
         corruptFeatureRows(full, fraction);
-    if (policy_.repairCorruptFeatures && features_) {
+    if (features_) {
         const int64_t repaired = repairFeatureRows(full);
         if (repaired > 0) {
             report_.corruptRowsRepaired += repaired;
@@ -318,7 +310,7 @@ ResilientTrainer::trainEpoch(const MultiLayerBatch& full,
             obs::TraceSpan attempt_span("resilient/attempt");
             obs::Trace::recordFlow(plan_span_id, attempt_span.id());
             prev_attempt_span = attempt_span.id();
-            RecoveryArbiter arbiter(*this, device_, policy_,
+            RecoveryArbiter arbiter(*this, device_,
                                     result.plan.estimates);
             trainer_.setArbiter(&arbiter);
             result.stats =

@@ -43,7 +43,7 @@ namespace betty {
 
 class FeatureCache;
 
-/** Bounds and switches of the recovery loop. */
+/** Bounds of the recovery loop. */
 struct RecoveryPolicy
 {
     /** Re-plan at K+1 at most this many times per epoch. */
@@ -51,18 +51,6 @@ struct RecoveryPolicy
 
     /** Upper bound handed to the planner's K search. */
     int32_t maxK = 4096;
-
-    /**
-     * Also abort-and-re-plan when a micro-batch's ACTUAL usage opened
-     * a new over-capacity episode (not just injected faults). Off by
-     * default: the estimator's residuals are telemetry, and reacting
-     * to every transient overshoot would change fault-free behaviour.
-     */
-    bool reactToActualOom = false;
-
-    /** Detect and zero non-finite gathered feature rows (the
-     * corrupt-features fault) instead of training on NaN garbage. */
-    bool repairCorruptFeatures = true;
 };
 
 /** What one resilient epoch did (stats + the plan that survived). */

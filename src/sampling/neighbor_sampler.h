@@ -52,16 +52,6 @@ class NeighborSampler
     /** Build the multi-level bipartite batch for @p seeds. */
     MultiLayerBatch sample(const std::vector<int64_t>& seeds);
 
-    /** @name Checkpoint/resume support (robustness/checkpoint.h)
-     * The call index is the only state a sample depends on; saving it
-     * with a checkpoint and restoring it on resume makes the resumed
-     * run draw the exact neighborhoods the uninterrupted run would
-     * have (sample k is a pure function of (seed, call index)). */
-    /** @{ */
-    uint64_t callIndex() const { return call_index_; }
-    void setCallIndex(uint64_t index) { call_index_ = index; }
-    /** @} */
-
   private:
     const CsrGraph& graph_;
     std::vector<int64_t> fanouts_;

@@ -8,7 +8,6 @@
 #include "kernels/kernels.h"
 #include "obs/memprof.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace betty {
 namespace ag {
@@ -424,30 +423,6 @@ segmentSum(const NodePtr& x, std::vector<int64_t> offsets)
 }
 
 NodePtr
-segmentMean(const NodePtr& x, std::vector<int64_t> offsets)
-{
-    checkOffsets(offsets, x->value.rows());
-    const int64_t segments = int64_t(offsets.size()) - 1;
-    const int64_t c = x->value.cols();
-    Tensor out = Tensor::zeros(segments, c);
-    if (!out.empty() && !x->value.empty())
-        kernels::gatherAggregate(x->value.data(), x->value.rows(), c,
-                                 nullptr, offsets.data(), segments,
-                                 kernels::Reduce::Mean, out.data());
-    return makeOp(std::move(out), {x},
-                  [off = std::move(offsets), c](Node& node) {
-        if (!node.inputs[0]->needsGrad() || node.grad.empty())
-            return;
-        Tensor& xg = node.inputs[0]->ensureGrad();
-        if (xg.empty())
-            return;
-        kernels::gatherAggregateBackward(
-            node.grad.data(), c, nullptr, off.data(),
-            int64_t(off.size()) - 1, /*mean=*/true, xg.data());
-    });
-}
-
-NodePtr
 gatherSegmentReduce(const NodePtr& x, std::vector<int64_t> sources,
                     std::vector<int64_t> offsets, bool mean)
 {
@@ -544,31 +519,6 @@ segmentSoftmax(const NodePtr& x, std::vector<int64_t> offsets)
                                    (node.grad.at(r, j) - float(dot));
             }
         }
-    });
-}
-
-NodePtr
-dropout(const NodePtr& x, float p, Rng& rng, bool training)
-{
-    if (!training || p <= 0.0f)
-        return x;
-    BETTY_ASSERT(p < 1.0f, "dropout probability must be < 1");
-    const float keep_scale = 1.0f / (1.0f - p);
-    auto mask = std::make_shared<std::vector<float>>(size_t(x->value.numel()));
-    Tensor out = x->value.clone();
-    float* po = out.data();
-    for (int64_t i = 0; i < out.numel(); ++i) {
-        const float m = rng.uniformReal() < p ? 0.0f : keep_scale;
-        (*mask)[size_t(i)] = m;
-        po[i] *= m;
-    }
-    return makeOp(std::move(out), {x}, [mask](Node& n) {
-        if (!n.inputs[0]->needsGrad())
-            return;
-        float* pxg = n.inputs[0]->ensureGrad().data();
-        const float* pg = n.grad.data();
-        for (int64_t i = 0; i < n.grad.numel(); ++i)
-            pxg[i] += pg[i] * (*mask)[size_t(i)];
     });
 }
 

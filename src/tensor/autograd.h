@@ -26,9 +26,6 @@
 #include "tensor/tensor.h"
 
 namespace betty {
-
-class Rng;
-
 namespace ag {
 
 struct Node;
@@ -123,9 +120,6 @@ NodePtr gatherRows(const NodePtr& x, std::vector<int64_t> indices);
  */
 NodePtr segmentSum(const NodePtr& x, std::vector<int64_t> offsets);
 
-/** Per-segment arithmetic mean; empty segments produce zeros. */
-NodePtr segmentMean(const NodePtr& x, std::vector<int64_t> offsets);
-
 /**
  * Fused gather + segment reduction (DGL's fused message-passing
  * kernel, the paper's §2.2): out[s] = reduce over rows x[sources[e]]
@@ -146,12 +140,6 @@ NodePtr segmentMax(const NodePtr& x, std::vector<int64_t> offsets);
  * attention normalization used by GAT.
  */
 NodePtr segmentSoftmax(const NodePtr& x, std::vector<int64_t> offsets);
-
-/**
- * Inverted dropout. Active only when @p training; scales survivors by
- * 1/(1-p) so the expected activation is unchanged.
- */
-NodePtr dropout(const NodePtr& x, float p, Rng& rng, bool training);
 
 /**
  * Mean softmax cross-entropy between logits [N, classes] and integer

@@ -178,7 +178,6 @@ MultiDeviceEngine::MultiDeviceEngine(const Dataset& dataset,
       interconnect_(config_.interconnect)
 {
     BETTY_ASSERT(config_.numDevices >= 1, "need at least one device");
-    trainer_.setPipeline(config_.pipeline);
     trainer_.setArbiter(this);
     const int64_t row_bytes =
         dataset_.featureDim() * int64_t(sizeof(float));
@@ -435,11 +434,11 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
     }
 
     const std::vector<int32_t> live = liveDeviceIds();
-    last_plan_ = shardVertexCut(micros, int32_t(live.size()),
-                                dataset_.featureDim());
+    const ShardPlan plan = shardVertexCut(
+        micros, int32_t(live.size()), dataset_.featureDim());
     for (size_t i = 0; i < micros.size(); ++i)
-        if (last_plan_.assignment[i] >= 0)
-            step_.owner[i] = live[size_t(last_plan_.assignment[i])];
+        if (plan.assignment[i] >= 0)
+            step_.owner[i] = live[size_t(plan.assignment[i])];
 
     // Parameter gradients outlive the per-device memory models'
     // scopes; allocate them under the CALLER's observer (where the

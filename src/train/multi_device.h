@@ -24,7 +24,7 @@
  * order. Device assignment decides only where the simulated bytes
  * and seconds are charged — never the float operation order — so
  * losses and parameters are bit-identical to single-device gradient
- * accumulation for any device count, thread count, pipeline mode,
+ * accumulation for any device count, thread count (pipelined or not),
  * and cache size. The engine's per-micro-batch policy (fault clock,
  * device faults, straggler supervisor) runs in the loop's
  * MicroBatchArbiter hooks.
@@ -87,15 +87,6 @@ struct MultiDeviceConfig
 
     /** Replacement policy of the per-device caches. */
     CachePolicy cachePolicy = CachePolicy::Lru;
-
-    /**
-     * Gather micro-batch k+1's feature rows on a pool lane while k
-     * computes (Trainer::setPipeline). Either way numerics and all
-     * per-device accounting are bit-identical: every charge happens
-     * at consumption time on the calling thread, in canonical
-     * micro-batch order.
-     */
-    bool pipeline = true;
 
     /**
      * Straggler supervisor: a device is flagged when its EWMA of
@@ -296,10 +287,6 @@ class MultiDeviceEngine : private MicroBatchArbiter
     /** Devices not yet lost to a device-drop fault. */
     int32_t liveDevices() const;
 
-    /** The vertex-cut plan of the most recent step (before any
-     * mid-step re-shard). */
-    const ShardPlan& lastShardPlan() const { return last_plan_; }
-
     /** The interconnect's cumulative collective accounting. */
     const InterconnectModel& interconnect() const
     {
@@ -412,7 +399,6 @@ class MultiDeviceEngine : private MicroBatchArbiter
     Trainer trainer_;
     InterconnectModel interconnect_;
     std::vector<std::unique_ptr<DeviceState>> devices_;
-    ShardPlan last_plan_;
     Step step_;
 };
 

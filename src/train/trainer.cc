@@ -9,7 +9,6 @@
 #include "memory/estimator.h"
 #include "obs/memprof.h"
 #include "obs/metrics.h"
-#include "obs/residual.h"
 #include "obs/trace.h"
 #include "robustness/retry.h"
 #include "tensor/autograd.h"
@@ -226,9 +225,8 @@ Trainer::accumulateMicroBatches(
     // the link and every device allocation happen below, on this
     // thread, in serial order — every stat and every counter is
     // bit-identical to the serial schedule.
-    const bool pipelined = pipeline_ &&
-                           ThreadPool::globalThreads() > 1 &&
-                           active.size() > 1;
+    const bool pipelined =
+        ThreadPool::globalThreads() > 1 && active.size() > 1;
     auto trace_device = [&](size_t index) {
         return devices.size() > 1 ? owner[index] : -1;
     };
@@ -359,10 +357,8 @@ Trainer::accumulateMicroBatches(
                 // in total and per component.
                 const MemoryEstimate predicted = estimateBatchMemory(
                     batch, model_.memorySpec());
-                const int64_t actual = device.memory->windowPeakBytes();
-                obs::residuals().record(predicted.peak, actual);
                 obs::MicroBatchMemRecord record;
-                record.actualTotalPeak = actual;
+                record.actualTotalPeak = device.memory->windowPeakBytes();
                 record.predictedTotalPeak = predicted.peak;
                 for (size_t c = 0; c < obs::kMemCategoryCount; ++c) {
                     const auto category = obs::MemCategory(c);

@@ -163,19 +163,6 @@ class Trainer
             TransferModel* transfer = nullptr);
 
     /**
-     * Enable/disable transfer-compute pipelining (default enabled).
-     * When enabled AND the global ThreadPool has more than one lane,
-     * the micro-batch loop gathers micro-batch k+1's feature rows on
-     * a pool worker (its own lane in the Chrome trace) while
-     * micro-batch k computes. The gather is pure host work; every
-     * charge — cache lookup, link, device memory — is made when the
-     * rows are consumed, on the training thread, in the serial order,
-     * so loss, accuracy and all accounting are bit-identical to the
-     * serial schedule (docs/PARALLELISM.md).
-     */
-    void setPipeline(bool on) { pipeline_ = on; }
-
-    /**
      * Install (or with nullptr remove) the micro-batch arbiter
      * consulted by trainMicroBatches. Not owned; must outlive the
      * trainer or be removed first.
@@ -209,7 +196,11 @@ class Trainer
      * once micro-batch i is admitted, so the arbiter may re-assign
      * micro-batches not yet admitted. Placement only decides where
      * bytes and seconds are charged, never the float operation order.
-     * With more than one device, each device's gathers get their own
+     * With more than one pool lane, micro-batch k+1's feature rows are
+     * gathered on a pool worker while k computes; every charge is
+     * still made on this thread in serial order, so the results equal
+     * the serial schedule's (docs/PARALLELISM.md). With more than one
+     * device, each device's gathers get their own
      * trace lane (1000 + index, named "deviceN"). Returns loss,
      * accuracy, node counts and compute seconds; on an arbiter abort
      * the gradients are zeroed again.
@@ -272,7 +263,6 @@ class Trainer
      * charge. */
     TrainDevice own_;
     MicroBatchArbiter* arbiter_ = nullptr;
-    bool pipeline_ = true;
 
     /**
      * Per-micro-batch scratch arena (kernels/arena.h): every forward/

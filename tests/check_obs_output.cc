@@ -13,9 +13,7 @@
  * violation and exits 1 otherwise.
  */
 #include <cstdio>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,7 +24,6 @@
 namespace {
 
 using betty::obs::JsonValue;
-using betty::obs::parseJson;
 
 int failures = 0;
 
@@ -39,28 +36,11 @@ fail(const std::string& message)
 }
 
 bool
-readFile(const std::string& path, std::string& out)
-{
-    std::ifstream file(path);
-    if (!file)
-        return false;
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    out = buffer.str();
-    return true;
-}
-
-bool
 loadJson(const std::string& path, JsonValue& doc)
 {
-    std::string text;
-    if (!readFile(path, text)) {
-        fail("cannot read '" + path + "'");
-        return false;
-    }
     std::string error;
-    if (!parseJson(text, doc, &error)) {
-        fail("'" + path + "' is not valid JSON: " + error);
+    if (!betty::obs::readJsonFile(path, doc, &error)) {
+        fail(error);
         return false;
     }
     return true;

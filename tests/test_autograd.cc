@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kernels/kernels.h"
 #include "tensor/autograd.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -31,6 +32,37 @@ scalarize(const NodePtr& x)
         right.at(j, 0) = 0.5f - 0.11f * float(j);
     return ag::matmul(ag::matmul(ag::constant(std::move(left)), x),
                       ag::constant(std::move(right)));
+}
+
+/**
+ * Per-segment arithmetic mean over contiguous row ranges; empty
+ * segments produce zeros. The unfused reference the fused
+ * gatherSegmentReduce kernel is checked against.
+ */
+NodePtr
+segmentMean(const NodePtr& x, std::vector<int64_t> offsets)
+{
+    const int64_t segments = int64_t(offsets.size()) - 1;
+    const int64_t c = x->value.cols();
+    auto node = std::make_shared<ag::Node>();
+    node->value = Tensor::zeros(segments, c);
+    if (!node->value.empty() && !x->value.empty())
+        kernels::gatherAggregate(x->value.data(), x->value.rows(), c,
+                                 nullptr, offsets.data(), segments,
+                                 kernels::Reduce::Mean,
+                                 node->value.data());
+    node->inputs = {x};
+    node->backwardFn = [off = std::move(offsets), c](ag::Node& self) {
+        if (!self.inputs[0]->needsGrad() || self.grad.empty())
+            return;
+        Tensor& xg = self.inputs[0]->ensureGrad();
+        if (xg.empty())
+            return;
+        kernels::gatherAggregateBackward(
+            self.grad.data(), c, nullptr, off.data(),
+            int64_t(off.size()) - 1, /*mean=*/true, xg.data());
+    };
+    return node;
 }
 
 NodePtr
@@ -166,13 +198,13 @@ TEST(Autograd, SegmentMeanGradients)
     auto x = param(6, 2, 23);
     const std::vector<int64_t> offsets = {0, 3, 4, 6};
     testutil::checkGradients(
-        [&] { return scalarize(ag::segmentMean(x, offsets)); }, {x});
+        [&] { return scalarize(segmentMean(x, offsets)); }, {x});
 }
 
 TEST(Autograd, SegmentMeanEmptySegmentIsZero)
 {
     auto x = ag::constant(Tensor::full(2, 2, 5.0f));
-    const auto y = ag::segmentMean(x, {0, 0, 2});
+    const auto y = segmentMean(x, {0, 0, 2});
     EXPECT_FLOAT_EQ(y->value.at(0, 0), 0.0f);
     EXPECT_FLOAT_EQ(y->value.at(1, 0), 5.0f);
 }
@@ -188,7 +220,7 @@ TEST(Autograd, GatherSegmentReduceMatchesUnfused)
             ag::gatherSegmentReduce(x, sources, offsets, mean);
         const auto gathered = ag::gatherRows(x, sources);
         const auto unfused =
-            mean ? ag::segmentMean(gathered, offsets)
+            mean ? segmentMean(gathered, offsets)
                  : ag::segmentSum(gathered, offsets);
         ASSERT_TRUE(fused->value.sameShape(unfused->value));
         for (int64_t i = 0; i < fused->value.numel(); ++i)
@@ -268,22 +300,6 @@ TEST(Autograd, SoftmaxCrossEntropyGradients)
     testutil::checkGradients(
         [&] { return ag::softmaxCrossEntropy(logits, labels); },
         {logits}, 1e-2f, 3e-2f);
-}
-
-TEST(Autograd, DropoutDisabledIsIdentity)
-{
-    Rng rng(30);
-    auto x = param(3, 3, 27);
-    const auto y = ag::dropout(x, 0.5f, rng, /*training=*/false);
-    EXPECT_EQ(y.get(), x.get());
-}
-
-TEST(Autograd, DropoutPreservesExpectation)
-{
-    Rng rng(31);
-    auto x = ag::constant(Tensor::full(1000, 1, 1.0f));
-    const auto y = ag::dropout(x, 0.3f, rng, true);
-    EXPECT_NEAR(y->value.sum() / 1000.0f, 1.0f, 0.1f);
 }
 
 TEST(Autograd, GradientAccumulatesAcrossBackwards)

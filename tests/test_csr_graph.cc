@@ -95,25 +95,6 @@ TEST(CsrGraph, EdgeListRoundTrip)
     EXPECT_EQ(got, want);
 }
 
-TEST(CsrGraph, InDegreeBucketsTailAccumulates)
-{
-    // Node 3 has in-degree 3; with max_bucket=2 it lands in the tail.
-    const CsrGraph g(4, {{0, 3}, {1, 3}, {2, 3}, {3, 0}});
-    const auto buckets = g.inDegreeBuckets(2);
-    ASSERT_EQ(buckets.size(), 3u);
-    EXPECT_EQ(buckets[0], 2); // nodes 1 and 2
-    EXPECT_EQ(buckets[1], 1); // node 0
-    EXPECT_EQ(buckets[2], 1); // node 3 in the tail
-}
-
-TEST(CsrGraph, InDegreeBucketsRestrictedToNodes)
-{
-    const CsrGraph g(4, {{0, 3}, {1, 3}, {2, 3}, {3, 0}});
-    const auto buckets = g.inDegreeBuckets(2, {3});
-    EXPECT_EQ(buckets[0], 0);
-    EXPECT_EQ(buckets[2], 1);
-}
-
 TEST(CsrGraph, ToyGraphSymmetry)
 {
     const auto g = testutil::toyGraph();

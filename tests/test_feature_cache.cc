@@ -301,28 +301,6 @@ TEST(FeatureCacheProperty, ShrinkToReturnsBytesAndCountsRelease)
     EXPECT_EQ(cache.stats().releasedBytes, 16 * kRowBytes);
 }
 
-TEST(FeatureCacheProperty, InvalidateDropsResidencyKeepsReservation)
-{
-    // The checkpoint/resume contract: cache contents are never
-    // persisted, so a resumed run starts cold — but the reservation
-    // (part of the memory plan) stays charged.
-    DeviceMemoryModel device;
-    FeatureCache cache(&device, 8 * kRowBytes, kRowBytes,
-                       CachePolicy::LruPinned);
-    cache.pin({1, 2});
-    cache.access({3, 4, 5});
-    ASSERT_EQ(cache.residentRows(), 5);
-
-    cache.invalidate();
-    EXPECT_EQ(cache.residentRows(), 0);
-    EXPECT_EQ(cache.pinnedRows(), 0);
-    EXPECT_EQ(cache.reservedBytes(), 8 * kRowBytes);
-    EXPECT_EQ(device.liveBytes(obs::MemCategory::FeatureCache),
-              8 * kRowBytes);
-    const auto cold = cache.access({1, 2, 3});
-    EXPECT_EQ(cold.hits, 0);
-}
-
 TEST(FeatureCacheProperty, PolicyNamesRoundTrip)
 {
     CachePolicy policy;

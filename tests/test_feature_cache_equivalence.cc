@@ -1,8 +1,9 @@
 /**
  * @file
  * Differential proof that the feature cache is a pure data-movement
- * optimization: for cache sizes {0, small, ∞} × threads {1, 8} ×
- * pipeline on/off, epoch losses and final parameter hashes are
+ * optimization: for cache sizes {0, small, ∞} × threads {1, 8} (8
+ * lanes pipeline the gathers), epoch losses and final parameter
+ * hashes are
  * bit-identical to the uncached trainer, while transfer.bytes is
  * monotone non-increasing in cache size (strictly lower once the
  * cache holds the working set across epochs). Also asserts the
@@ -112,8 +113,7 @@ struct Env
      * cache size — exactly what the differential assertions need.
      */
     RunResult
-    run(int32_t threads, bool pipeline, int epochs,
-        int64_t cache_bytes) const
+    run(int32_t threads, int epochs, int64_t cache_bytes) const
     {
         ThreadPool::setGlobalThreads(threads);
         obs::Metrics::setEnabled(true);
@@ -126,7 +126,6 @@ struct Env
         Adam adam(model.parameters(), 0.01f);
         TransferModel transfer;
         Trainer trainer(dataset, model, adam, &device, &transfer);
-        trainer.setPipeline(pipeline);
 
         std::unique_ptr<FeatureCache> cache;
         if (cache_bytes > 0) {
@@ -182,24 +181,20 @@ TEST(FeatureCacheEquivalence, BitIdenticalAcrossSizesThreadsPipeline)
 {
     Env env;
     ASSERT_GT(env.micros.size(), 1u);
-    const RunResult uncached = env.run(1, false, kEpochs, 0);
+    const RunResult uncached = env.run(1, kEpochs, 0);
     EXPECT_GT(uncached.losses.front(), 0.0); // real work happened
 
     const int64_t small = 64 * env.rowBytes();
     const int64_t infinite =
         env.dataset.graph.numNodes() * env.rowBytes();
     for (const int64_t cache_bytes : {int64_t(0), small, infinite})
-        for (const int32_t threads : {1, 8})
-            for (const bool pipeline : {false, true}) {
-                const RunResult cached =
-                    env.run(threads, pipeline, kEpochs, cache_bytes);
-                SCOPED_TRACE("cache_bytes=" +
-                             std::to_string(cache_bytes) +
-                             " threads=" + std::to_string(threads) +
-                             " pipeline=" +
-                             std::to_string(pipeline));
-                expectSameNumerics(uncached, cached);
-            }
+        for (const int32_t threads : {1, 8}) {
+            const RunResult cached =
+                env.run(threads, kEpochs, cache_bytes);
+            SCOPED_TRACE("cache_bytes=" + std::to_string(cache_bytes) +
+                         " threads=" + std::to_string(threads));
+            expectSameNumerics(uncached, cached);
+        }
 }
 
 TEST(FeatureCacheEquivalence, TransferBytesNonIncreasingInCacheSize)
@@ -209,30 +204,25 @@ TEST(FeatureCacheEquivalence, TransferBytesNonIncreasingInCacheSize)
                              64 * env.rowBytes(),
                              env.dataset.graph.numNodes() *
                                  env.rowBytes()};
-    for (const int32_t threads : {1, 8})
-        for (const bool pipeline : {false, true}) {
-            int64_t previous = -1;
-            for (const int64_t cache_bytes : sizes) {
-                const RunResult result =
-                    env.run(threads, pipeline, kEpochs, cache_bytes);
-                SCOPED_TRACE("cache_bytes=" +
-                             std::to_string(cache_bytes) +
-                             " threads=" + std::to_string(threads) +
-                             " pipeline=" +
-                             std::to_string(pipeline));
-                if (previous >= 0) {
-                    EXPECT_LE(result.transferBytes, previous);
-                }
-                previous = result.transferBytes;
+    for (const int32_t threads : {1, 8}) {
+        int64_t previous = -1;
+        for (const int64_t cache_bytes : sizes) {
+            const RunResult result =
+                env.run(threads, kEpochs, cache_bytes);
+            SCOPED_TRACE("cache_bytes=" + std::to_string(cache_bytes) +
+                         " threads=" + std::to_string(threads));
+            if (previous >= 0) {
+                EXPECT_LE(result.transferBytes, previous);
             }
+            previous = result.transferBytes;
         }
+    }
 
     // Strict saving once the cache holds the whole working set: every
     // epoch after the first re-reads rows the first epoch inserted.
-    const RunResult uncached = env.run(1, false, kEpochs, 0);
+    const RunResult uncached = env.run(1, kEpochs, 0);
     const RunResult infinite = env.run(
-        1, false, kEpochs,
-        env.dataset.graph.numNodes() * env.rowBytes());
+        1, kEpochs, env.dataset.graph.numNodes() * env.rowBytes());
     EXPECT_LT(infinite.transferBytes, uncached.transferBytes);
     EXPECT_GT(infinite.savedBytes, 0);
     EXPECT_EQ(infinite.savedBytes,
@@ -247,12 +237,9 @@ TEST(FeatureCacheEquivalence, TransferBytesIndependentOfSchedule)
     // reproducible at all.
     Env env;
     const int64_t cache_bytes = 48 * env.rowBytes();
-    const RunResult serial = env.run(1, false, kEpochs, cache_bytes);
-    const RunResult threaded = env.run(8, false, kEpochs, cache_bytes);
-    const RunResult pipelined = env.run(8, true, kEpochs, cache_bytes);
-    EXPECT_EQ(serial.transferBytes, threaded.transferBytes);
+    const RunResult serial = env.run(1, kEpochs, cache_bytes);
+    const RunResult pipelined = env.run(8, kEpochs, cache_bytes);
     EXPECT_EQ(serial.transferBytes, pipelined.transferBytes);
-    EXPECT_EQ(serial.savedBytes, threaded.savedBytes);
     EXPECT_EQ(serial.savedBytes, pipelined.savedBytes);
     EXPECT_EQ(serial.cacheStats.hits, pipelined.cacheStats.hits);
     EXPECT_EQ(serial.cacheStats.misses, pipelined.cacheStats.misses);
@@ -266,7 +253,7 @@ TEST(FeatureCacheEquivalence, HitsAndMissesAccountForEveryInputRow)
     // trainer consults the cache once per micro-batch input set.
     Env env;
     const RunResult cached =
-        env.run(4, true, kEpochs, 32 * env.rowBytes());
+        env.run(4, kEpochs, 32 * env.rowBytes());
     EXPECT_EQ(cached.cacheStats.hits + cached.cacheStats.misses,
               cached.inputNodes);
 }
@@ -286,7 +273,7 @@ TEST(FeatureCacheEquivalence, SamplerContractUntouchedByCache)
         return hashBatch(sampler.sample(seeds));
     };
     const uint64_t before = sampleHash();
-    env.run(4, true, 2, 64 * env.rowBytes());
+    env.run(4, 2, 64 * env.rowBytes());
     const uint64_t after = sampleHash();
     EXPECT_EQ(before, after);
 }

@@ -223,7 +223,6 @@ TEST_F(FlightRecorderTest, FaultInjectedRunLeavesTheRecoveryStory)
         Adam adam(model.parameters(), 0.01f);
         TransferModel transfer;
         Trainer trainer(dataset, model, adam, &device, &transfer);
-        trainer.setPipeline(false);
         BettyPartitioner partitioner;
         ResilientTrainer resilient(trainer, model.memorySpec(),
                                    partitioner, &device);

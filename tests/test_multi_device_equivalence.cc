@@ -2,8 +2,9 @@
  * @file
  * Differential proof that multi-device sharding is a pure
  * placement/accounting decision: for device counts {1, 2, 4, 8} x
- * threads {1, 8} x pipeline on/off x per-device cache {0, small},
- * epoch losses and final parameter hashes are bit-identical to the
+ * threads {1, 8} (8 lanes pipeline the gathers) x per-device cache
+ * {0, small}, epoch losses and final parameter hashes are
+ * bit-identical to the
  * single-device Trainer. The same argument makes device-drop
  * recovery exact: a run that loses a device mid-epoch finishes with
  * the same parameter hash as every other configuration, because
@@ -150,7 +151,7 @@ struct Env
      * installed as the fault plan and cleared before returning.
      */
     RunResult
-    runMulti(int32_t devices, int32_t threads, bool pipeline,
+    runMulti(int32_t devices, int32_t threads,
              int64_t cache_bytes_per_device, int epochs,
              const std::string& faults = "",
              uint64_t fault_seed = 0,
@@ -172,7 +173,6 @@ struct Env
         MultiDeviceConfig config;
         config.numDevices = devices;
         config.cacheBytesPerDevice = cache_bytes_per_device;
-        config.pipeline = pipeline;
         if (straggler_factor >= 0.0)
             config.stragglerFactor = straggler_factor;
         MultiDeviceEngine engine(dataset, model, adam, config);
@@ -231,17 +231,14 @@ TEST(MultiDeviceEquivalence, BitIdenticalAcrossDevicesThreadsCache)
     const int64_t small = 64 * env.rowBytes();
     for (const int32_t devices : {1, 2, 4, 8})
         for (const int32_t threads : {1, 8})
-            for (const bool pipeline : {false, true})
-                for (const int64_t cache : {int64_t(0), small}) {
-                    SCOPED_TRACE(
-                        "devices=" + std::to_string(devices) +
-                        " threads=" + std::to_string(threads) +
-                        " pipeline=" + std::to_string(pipeline) +
-                        " cache=" + std::to_string(cache));
-                    const RunResult result = env.runMulti(
-                        devices, threads, pipeline, cache, kEpochs);
-                    expectSameNumerics(reference, result);
-                }
+            for (const int64_t cache : {int64_t(0), small}) {
+                SCOPED_TRACE("devices=" + std::to_string(devices) +
+                             " threads=" + std::to_string(threads) +
+                             " cache=" + std::to_string(cache));
+                const RunResult result =
+                    env.runMulti(devices, threads, cache, kEpochs);
+                expectSameNumerics(reference, result);
+            }
 }
 
 TEST(MultiDeviceEquivalence, TransferAccountingScheduleIndependent)
@@ -252,10 +249,8 @@ TEST(MultiDeviceEquivalence, TransferAccountingScheduleIndependent)
     // time on the calling thread, in canonical order.
     Env env;
     const int64_t cache = 48 * env.rowBytes();
-    const RunResult serial = env.runMulti(4, 1, false, cache, kEpochs);
-    const RunResult threaded = env.runMulti(4, 8, false, cache, kEpochs);
-    const RunResult pipelined = env.runMulti(4, 8, true, cache, kEpochs);
-    EXPECT_EQ(serial.transferBytes, threaded.transferBytes);
+    const RunResult serial = env.runMulti(4, 1, cache, kEpochs);
+    const RunResult pipelined = env.runMulti(4, 8, cache, kEpochs);
     EXPECT_EQ(serial.transferBytes, pipelined.transferBytes);
 }
 
@@ -267,12 +262,12 @@ TEST(MultiDeviceEquivalence, EpochDropMatchesFewerDevicesFromStart)
     // start — and, because placement never touches numerics, to every
     // other configuration too.
     Env env;
-    const RunResult dropped = env.runMulti(4, 1, false, 0, kEpochs,
+    const RunResult dropped = env.runMulti(4, 1, 0, kEpochs,
                                            "device-drop@epoch2");
     EXPECT_EQ(dropped.deviceDrops, 1);
     EXPECT_EQ(dropped.liveDevices, 3);
 
-    const RunResult three = env.runMulti(3, 1, false, 0, kEpochs);
+    const RunResult three = env.runMulti(3, 1, 0, kEpochs);
     expectSameNumerics(three, dropped);
     expectSameNumerics(env.runSingle(kEpochs), dropped);
 }
@@ -283,17 +278,14 @@ TEST(MultiDeviceEquivalence, MidEpochDropReshardsWithExactNumerics)
     // already executed on the victim stay counted, pending ones
     // re-shard over the survivors, and the numerics never notice.
     Env env;
-    for (const int32_t threads : {1, 8})
-        for (const bool pipeline : {false, true}) {
-            SCOPED_TRACE("threads=" + std::to_string(threads) +
-                         " pipeline=" + std::to_string(pipeline));
-            const RunResult dropped =
-                env.runMulti(4, threads, pipeline, 0, kEpochs,
-                             "device-drop=0@epoch2.mb3");
-            EXPECT_EQ(dropped.deviceDrops, 1);
-            EXPECT_EQ(dropped.liveDevices, 3);
-            expectSameNumerics(env.runSingle(kEpochs), dropped);
-        }
+    for (const int32_t threads : {1, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const RunResult dropped = env.runMulti(
+            4, threads, 0, kEpochs, "device-drop=0@epoch2.mb3");
+        EXPECT_EQ(dropped.deviceDrops, 1);
+        EXPECT_EQ(dropped.liveDevices, 3);
+        expectSameNumerics(env.runSingle(kEpochs), dropped);
+    }
 }
 
 TEST(MultiDeviceEquivalence, DropRequestsForDeadDevicesAreIgnored)
@@ -302,7 +294,7 @@ TEST(MultiDeviceEquivalence, DropRequestsForDeadDevicesAreIgnored)
     // ignored (warn + continue), not a crash or a double count.
     Env env;
     const RunResult result = env.runMulti(
-        4, 1, false, 0, kEpochs,
+        4, 1, 0, kEpochs,
         "device-drop=2@epoch1;device-drop=2@epoch2");
     EXPECT_EQ(result.deviceDrops, 1);
     EXPECT_EQ(result.liveDevices, 3);
@@ -323,9 +315,9 @@ TEST(MultiDeviceEquivalence, StragglerReshardBeatsStandingStill)
     Env env;
     const std::string slow = "device-slow=4@epoch2:device=1";
     const RunResult supervised =
-        env.runMulti(4, 1, false, 0, kEpochs, slow);
+        env.runMulti(4, 1, 0, kEpochs, slow);
     const RunResult unsupervised =
-        env.runMulti(4, 1, false, 0, kEpochs, slow,
+        env.runMulti(4, 1, 0, kEpochs, slow,
                      /*fault_seed=*/0, /*straggler_factor=*/0.0);
 
     EXPECT_EQ(supervised.deviceSlowFaults, 1);
@@ -351,10 +343,10 @@ TEST(MultiDeviceEquivalence, DeviceSlowHealsAfterItsDuration)
     // strictly below the same schedule without a duration.
     Env env;
     const RunResult healed = env.runMulti(
-        4, 1, false, 0, kEpochs,
+        4, 1, 0, kEpochs,
         "device-slow=4@epoch2:device=1:duration=1");
     const RunResult forever = env.runMulti(
-        4, 1, false, 0, kEpochs, "device-slow=4@epoch2:device=1",
+        4, 1, 0, kEpochs, "device-slow=4@epoch2:device=1",
         /*fault_seed=*/0, /*straggler_factor=*/0.0);
     expectSameNumerics(env.runSingle(kEpochs), healed);
     EXPECT_LT(healed.maxTransferSeconds,
@@ -371,11 +363,11 @@ TEST(MultiDeviceEquivalence, TransferFlakyIsAbsorbedDeterministically)
     Env env;
     const std::string flaky = "transfer-flaky=0.3@epoch2";
     const RunResult first =
-        env.runMulti(2, 1, false, 0, kEpochs, flaky, 77);
+        env.runMulti(2, 1, 0, kEpochs, flaky, 77);
     const RunResult replay =
-        env.runMulti(2, 1, false, 0, kEpochs, flaky, 77);
+        env.runMulti(2, 1, 0, kEpochs, flaky, 77);
     const RunResult other_seed =
-        env.runMulti(2, 1, false, 0, kEpochs, flaky, 78);
+        env.runMulti(2, 1, 0, kEpochs, flaky, 78);
 
     const RunResult reference = env.runSingle(kEpochs);
     expectSameNumerics(reference, first);
@@ -404,14 +396,14 @@ TEST(MultiDeviceEquivalence, OneDeviceEngineChargesLikeTheTrainer)
     // The single-device Trainer and a one-device engine run the same
     // micro-batch loop, so they must charge the same link bytes and
     // seconds and gather the same rows — with and without a cache,
-    // pipelined or not.
+    // on 1 lane (serial) and 4 (pipelined).
     Env env;
-    ThreadPool::setGlobalThreads(4);
     obs::Metrics::setEnabled(true);
-    for (const bool pipeline : {false, true})
+    for (const int32_t threads : {1, 4})
         for (const int64_t cache : {int64_t(0), 48 * env.rowBytes()}) {
-            SCOPED_TRACE("pipeline=" + std::to_string(pipeline) +
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
                          " cache=" + std::to_string(cache));
+            ThreadPool::setGlobalThreads(threads);
             Accounting trainer_run;
             {
                 obs::Metrics::reset();
@@ -425,7 +417,6 @@ TEST(MultiDeviceEquivalence, OneDeviceEngineChargesLikeTheTrainer)
                 GraphSage model(env.sageConfig());
                 Adam adam(model.parameters(), 0.01f);
                 Trainer trainer(env.dataset, model, adam, &device, &link);
-                trainer.setPipeline(pipeline);
                 trainer.setFeatureCache(feature_cache.get());
                 for (int epoch = 0; epoch < kEpochs; ++epoch) {
                     const int64_t bytes = counterValue("transfer.bytes");
@@ -445,7 +436,6 @@ TEST(MultiDeviceEquivalence, OneDeviceEngineChargesLikeTheTrainer)
                 Adam adam(model.parameters(), 0.01f);
                 MultiDeviceConfig config;
                 config.cacheBytesPerDevice = cache;
-                config.pipeline = pipeline;
                 MultiDeviceEngine engine(env.dataset, model, adam,
                                          config);
                 for (int epoch = 0; epoch < kEpochs; ++epoch) {
@@ -484,7 +474,7 @@ TEST(MultiDeviceEquivalence, SamplerContractUntouchedByEngine)
         return hashBatch(sampler.sample(seeds));
     };
     const uint64_t before = sampleHash();
-    env.runMulti(4, 8, true, 64 * env.rowBytes(), 2);
+    env.runMulti(4, 8, 64 * env.rowBytes(), 2);
     const uint64_t after = sampleHash();
     EXPECT_EQ(before, after);
 }

@@ -2,9 +2,9 @@
  * @file
  * Tests for the observability subsystem (src/obs/): trace spans and
  * ring buffers, the metrics registry and its histogram percentiles,
- * estimator-residual tracking, the JSON parser used to validate
- * exports, and the logging-level / warn-once helpers from
- * util/logging.h.
+ * estimator residuals over the memory profiler's records, the JSON
+ * writer, parser and file helpers every export goes through, and the
+ * logging-level / warn-once helpers from util/logging.h.
  *
  * The collectors are process-global, so every test starts from a
  * known state (ObsTest fixture) and the metric names it registers are
@@ -13,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,7 +23,6 @@
 #include "obs/json.h"
 #include "obs/memprof.h"
 #include "obs/metrics.h"
-#include "obs/residual.h"
 #include "obs/run_meta.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
@@ -55,6 +57,16 @@ class ObsTest : public ::testing::Test
         obs::Metrics::reset();
     }
 };
+
+/** Record one micro-batch's predicted and measured total peak. */
+void
+recordPeaks(int64_t predicted, int64_t actual)
+{
+    obs::MicroBatchMemRecord record;
+    record.predictedTotalPeak = predicted;
+    record.actualTotalPeak = actual;
+    obs::memProfiler().record(record);
+}
 
 /** Events in the current snapshot carrying @p name. */
 std::vector<obs::TraceEvent>
@@ -211,11 +223,11 @@ TEST_F(ObsTest, DisabledMetricsAreNoOps)
     gauge.set(5);
     gauge.max(5);
     histogram.observe(0.5);
-    obs::residuals().record(100, 90);
+    recordPeaks(100, 90);
     EXPECT_EQ(counter.value(), 0);
     EXPECT_EQ(gauge.value(), 0);
     EXPECT_EQ(histogram.count(), 0);
-    EXPECT_TRUE(obs::residuals().entries().empty());
+    EXPECT_TRUE(obs::memProfiler().records().empty());
 }
 
 TEST_F(ObsTest, CounterAndGaugeBasics)
@@ -289,11 +301,11 @@ TEST(HistogramPercentile, OverflowBucketClampsToLastBound)
 TEST_F(ObsTest, ResidualMath)
 {
     obs::Metrics::setEnabled(true);
-    obs::residuals().record(120, 100); // +20, +0.2
-    obs::residuals().record(80, 100);  // -20, -0.2
-    obs::residuals().record(50, 0);    // excluded from relative stats
+    recordPeaks(120, 100); // +20, +0.2
+    recordPeaks(80, 100);  // -20, -0.2
+    recordPeaks(50, 0);    // excluded from relative stats
 
-    const auto entries = obs::residuals().entries();
+    const auto entries = obs::memProfiler().records();
     ASSERT_EQ(entries.size(), 3u);
     EXPECT_EQ(entries[0].residualBytes(), 20);
     EXPECT_DOUBLE_EQ(entries[0].relativeError(), 0.2);
@@ -301,7 +313,7 @@ TEST_F(ObsTest, ResidualMath)
     EXPECT_DOUBLE_EQ(entries[1].relativeError(), -0.2);
     EXPECT_DOUBLE_EQ(entries[2].relativeError(), 0.0);
 
-    const auto summary = obs::residuals().summary();
+    const auto summary = obs::residualSummary(entries);
     EXPECT_EQ(summary.count, 3);
     EXPECT_DOUBLE_EQ(summary.meanAbsBytes, 30.0);
     EXPECT_DOUBLE_EQ(summary.meanAbsRelative, 0.2);
@@ -315,7 +327,7 @@ TEST_F(ObsTest, MetricsJsonRoundTrip)
     obs::Metrics::counter("obs_test.rt_c").add(7);
     obs::Metrics::gauge("obs_test.rt_g").set(42);
     obs::Metrics::histogram("obs_test.rt_h", {1.0, 2.0}).observe(1.5);
-    obs::residuals().record(110, 100);
+    recordPeaks(110, 100);
 
     JsonValue doc;
     std::string error;
@@ -361,10 +373,10 @@ TEST_F(ObsTest, MetricsResetClearsValuesKeepsRegistrations)
     obs::Metrics::setEnabled(true);
     obs::Counter& counter = obs::Metrics::counter("obs_test.reset_c");
     counter.add(9);
-    obs::residuals().record(10, 10);
+    recordPeaks(10, 10);
     obs::Metrics::reset();
     EXPECT_EQ(counter.value(), 0);
-    EXPECT_TRUE(obs::residuals().entries().empty());
+    EXPECT_TRUE(obs::memProfiler().records().empty());
     // Still the same registered object.
     EXPECT_EQ(&obs::Metrics::counter("obs_test.reset_c"), &counter);
 }
@@ -389,6 +401,107 @@ TEST_F(ObsTest, JsonParserAcceptsAndRejects)
     EXPECT_FALSE(parseJson("{} trailing", doc));
     EXPECT_FALSE(parseJson("[1, 2", doc));
     EXPECT_FALSE(parseJson("", doc));
+}
+
+TEST(JsonParser, RejectsNestingBeyondTheDepthCap)
+{
+    // Every level is one parser recursion: uncapped, this document
+    // overflows the stack.
+    const size_t levels = 100000;
+    const std::string deep =
+        std::string(levels, '[') + std::string(levels, ']');
+    JsonValue doc;
+    std::string error;
+    EXPECT_FALSE(parseJson(deep, doc, &error));
+    EXPECT_NE(error.find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << error;
+
+    const size_t cap = size_t(obs::kMaxJsonDepth);
+    EXPECT_TRUE(parseJson(std::string(cap, '[') + std::string(cap, ']'),
+                          doc, &error))
+        << error;
+}
+
+TEST(JsonWriter, OutputRoundTripsThroughTheParser)
+{
+    const std::string tricky = "q\"b\\n\nt\t\x01 end";
+    const int64_t above_2_53 = (int64_t(1) << 53) + 1;
+    obs::JsonWriter out;
+    out.beginObject();
+    out.key(tricky).string(tricky);
+    out.key("empty_object").beginObject().endObject();
+    out.key("empty_array").beginArray().endArray();
+    out.key("nested").beginArray();
+    out.beginObject().key("inner").beginArray().integer(1);
+    out.beginArray().endArray().endArray().endObject();
+    out.endArray();
+    out.key("negative_zero").number(-0.0);
+    out.key("huge").number(1e300);
+    out.key("third").number(1.0 / 3.0);
+    out.key("above_2_53").integer(above_2_53);
+    out.key("int64_min").integer(std::numeric_limits<int64_t>::min());
+    out.key("flag").boolean(false);
+    out.key("inf").number(std::numeric_limits<double>::infinity());
+    out.endObject();
+    const std::string text = out.take();
+    ASSERT_EQ(text.back(), '\n');
+
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(text, doc, &error)) << error << "\n" << text;
+    ASSERT_NE(doc.find(tricky), nullptr) << text;
+    EXPECT_EQ(doc.find(tricky)->string, tricky);
+    EXPECT_TRUE(doc.find("empty_object")->isObject());
+    EXPECT_TRUE(doc.find("empty_object")->object.empty());
+    EXPECT_TRUE(doc.find("empty_array")->isArray());
+    EXPECT_TRUE(doc.find("empty_array")->array.empty());
+    const JsonValue& nested = *doc.find("nested");
+    ASSERT_EQ(nested.array.size(), 1u);
+    const JsonValue* inner = nested.array[0].find("inner");
+    ASSERT_NE(inner, nullptr);
+    ASSERT_EQ(inner->array.size(), 2u);
+    EXPECT_EQ(inner->array[0].asInt(), 1);
+    EXPECT_TRUE(inner->array[1].isArray());
+    const double negative_zero = doc.find("negative_zero")->number;
+    EXPECT_EQ(negative_zero, 0.0);
+    EXPECT_TRUE(std::signbit(negative_zero));
+    EXPECT_EQ(doc.find("huge")->number, 1e300);
+    EXPECT_EQ(doc.find("third")->number, 1.0 / 3.0);
+    // The document model holds doubles; the text keeps every digit.
+    EXPECT_NE(text.find("\"above_2_53\": 9007199254740993"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(doc.find("above_2_53")->number, double(above_2_53));
+    EXPECT_NE(text.find("\"int64_min\": -9223372036854775808"),
+              std::string::npos)
+        << text;
+    EXPECT_FALSE(doc.find("flag")->boolean);
+    // Non-finite values stay visible so readers can reject them.
+    EXPECT_TRUE(std::isinf(doc.find("inf")->number));
+}
+
+TEST(JsonFile, WriteReportsFailureAndReadRoundTrips)
+{
+    // A document this small sits in stdio's buffer until fclose, so
+    // a full disk only shows when the file is closed.
+    EXPECT_FALSE(obs::writeJsonFile("/dev/full", "{}\n"));
+    EXPECT_FALSE(obs::writeJsonFile("/nonexistent-dir/out.json", "{}\n"));
+
+    const std::string path = ::testing::TempDir() + "obs_json_file.json";
+    ASSERT_TRUE(obs::writeJsonFile(path, "{\"a\": [1, 2]}\n"));
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(obs::readJsonFile(path, doc, &error)) << error;
+    EXPECT_EQ(doc.find("a")->array.size(), 2u);
+
+    ASSERT_TRUE(obs::writeJsonFile(path, "{\"a\": "));
+    EXPECT_FALSE(obs::readJsonFile(path, doc, &error));
+    EXPECT_NE(error.find("is not valid JSON"), std::string::npos) << error;
+
+    std::remove(path.c_str());
+    EXPECT_FALSE(obs::readJsonFile(path, doc, &error));
+    EXPECT_NE(error.find("cannot read"), std::string::npos) << error;
 }
 
 TEST_F(ObsTest, MemCategoryScopeNestsAndRestores)
@@ -447,10 +560,11 @@ TEST_F(ObsTest, MemProfilerJsonRoundTrip)
     record.actualTotalPeak = 100;
     obs::memProfiler().record(record);
 
+    obs::JsonWriter out;
+    obs::writeMemoryProfile(out, obs::memProfiler().records());
     JsonValue doc;
     std::string error;
-    ASSERT_TRUE(parseJson(obs::memProfiler().toJson(), doc, &error))
-        << error;
+    ASSERT_TRUE(parseJson(out.take(), doc, &error)) << error;
     const JsonValue* batches = doc.find("micro_batches");
     ASSERT_NE(batches, nullptr);
     ASSERT_EQ(batches->array.size(), 1u);

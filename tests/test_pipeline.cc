@@ -1,7 +1,7 @@
 /**
  * @file
- * Pipelined micro-batch execution (Trainer::setPipeline +
- * ThreadPool > 1 lane) must be an invisible optimization: every
+ * Pipelined micro-batch execution (a ThreadPool with more than one
+ * lane) must be an invisible optimization: every
  * EpochStats field, the trained parameters, the DeviceMemoryModel
  * peak/per-category accounting, and the device.oom_events counter are
  * bit-identical to the serial schedule — overlapping the host-side
@@ -101,8 +101,7 @@ struct Env
      * epoch is scheduled.
      */
     RunResult
-    run(int32_t threads, bool pipeline, int epochs,
-        int64_t capacity_bytes = 0) const
+    run(int32_t threads, int epochs, int64_t capacity_bytes = 0) const
     {
         ThreadPool::setGlobalThreads(threads);
         obs::Metrics::setEnabled(true);
@@ -118,7 +117,6 @@ struct Env
         Adam adam(model.parameters(), 0.01f);
         TransferModel transfer;
         Trainer trainer(dataset, model, adam, &device, &transfer);
-        trainer.setPipeline(pipeline);
 
         const obs::Counter& chunk_allocs =
             obs::Metrics::counter("kernel.arena.chunk_allocs");
@@ -172,8 +170,8 @@ TEST(Pipeline, BitIdenticalToSerialSchedule)
 {
     Env env;
     ASSERT_GT(env.micros.size(), 1u);
-    const RunResult serial = env.run(1, false, 3);
-    const RunResult pipelined = env.run(4, true, 3);
+    const RunResult serial = env.run(1, 3);
+    const RunResult pipelined = env.run(4, 3);
     expectBitIdentical(serial, pipelined);
     // Losses actually moved (the runs did real work).
     EXPECT_GT(serial.stats.loss, 0.0);
@@ -182,19 +180,9 @@ TEST(Pipeline, BitIdenticalToSerialSchedule)
 TEST(Pipeline, ThreadCountDoesNotLeakIntoResults)
 {
     Env env;
-    const RunResult two = env.run(2, true, 2);
-    const RunResult eight = env.run(8, true, 2);
+    const RunResult two = env.run(2, 2);
+    const RunResult eight = env.run(8, 2);
     expectBitIdentical(two, eight);
-}
-
-TEST(Pipeline, NoPipelineFlagMatchesPipelinedRun)
-{
-    // --no-pipeline at 4 threads == pipelined at 4 threads: the flag
-    // changes scheduling only, never results.
-    Env env;
-    const RunResult off = env.run(4, false, 2);
-    const RunResult on = env.run(4, true, 2);
-    expectBitIdentical(off, on);
 }
 
 TEST(Pipeline, OomAccountingUnchangedByOverlap)
@@ -204,8 +192,8 @@ TEST(Pipeline, OomAccountingUnchangedByOverlap)
     // buffer is host memory and must never appear in device
     // accounting.
     Env env;
-    const RunResult serial = env.run(1, false, 2, 64 * 1024);
-    const RunResult pipelined = env.run(4, true, 2, 64 * 1024);
+    const RunResult serial = env.run(1, 2, 64 * 1024);
+    const RunResult pipelined = env.run(4, 2, 64 * 1024);
     EXPECT_TRUE(serial.stats.oom); // capacity chosen to overflow
     expectBitIdentical(serial, pipelined);
     EXPECT_GT(serial.oomEvents, 0);
@@ -227,11 +215,11 @@ TEST(Pipeline, LanesChangeNeitherResultsNorWorkUnderEitherBackend)
     for (const kernels::KernelMode mode : modes) {
         SCOPED_TRACE(kernels::kernelModeName(mode));
         kernels::setKernelMode(mode);
-        const RunResult one = env.run(1, true, 2);
+        const RunResult one = env.run(1, 2);
         const obs::Counter& splits =
             obs::Metrics::counter("pool.parallel_fors");
         const int64_t splits_before = splits.value();
-        const RunResult four = env.run(4, true, 2);
+        const RunResult four = env.run(4, 2);
         kernels::resetKernelModeForTest();
         // Non-vacuous: the 4-lane run really split GEMMs over the pool.
         EXPECT_GT(splits.value(), splits_before);
@@ -260,18 +248,17 @@ TEST(Pipeline, SingleMicroBatchFallsBackToSerial)
                                env.dataset.trainNodes.begin() + 64);
     const std::vector<MultiLayerBatch> one = {sampler.sample(seeds)};
 
-    auto runOne = [&](int32_t threads, bool pipeline) {
+    auto runOne = [&](int32_t threads) {
         ThreadPool::setGlobalThreads(threads);
         GraphSage model(env.sageConfig());
         Adam adam(model.parameters(), 0.01f);
         Trainer trainer(env.dataset, model, adam);
-        trainer.setPipeline(pipeline);
         const auto stats = trainer.trainMicroBatches(one);
         ThreadPool::setGlobalThreads(1);
         return std::pair<double, uint64_t>(stats.loss,
                                            hashParameters(model));
     };
-    EXPECT_EQ(runOne(1, false), runOne(4, true));
+    EXPECT_EQ(runOne(1), runOne(4));
 }
 
 } // namespace

@@ -17,8 +17,9 @@
  *
  * Transfer faults are keyed to each micro-batch's logical
  * program-order position (see test_fault.cc), so these schedules are
- * exact under any thread count or pipeline mode; the runs here stay
- * serial only to keep the suite fast and the traces simple.
+ * exact under any thread count, pipelined or not; the runs here use
+ * the default single-lane pool only to keep the suite fast and the
+ * traces simple.
  */
 #include <cmath>
 #include <cstring>
@@ -123,7 +124,6 @@ struct Env
         Adam adam(model.parameters(), 0.01f);
         TransferModel transfer;
         Trainer trainer(ds, model, adam, &device, &transfer);
-        trainer.setPipeline(false);
         BettyPartitioner partitioner;
         ResilientTrainer resilient(trainer, model.memorySpec(),
                                    partitioner, &device, policy);
@@ -168,7 +168,6 @@ TEST(ResilientTrainer, FaultFreeRunIsBitIdenticalToPlainTrainer)
         Adam adam(model.parameters(), 0.01f);
         TransferModel transfer;
         Trainer trainer(e.dataset, model, adam, &device, &transfer);
-        trainer.setPipeline(false);
         BettyPartitioner partitioner;
         MemoryAwarePlanner planner(model.memorySpec(), capacity);
         const auto plan = planner.plan(e.full, partitioner, 1);

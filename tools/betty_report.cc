@@ -17,7 +17,7 @@
  *       [--out FILE]                (write CRITPATH_report.json)
  *
  * `critpath` reconstructs the span dependency DAG from a Chrome
- * trace written by Trace::writeChromeTrace(), walks the critical
+ * trace written from Trace::chromeTraceJson(), walks the critical
  * path, prints per-category attribution (including pipeline-stall
  * time), and optionally projects COZ-style what-if speedups
  * ("--what-if transfer=0.5" = transfers run 2x faster).
@@ -43,8 +43,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -66,7 +64,6 @@ using betty::obs::kMemCategoryCount;
 using betty::obs::kObsSchemaVersion;
 using betty::obs::MemCategory;
 using betty::obs::memCategoryName;
-using betty::obs::parseJson;
 
 constexpr double kMiB = 1024.0 * 1024.0;
 
@@ -88,22 +85,13 @@ usage()
     return 2;
 }
 
+/** Read @p path as a JSON object; prints the problem otherwise. */
 bool
 loadReport(const std::string& path, JsonValue& doc)
 {
-    std::ifstream file(path);
-    if (!file) {
-        std::fprintf(stderr, "betty_report: cannot read '%s'\n",
-                     path.c_str());
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
     std::string error;
-    if (!parseJson(buffer.str(), doc, &error)) {
-        std::fprintf(stderr,
-                     "betty_report: '%s' is not valid JSON: %s\n",
-                     path.c_str(), error.c_str());
+    if (!betty::obs::readJsonFile(path, doc, &error)) {
+        std::fprintf(stderr, "betty_report: %s\n", error.c_str());
         return false;
     }
     if (!doc.isObject()) {
@@ -784,8 +772,9 @@ critpathCommand(const std::string& trace_path,
     }
 
     if (!out_path.empty()) {
-        if (!critpath::writeCritpathReport(out_path, graph, result,
-                                           what_ifs)) {
+        if (!betty::obs::writeJsonFile(
+                out_path,
+                critpath::critpathReportJson(graph, result, what_ifs))) {
             std::fprintf(stderr,
                          "betty_report: cannot write '%s'\n",
                          out_path.c_str());
