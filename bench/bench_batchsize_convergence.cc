@@ -77,23 +77,33 @@ main()
         std::vector<MultiLayerBatch> minis;
         for (const auto& seeds : mini_seed_groups)
             minis.push_back(mini_sampler.sample(seeds));
-        const auto mini_stats = mini_trainer.trainMiniBatches(minis);
+        // One optimizer step per mini-batch; the epoch loss is the
+        // output-weighted mean of the batch losses.
+        double mini_loss = 0.0;
+        int64_t mini_outputs = 0;
+        for (const auto& mini : minis) {
+            const int64_t outputs = int64_t(mini.outputNodes().size());
+            mini_loss += mini_trainer.trainMicroBatches({mini}).loss *
+                         double(outputs);
+            mini_outputs += outputs;
+        }
+        mini_loss /= double(mini_outputs);
 
         const double full_acc = full_trainer.evaluate(test_batch);
         const double mini_acc = mini_trainer.evaluate(test_batch);
         table.addRow({std::to_string(epoch),
                       TablePrinter::num(full_stats.loss, 4),
                       TablePrinter::num(full_acc, 4),
-                      TablePrinter::num(mini_stats.loss, 4),
+                      TablePrinter::num(mini_loss, 4),
                       TablePrinter::num(mini_acc, 4)});
         if (prev_full >= 0.0 && epoch > epochs / 2) {
             full_var += std::abs(full_stats.loss - prev_full);
-            mini_var += std::abs(mini_stats.loss - prev_mini);
+            mini_var += std::abs(mini_loss - prev_mini);
             full_accs.push_back(full_acc);
             mini_accs.push_back(mini_acc);
         }
         prev_full = full_stats.loss;
-        prev_mini = mini_stats.loss;
+        prev_mini = mini_loss;
     }
     table.print();
 

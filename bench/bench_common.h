@@ -21,9 +21,6 @@
  *   BETTY_CACHE_GIB    feature-cache reservation for the cache-aware
  *                      sweeps (default 0.05 GiB; docs/CACHING.md).
  *                      Benches also accept --cache-gib=X.
- *   BETTY_CACHE_POLICY feature-cache replacement policy ("lru",
- *                      "lru-pinned"; default lru). Also
- *                      --cache-policy=NAME.
  */
 #ifndef BETTY_BENCH_BENCH_COMMON_H
 #define BETTY_BENCH_BENCH_COMMON_H
@@ -77,17 +74,6 @@ inline int64_t
 cacheCapacityBytes()
 {
     return envcfg::cacheCapacityBytes();
-}
-
-/** BETTY_CACHE_POLICY (default pure LRU). */
-inline CachePolicy
-cachePolicy()
-{
-    const std::string name = envcfg::cachePolicyName();
-    CachePolicy policy = CachePolicy::Lru;
-    if (!parseCachePolicy(name, &policy))
-        fatal("unknown BETTY_CACHE_POLICY '", name, "'");
-    return policy;
 }
 
 /** Load a catalog dataset at bench scale (base further scalable). */
@@ -145,9 +131,8 @@ toMiB(int64_t bytes)
  *     key figures the bench records via result(), plus the full
  *     metrics snapshot (writeBenchJson below)
  *   --threads=N / BETTY_THREADS=N   global ThreadPool lanes
- *   --cache-gib=X / --cache-policy=NAME  feature-cache knobs
- *     (forwarded to the BETTY_CACHE_* variables read by
- *     cacheCapacityBytes()/cachePolicy())
+ *   --cache-gib=X   feature-cache reservation (forwarded to the
+ *     BETTY_CACHE_GIB variable read by cacheCapacityBytes())
  *
  * Recognized flags are removed from argc/argv, so a bench can reject
  * whatever is left. With neither flag nor env set, the collectors
@@ -232,8 +217,6 @@ class ObsSession
             }
             else if (std::strncmp(arg, "--cache-gib=", 12) == 0)
                 setenv("BETTY_CACHE_GIB", arg + 12, 1);
-            else if (std::strncmp(arg, "--cache-policy=", 15) == 0)
-                setenv("BETTY_CACHE_POLICY", arg + 15, 1);
             else
                 argv[kept++] = argv[i];
         }

@@ -167,7 +167,7 @@ main(int argc, char** argv)
             const int64_t redundancy =
                 inputNodeRedundancy(full, micros);
             FeatureCache cache(nullptr, cacheCapacityBytes(),
-                               row_bytes, cachePolicy());
+                               row_bytes);
             int64_t hits = 0;
             for (const auto& micro : micros)
                 hits += cache.access(micro.inputNodes()).hits;

@@ -74,7 +74,7 @@ main(int argc, char** argv)
                     toGiB(cache_bytes),
                     (long long)(cache_bytes / row_bytes),
                     toGiB(deviceCapacityBytes()),
-                    cachePolicyName(cachePolicy()));
+                    cachePolicyName(CachePolicy::Lru));
         TablePrinter table("transfer bytes with a feature cache "
                            "(betty partitioner, 2 epochs)");
         table.setHeader({"K", "uncached_mib", "cached_mib",
@@ -84,8 +84,7 @@ main(int argc, char** argv)
             const auto micros =
                 extractMicroBatches(full, part->partition(full, k));
             DeviceMemoryModel device(deviceCapacityBytes());
-            FeatureCache cache(&device, cache_bytes, row_bytes,
-                               cachePolicy());
+            FeatureCache cache(&device, cache_bytes, row_bytes);
             int64_t uncached = 0, cached = 0;
             for (int epoch = 0; epoch < epochs; ++epoch)
                 for (const auto& micro : micros) {

@@ -145,8 +145,7 @@ main(int argc, char** argv)
                 std::unique_ptr<FeatureCache> cache;
                 if (cache_gib > 0.0) {
                     cache = std::make_unique<FeatureCache>(
-                        &device, gib(cache_gib), row_bytes,
-                        cachePolicy());
+                        &device, gib(cache_gib), row_bytes);
                     trainer.setFeatureCache(cache.get());
                 }
                 double transfer_s = 0.0;

@@ -45,8 +45,9 @@
  * to the transfer model, so duplicated/hot nodes cross the simulated
  * PCIe link once instead of once per micro-batch. Numerics are
  * bit-identical with and without the cache; only transfer
- * bytes/seconds change. --cache-policy picks pure LRU or LRU with a
- * pinned hot set of top-out-degree nodes. The reservation is real:
+ * bytes/seconds change. --cache-policy picks pure LRU or, with one
+ * device, LRU with a pinned hot set of top-out-degree nodes (charged
+ * to the link once, when pinned). The reservation is real:
  * the planner and the OOM recovery loop treat it as unavailable to
  * training tensors, and recovery releases it before skipping work.
  *
@@ -157,9 +158,9 @@ struct Args
      * stays opt-in here: BETTY_CACHE_GIB scales the bench sweeps,
      * not a user's training run. */
     double cache_gib = 0.0;
-    /** Feature-cache replacement policy (flag > BETTY_CACHE_POLICY
-     * > "lru"; resolved in parseArgs). */
-    std::string cache_policy;
+    /** Feature-cache replacement policy ("lru" or, with one device,
+     * "lru-pinned"). */
+    std::string cache_policy = "lru";
     /** Cache file for the generated dataset (gen_data.sh analog):
      * loaded if it exists, otherwise written after generation. */
     std::string data_cache;
@@ -316,10 +317,10 @@ parseArgs(int argc, char** argv)
     if (devices < 1)
         fatal("--devices must be at least 1");
     args.devices = int32_t(devices);
-    // flag > BETTY_CACHE_POLICY > "lru" (shared with the benches).
-    args.cache_policy =
-        envcfg::resolveString(args.cache_policy,
-                              "BETTY_CACHE_POLICY", "lru");
+    // Only the single-device trainer pins; the engine's per-device
+    // caches would run pure LRU under a pinned policy's name.
+    if (args.cache_policy == "lru-pinned" && args.devices > 1)
+        fatal("--cache-policy lru-pinned needs --devices 1");
     return args;
 }
 
@@ -544,7 +545,8 @@ main(int argc, char** argv)
                 const int64_t pin_rows = cache->capacityRows() / 2;
                 hot.resize(size_t(
                     std::min<int64_t>(pin_rows, ds.numNodes())));
-                cache->pin(hot);
+                // The pinned rows cross the link once, now.
+                transfer.transfer(cache->pin(hot) * cache->rowBytes());
             }
             trainer.setFeatureCache(cache.get());
             inform("feature cache: ", cache->capacityRows(),
@@ -555,10 +557,8 @@ main(int argc, char** argv)
     }
 
     ResilientTrainer resilient(trainer, model->memorySpec(),
-                               *partitioner,
-                               args.devices == 1 ? &device : nullptr);
+                               *partitioner);
     resilient.setFeatureSource(&ds.features);
-    resilient.setFeatureCache(cache.get());
     MultiDeviceConfig multi_config;
     multi_config.numDevices = args.devices;
     multi_config.deviceCapacityBytes = budget;

@@ -116,12 +116,13 @@ FeatureCache::access(const std::vector<int64_t>& rows)
     return result;
 }
 
-void
+int64_t
 FeatureCache::pin(const std::vector<int64_t>& rows)
 {
     if (policy_ != CachePolicy::LruPinned)
-        return; // pure LRU keeps the stack-inclusion property
+        return 0; // pure LRU keeps the stack-inclusion property
     std::lock_guard<std::mutex> lock(mutex_);
+    int64_t inserted = 0;
     for (const int64_t row : rows) {
         if (pinned_rows_ >= capacity_rows_)
             break;
@@ -137,7 +138,9 @@ FeatureCache::pin(const std::vector<int64_t>& rows)
         evictDownToLocked(capacity_rows_ - 1);
         resident_.emplace(row, Entry{true, lru_.end()});
         ++pinned_rows_;
+        ++inserted;
     }
+    return inserted;
 }
 
 void

@@ -125,8 +125,10 @@ class FeatureCache
      * truncated to capacity. Only meaningful under LruPinned; under
      * pure Lru this is a no-op so the stack property stays intact.
      * Pinned rows reduce the row slots available to the LRU side.
+     * Returns the rows this call made resident: they were not on the
+     * device, so the caller charges rowBytes() each to the link.
      */
-    void pin(const std::vector<int64_t>& rows);
+    int64_t pin(const std::vector<int64_t>& rows);
 
     /**
      * Shrink the reservation to @p new_capacity_bytes (clamped to

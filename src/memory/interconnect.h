@@ -77,8 +77,10 @@ class InterconnectModel
      * Degrade the fabric to 1/@p factor of its configured bandwidth
      * (factor >= 1; 1 restores full speed). A ring all-reduce moves
      * every shard through every link, so one degraded lane slows the
-     * whole collective — which is exactly the straggler behaviour
-     * the device-slow fault simulates. Attribution only.
+     * whole collective: the engine passes the largest slowdown among
+     * its live devices' host links (TransferModel::degrade), which is
+     * exactly the straggler behaviour the device-slow fault
+     * simulates. Attribution only.
      */
     void
     setSlowdown(double factor)

@@ -12,7 +12,9 @@
 #ifndef BETTY_MEMORY_TRANSFER_MODEL_H
 #define BETTY_MEMORY_TRANSFER_MODEL_H
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "obs/metrics.h"
 
@@ -56,8 +58,8 @@ class TransferModel
      * Charge one FAILED transfer attempt: the link latency was paid
      * (the setup handshake happened) but no bytes moved — the retry
      * pays the full transfer() cost again. Used by the trainer's
-     * retry loop when a transfer fault fires (util/fault.h); kept
-     * here so failed attempts price identically everywhere.
+     * retry protocol when a transfer fault fires (util/fault.h);
+     * kept here so failed attempts price identically everywhere.
      */
     void
     chargeFailedAttempt()
@@ -74,7 +76,7 @@ class TransferModel
 
     /**
      * Charge @p backoff_sec of retry backoff as simulated link time
-     * (the link sits idle while the retry policy waits, so the wait
+     * (the link sits idle while the retry protocol waits, so the wait
      * is part of the transfer story). Counted separately so reports
      * can show how much of the transfer time was backoff.
      */
@@ -88,13 +90,37 @@ class TransferModel
 
     /**
      * Degrade the link to 1/@p factor of its configured bandwidth
-     * (factor >= 1; 1 restores full speed). The device-slow fault
-     * uses this — attribution only, so numerics are untouched.
+     * from @p epoch on, for @p duration_epochs epochs (0 =
+     * permanent): the device-slow fault, on either runtime. A
+     * stronger degradation already in force is kept; the new window
+     * replaces the old one. Attribution only — numerics are
+     * untouched.
      */
     void
-    setSlowdown(double factor)
+    degrade(double factor, int64_t epoch, int64_t duration_epochs)
     {
-        slowdown_ = factor < 1.0 ? 1.0 : factor;
+        slowdown_ = std::max(slowdown_, factor);
+        // A window that would end past the last epoch never ends.
+        const bool bounded =
+            duration_epochs > 0 &&
+            duration_epochs <= std::numeric_limits<int64_t>::max() - epoch;
+        slow_until_epoch_ = bounded ? epoch + duration_epochs - 1 : -1;
+    }
+
+    /**
+     * Restore full bandwidth when the degradation's window ended
+     * before @p epoch; true when this call healed the link. Called at
+     * each epoch start before that epoch's faults are consumed, so a
+     * one-epoch degradation covers exactly one epoch.
+     */
+    bool
+    healBefore(int64_t epoch)
+    {
+        if (slowdown_ == 1.0 || slow_until_epoch_ < 0 ||
+            epoch <= slow_until_epoch_)
+            return false;
+        slowdown_ = 1.0;
+        return true;
     }
 
     /** Current slowdown factor (1 = healthy). */
@@ -149,6 +175,8 @@ class TransferModel
     double bandwidth_;
     double latency_;
     double slowdown_ = 1.0;
+    /** Last epoch the degradation covers; -1 = permanent. */
+    int64_t slow_until_epoch_ = -1;
     double seconds_ = 0.0;
     double lifetime_seconds_ = 0.0;
     double backoff_seconds_ = 0.0;

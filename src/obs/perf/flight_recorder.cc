@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 
 #include "obs/json.h"
 #include "obs/run_meta.h"
 #include "obs/trace.h"
+#include "util/env_config.h"
 #include "util/logging.h"
 
 namespace betty::obs {
@@ -62,13 +62,10 @@ roundUpPow2(size_t value)
 size_t
 defaultCapacity()
 {
-    if (const char* env = std::getenv("BETTY_FR_CAPACITY")) {
-        char* end = nullptr;
-        const long parsed = std::strtol(env, &end, 10);
-        if (end && *end == '\0' && parsed >= 1)
-            return roundUpPow2(size_t(parsed));
-    }
-    return 8192;
+    const int64_t value = envcfg::envInt("BETTY_FR_CAPACITY", 8192);
+    if (value < 1)
+        fatal("BETTY_FR_CAPACITY=", value, " out of range: need >= 1");
+    return roundUpPow2(size_t(value));
 }
 
 struct Recorder

@@ -52,9 +52,9 @@ struct RunReportRecovery
     int64_t corruptRowsRepaired = 0;
     int64_t faultsInjected = 0;
 
-    /** Retry-policy activity (robustness/retry.h): failed transfer
-     * attempts absorbed, total simulated backoff charged, and
-     * policy-exhaustion events. Fault-free runs must report zero for
+    /** Transfer retry activity (the trainer's retry protocol): failed
+     * transfer attempts absorbed, total simulated backoff charged,
+     * and exhaustion events. Fault-free runs must report zero for
      * all three (gated by `betty_report check`), and the backoff can
      * never exceed the link's lifetime transfer seconds. */
     int64_t retryFailures = 0;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -37,7 +38,8 @@ struct Registry
 
     std::mutex mutex;
     std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-    std::unordered_map<int32_t, std::string> laneNames;
+    /** Ordered, so exports list lane names in lane order. */
+    std::map<int32_t, std::string> laneNames;
     int32_t nextLane = 0;
     std::atomic<size_t> ringCapacity;
 
@@ -342,7 +344,7 @@ Trace::chromeTraceJson()
     const auto events = snapshot();
     const auto counters = counterSnapshot();
     const int64_t dropped = droppedEvents();
-    std::unordered_map<int32_t, std::string> lane_names;
+    std::map<int32_t, std::string> lane_names;
     size_t ring_capacity = 0;
     {
         auto& reg = registry();

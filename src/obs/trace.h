@@ -28,9 +28,13 @@
  * counted as dropped). Ring capacity comes from BETTY_TRACE_RING
  * (util/env_config.h) unless overridden with setRingCapacity().
  *
+ * Lanes ("tid" in the Chrome JSON) never depend on the order threads
+ * start in: pool worker N always records on lane kPoolWorkerLaneBase
+ * + N, and every other thread takes the next of 0, 1, 2, ... when it
+ * first records, so the thread that drives a run records on lane 0.
  * Simulated devices execute serially on one OS thread; TraceLaneScope
- * reassigns the lane ("tid" in the Chrome JSON) so each device still
- * gets its own swimlane in the viewer.
+ * reassigns the lane so each device still gets its own swimlane in
+ * the viewer.
  */
 #ifndef BETTY_OBS_TRACE_H
 #define BETTY_OBS_TRACE_H
@@ -66,7 +70,7 @@ struct TraceEvent
     int64_t durUs = 0;
 
     /** Swimlane ("tid" in the exported JSON): the recording thread's
-     * ordinal, unless overridden by TraceLaneScope. */
+     * lane (file comment), unless overridden by TraceLaneScope. */
     int32_t lane = 0;
 };
 
@@ -173,6 +177,9 @@ class Trace
 
     /** All retained counter samples, in record order. */
     static std::vector<CounterSample> counterSnapshot();
+
+    /** Lanes of the pool workers: worker N records on this + N. */
+    static constexpr int32_t kPoolWorkerLaneBase = 100;
 
     /**
      * Override the calling thread's lane id (and optionally give the

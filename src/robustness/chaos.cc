@@ -257,9 +257,8 @@ ChaosHarness::runSingle(const fault::FaultPlan* plan)
     RecoveryPolicy policy;
     policy.maxK = config_.maxK;
     ResilientTrainer resilient(trainer, model.memorySpec(),
-                               partitioner, &device, policy);
+                               partitioner, policy);
     resilient.setFeatureSource(&ds.features);
-    resilient.setTransferModel(&transfer);
 
     SingleTrace trace;
     for (int64_t epoch = 1; epoch <= config_.epochs; ++epoch) {

@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/perf/flight_recorder.h"
 #include "obs/trace.h"
+#include "util/fault.h"
 #include "util/logging.h"
 
 namespace betty {
@@ -55,9 +56,10 @@ ballastBytes(double scale, int64_t estimated_peak)
 class RecoveryArbiter : public MicroBatchArbiter
 {
   public:
-    RecoveryArbiter(ResilientTrainer& owner, DeviceMemoryModel* device,
+    RecoveryArbiter(ResilientTrainer& owner, int64_t epoch,
                     const std::vector<MemoryEstimate>& estimates)
-        : owner_(owner), device_(device), estimates_(estimates)
+        : owner_(owner), device_(owner.trainer_.device().memory),
+          epoch_(epoch), estimates_(estimates)
     {
     }
 
@@ -67,9 +69,10 @@ class RecoveryArbiter : public MicroBatchArbiter
         fault::Injector::beginMicroBatch(int64_t(index));
         ballast_overshoot_ = false;
 
-        double factor = 0.0;
-        while (fault::Injector::takeCapacityDrop(&factor))
-            owner_.applyCapacityDrop(factor);
+        while (const auto drop = fault::Injector::take(
+                   fault::FaultKind::CapacityDrop))
+            owner_.applyCapacityDrop(drop->value);
+        owner_.consumeDeviceSlow(epoch_);
 
         // Proactive admission check: the planner promised every
         // micro-batch's estimated peak fits the capacity it planned
@@ -84,14 +87,14 @@ class RecoveryArbiter : public MicroBatchArbiter
                 device_->capacity())
             return false;
 
-        if (fault::Injector::takeInjectedOom())
+        if (fault::Injector::take(fault::FaultKind::InjectOom))
             return false;
 
-        double scale = 0.0;
-        if (fault::Injector::takeAllocScale(&scale) && device_ &&
-            index < estimates_.size()) {
+        const auto scale =
+            fault::Injector::take(fault::FaultKind::AllocScale);
+        if (scale && device_ && index < estimates_.size()) {
             const int64_t bytes =
-                ballastBytes(scale, estimates_[index].peak);
+                ballastBytes(scale->value, estimates_[index].peak);
             if (bytes > 0) {
                 obs::MemCategoryScope cat(
                     obs::MemCategory::Uncategorized);
@@ -121,6 +124,7 @@ class RecoveryArbiter : public MicroBatchArbiter
   private:
     ResilientTrainer& owner_;
     DeviceMemoryModel* device_;
+    int64_t epoch_;
     const std::vector<MemoryEstimate>& estimates_;
     Tensor ballast_;
     bool ballast_overshoot_ = false;
@@ -128,38 +132,45 @@ class RecoveryArbiter : public MicroBatchArbiter
 
 ResilientTrainer::ResilientTrainer(Trainer& trainer, GnnSpec spec,
                                    OutputPartitioner& partitioner,
-                                   DeviceMemoryModel* device,
                                    RecoveryPolicy policy)
-    : trainer_(trainer), partitioner_(partitioner), device_(device),
-      planner_(std::move(spec), device ? device->capacity() : 0),
-      policy_(policy)
+    : trainer_(trainer), partitioner_(partitioner),
+      planner_(std::move(spec), deviceCapacity()), policy_(policy)
 {
+}
+
+int64_t
+ResilientTrainer::deviceCapacity() const
+{
+    const DeviceMemoryModel* device = trainer_.device().memory;
+    return device ? device->capacity() : 0;
 }
 
 int64_t
 ResilientTrainer::cacheReservedBytes() const
 {
-    return cache_ ? cache_->reservedBytes() : 0;
+    const FeatureCache* cache = trainer_.device().cache;
+    return cache ? cache->reservedBytes() : 0;
 }
 
 void
 ResilientTrainer::applyCapacityDrop(double factor)
 {
-    if (!device_)
+    DeviceMemoryModel* device = trainer_.device().memory;
+    if (!device)
         return;
-    if (device_->capacity() <= 0) {
+    if (device->capacity() <= 0) {
         BETTY_WARN_ONCE("ResilientTrainer: capacity-drop fault "
                         "ignored — device capacity is unlimited");
         return;
     }
     const int64_t next = std::max<int64_t>(
-        1, int64_t(double(device_->capacity()) * factor));
+        1, int64_t(double(device->capacity()) * factor));
     warn("ResilientTrainer: device capacity dropped from ",
-         device_->capacity(), " to ", next, " bytes");
+         device->capacity(), " to ", next, " bytes");
     obs::FlightRecorder::record(obs::FrCategory::Recovery,
                                 "recover/capacity-drop",
-                                device_->capacity(), next);
-    device_->setCapacity(next);
+                                device->capacity(), next);
+    device->setCapacity(next);
 }
 
 void
@@ -188,33 +199,18 @@ ResilientTrainer::corruptFeatureRows(const MultiLayerBatch& full,
 void
 ResilientTrainer::consumeDeviceSlow(int64_t epoch)
 {
-    if (!transfer_)
+    TransferModel* link = trainer_.device().link;
+    if (!link)
         return;
-    // Heal a bounded degradation whose window has passed.
-    if (slowActive_ && slowUntilEpoch_ > 0 && epoch > slowUntilEpoch_) {
-        transfer_->setSlowdown(1.0);
-        slowActive_ = false;
-        slowUntilEpoch_ = 0;
-        obs::FlightRecorder::record(obs::FrCategory::Fault,
-                                    "fault/device-heal", epoch, 0);
-        warn("ResilientTrainer: device-slow degradation healed at "
-             "epoch ", epoch);
-    }
-    double factor = 0.0;
-    int64_t device = -1;
-    int64_t duration = 0;
-    while (fault::Injector::takeDeviceSlow(&factor, &device,
-                                           &duration)) {
-        transfer_->setSlowdown(
-            std::max(transfer_->slowdown(), factor));
-        slowActive_ = true;
-        slowUntilEpoch_ = duration > 0 ? epoch + duration - 1 : -1;
+    while (const auto slow =
+               fault::Injector::take(fault::FaultKind::DeviceSlow)) {
+        link->degrade(slow->value, epoch, slow->durationEpochs);
         obs::FlightRecorder::record(obs::FrCategory::Fault,
                                     "fault/device-slow", epoch,
-                                    int64_t(factor * 1000.0));
-        warn("ResilientTrainer: host link degraded by ", factor,
+                                    int64_t(slow->value * 1000.0));
+        warn("ResilientTrainer: host link degraded by ", slow->value,
              "x at epoch ", epoch,
-             duration > 0 ? " (bounded)" : " (permanent)");
+             slow->durationEpochs > 0 ? " (bounded)" : " (permanent)");
     }
 }
 
@@ -251,16 +247,24 @@ ResilientTrainer::trainEpoch(const MultiLayerBatch& full,
     fault::Injector::beginEpoch(epoch);
 
     // Epoch-scoped faults fire before any planning so the first plan
-    // already sees the world as it is now.
-    double factor = 0.0;
-    while (fault::Injector::takeCapacityDrop(&factor))
-        applyCapacityDrop(factor);
+    // already sees the world as it is now. A bounded link degradation
+    // heals first, so a one-epoch slowdown covers exactly one epoch.
+    while (const auto drop =
+               fault::Injector::take(fault::FaultKind::CapacityDrop))
+        applyCapacityDrop(drop->value);
 
+    TransferModel* link = trainer_.device().link;
+    if (link && link->healBefore(epoch)) {
+        obs::FlightRecorder::record(obs::FrCategory::Fault,
+                                    "fault/device-heal", epoch, 0);
+        warn("ResilientTrainer: device-slow degradation healed at "
+             "epoch ", epoch);
+    }
     consumeDeviceSlow(epoch);
 
-    double fraction = 0.0;
-    if (fault::Injector::takeCorruptFeatures(&fraction))
-        corruptFeatureRows(full, fraction);
+    if (const auto corrupt =
+            fault::Injector::take(fault::FaultKind::CorruptFeatures))
+        corruptFeatureRows(full, corrupt->value);
     if (features_) {
         const int64_t repaired = repairFeatureRows(full);
         if (repaired > 0) {
@@ -292,7 +296,7 @@ ResilientTrainer::trainEpoch(const MultiLayerBatch& full,
     // behind the failure that caused it.
     uint64_t prev_attempt_span = 0;
     for (;;) {
-        planner_.setCapacity(device_ ? device_->capacity() : 0);
+        planner_.setCapacity(deviceCapacity());
         planner_.setReservedBytes(cacheReservedBytes());
         uint64_t plan_span_id = 0;
         {
@@ -310,7 +314,7 @@ ResilientTrainer::trainEpoch(const MultiLayerBatch& full,
             obs::TraceSpan attempt_span("resilient/attempt");
             obs::Trace::recordFlow(plan_span_id, attempt_span.id());
             prev_attempt_span = attempt_span.id();
-            RecoveryArbiter arbiter(*this, device_,
+            RecoveryArbiter arbiter(*this, epoch,
                                     result.plan.estimates);
             trainer_.setArbiter(&arbiter);
             result.stats =
@@ -336,14 +340,15 @@ ResilientTrainer::trainEpoch(const MultiLayerBatch& full,
                 give_up = "cannot partition finer than K=" +
                           std::to_string(result.plan.k);
         }
-        if (!give_up.empty() && cache_ && cache_->reservedBytes() > 0) {
+        FeatureCache* cache = trainer_.device().cache;
+        if (!give_up.empty() && cache && cache->reservedBytes() > 0) {
             // Last lever before skipping: caching is a luxury,
             // training tensors are not. Give the reservation back and
             // retry the SAME plan point — the freed bytes may make it
             // fit. Guarded by reservedBytes() > 0, so this fires at
             // most once per cache and cannot loop.
-            const int64_t released = cache_->reservedBytes();
-            cache_->releaseAll();
+            const int64_t released = cache->reservedBytes();
+            cache->releaseAll();
             obs::FlightRecorder::record(obs::FrCategory::Cache,
                                         "cache/release-reservation",
                                         epoch, released);

@@ -27,6 +27,10 @@
  * Transfer faults are keyed to each micro-batch's logical
  * program-order position (Trainer passes it into the retry protocol),
  * so fault schedules are exact at every thread count.
+ *
+ * The device it guards is the wrapped Trainer's own: its memory model
+ * gates admission, its host link takes device-slow degradation, and
+ * its feature cache's reservation is what recovery may release.
  */
 #ifndef BETTY_ROBUSTNESS_RESILIENT_TRAINER_H
 #define BETTY_ROBUSTNESS_RESILIENT_TRAINER_H
@@ -34,14 +38,10 @@
 #include <cstdint>
 
 #include "core/betty.h"
-#include "memory/device_memory.h"
 #include "tensor/tensor.h"
 #include "train/trainer.h"
-#include "util/fault.h"
 
 namespace betty {
-
-class FeatureCache;
 
 /** Bounds of the recovery loop. */
 struct RecoveryPolicy
@@ -88,15 +88,20 @@ class ResilientTrainer
   public:
     /**
      * @param trainer The wrapped trainer (arbiter slot must be free).
+     * Its device (Trainer::device()) is the one recovery guards: the
+     * memory model's capacity gates admission (none: no capacity
+     * checks — only injected faults recover); the device-slow fault
+     * degrades the host link, inflating simulated transfer seconds,
+     * never numerics (no link: the fault is not consumed); and the
+     * feature cache's reservation is planned around, tightens
+     * admission by its size, and is released — caching is a luxury,
+     * training tensors are not — BEFORE an epoch is skipped.
      * @param spec Model description for the re-planner's estimator.
      * @param partitioner Output partitioner used for re-planning.
-     * @param device Device model whose capacity gates admission; may
-     * be null (no capacity checks — only injected faults recover).
      * All references are borrowed and must outlive this object.
      */
     ResilientTrainer(Trainer& trainer, GnnSpec spec,
                      OutputPartitioner& partitioner,
-                     DeviceMemoryModel* device,
                      RecoveryPolicy policy = {});
 
     /**
@@ -105,28 +110,6 @@ class ResilientTrainer
      * without it that fault kind is a no-op.
      */
     void setFeatureSource(Tensor* features) { features_ = features; }
-
-    /**
-     * Feature cache whose device reservation the recovery loop
-     * manages (cache/feature_cache.h). Planning accounts for the
-     * reservation, admission checks estimated peaks against the
-     * capacity MINUS the reservation, and when even that does not fit
-     * the reservation is released — caching is a luxury; training
-     * tensors are not — BEFORE the epoch is skipped. Borrowed, may be
-     * null.
-     */
-    void setFeatureCache(FeatureCache* cache) { cache_ = cache; }
-
-    /**
-     * Transfer model the device-slow fault degrades (the simulated
-     * host link). Borrowed, may be null — without it device-slow is a
-     * no-op on the single-device path. The fault is attribution-only:
-     * it inflates simulated transfer seconds, never numerics.
-     */
-    void setTransferModel(TransferModel* transfer)
-    {
-        transfer_ = transfer;
-    }
 
     /**
      * One resilient epoch over @p full: advance the fault clock to
@@ -141,6 +124,9 @@ class ResilientTrainer
 
   private:
     friend class RecoveryArbiter;
+
+    /** The trainer's device capacity (0 = unlimited or no device). */
+    int64_t deviceCapacity() const;
 
     /** Bytes the feature cache currently reserves on the device
      * (0 without a cache). Re-read per admission: a release mid-run
@@ -159,22 +145,15 @@ class ResilientTrainer
      * returns the number of rows repaired. */
     int64_t repairFeatureRows(const MultiLayerBatch& full);
 
-    /** Consume pending device-slow faults (degrade the transfer
-     * model) and heal expired ones; called at each epoch start. */
+    /** Consume the device-slow faults that fire at the clock
+     * position in @p epoch: degrade the trainer's host link. */
     void consumeDeviceSlow(int64_t epoch);
 
     Trainer& trainer_;
     OutputPartitioner& partitioner_;
-    DeviceMemoryModel* device_;
     MemoryAwarePlanner planner_;
     RecoveryPolicy policy_;
     Tensor* features_ = nullptr;
-    FeatureCache* cache_ = nullptr;
-    TransferModel* transfer_ = nullptr;
-    /** Last epoch the current device-slow degradation covers;
-     * -1 = permanent, 0 = no degradation active. */
-    int64_t slowUntilEpoch_ = 0;
-    bool slowActive_ = false;
     RecoveryReport report_;
 };
 

@@ -216,8 +216,9 @@ MultiDeviceEngine::liveDeviceIds() const
 void
 MultiDeviceEngine::consumeDeviceDrops(size_t first_pending)
 {
-    int64_t requested = -1;
-    while (fault::Injector::takeDeviceDrop(&requested)) {
+    while (const auto drop =
+               fault::Injector::take(fault::FaultKind::DeviceDrop)) {
+        const int64_t requested = int64_t(drop->value);
         const std::vector<int32_t> live = liveDeviceIds();
         if (live.size() <= 1) {
             warnOnce("device-drop fault ignored: only one live "
@@ -317,8 +318,8 @@ MultiDeviceEngine::refreshInterconnectSlowdown()
 {
     double worst = 1.0;
     for (const auto& device : devices_)
-        if (!device->dead && device->degraded)
-            worst = std::max(worst, device->slowFactor);
+        if (!device->dead)
+            worst = std::max(worst, device->link.slowdown());
     interconnect_.setSlowdown(worst);
 }
 
@@ -327,14 +328,8 @@ MultiDeviceEngine::healExpiredSlowdowns(int64_t epoch)
 {
     bool changed = false;
     for (size_t d = 0; d < devices_.size(); ++d) {
-        DeviceState& state = *devices_[d];
-        if (!state.degraded || state.slowUntilEpoch < 0 ||
-            epoch <= state.slowUntilEpoch)
+        if (!devices_[d]->link.healBefore(epoch))
             continue;
-        state.degraded = false;
-        state.slowFactor = 1.0;
-        state.slowUntilEpoch = -1;
-        state.link.setSlowdown(1.0);
         changed = true;
         obs::FlightRecorder::record(obs::FrCategory::Recovery,
                                     "multi/device-heal", int64_t(d),
@@ -348,11 +343,9 @@ void
 MultiDeviceEngine::consumeDeviceSlow()
 {
     const int64_t epoch = step_.epoch;
-    double factor = 1.0;
-    int64_t requested = -1;
-    int64_t duration = 0;
-    while (fault::Injector::takeDeviceSlow(&factor, &requested,
-                                           &duration)) {
+    while (const auto slow =
+               fault::Injector::take(fault::FaultKind::DeviceSlow)) {
+        const int64_t requested = slow->device;
         const std::vector<int32_t> live = liveDeviceIds();
         int32_t victim = -1;
         if (requested >= 0) {
@@ -373,17 +366,13 @@ MultiDeviceEngine::consumeDeviceSlow()
         } else {
             victim = live.back();
         }
-        DeviceState& state = *devices_[size_t(victim)];
-        state.degraded = true;
-        state.slowFactor = std::max(state.slowFactor, factor);
-        state.slowUntilEpoch =
-            duration > 0 ? epoch + duration - 1 : -1;
-        state.link.setSlowdown(state.slowFactor);
+        devices_[size_t(victim)]->link.degrade(
+            slow->value, epoch, slow->durationEpochs);
         refreshInterconnectSlowdown();
         ++step_.stats.deviceSlowFaults;
         obs::FlightRecorder::record(obs::FrCategory::Recovery,
                                     "multi/device-slow", victim,
-                                    int64_t(factor * 1000.0));
+                                    int64_t(slow->value * 1000.0));
     }
 }
 
@@ -489,7 +478,7 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
     const std::vector<int32_t> live_after = liveDeviceIds();
     stats.liveDevices = int32_t(live_after.size());
     for (const auto& device : devices_)
-        if (!device->dead && device->degraded)
+        if (!device->dead && device->link.slowdown() > 1.0)
             ++stats.degradedDevices;
     if (live_after.size() > 1) {
         int64_t grad_bytes = 0;
@@ -605,8 +594,8 @@ MultiDeviceEngine::review(size_t index, const MultiLayerBatch&)
     // Straggler supervisor: fold this micro-batch's simulated link
     // seconds (transfer + failed attempts + backoff) into the device's
     // EWMA and compare against the fastest healthy reference.
-    // Detection uses observed timings only — never the ground-truth
-    // `degraded` flag — so it also catches degradations nobody
+    // Detection uses observed timings only — never the links'
+    // configured slowdown — so it also catches degradations nobody
     // scheduled.
     const double mb_link_seconds =
         devices_[d]->link.seconds() - step_.linkBefore;

@@ -37,12 +37,13 @@
  * the multi-device mirror of PR 4's capacity-drop invariant.
  *
  * Gray failures: a `device-slow=FACTOR@epochN[:device=D][:duration=E]`
- * fault degrades one device's host link (TransferModel::setSlowdown)
- * and the shared ring (InterconnectModel::setSlowdown — a ring is
- * bounded by its slowest lane). The engine does NOT use its
- * ground-truth knowledge of the victim to react; instead a straggler
- * supervisor keeps a per-device EWMA of *simulated* per-micro-batch
- * link seconds (deterministic — wall-clock compute is excluded) and,
+ * fault degrades one device's host link (TransferModel::degrade, which
+ * also owns the healing schedule) and with it the shared ring
+ * (InterconnectModel::setSlowdown — a ring is bounded by its slowest
+ * lane). The engine does NOT use its ground-truth knowledge of the
+ * victim to react; instead a straggler supervisor keeps a per-device
+ * EWMA of *simulated* per-micro-batch link seconds (deterministic —
+ * wall-clock compute is excluded) and,
  * when one device's EWMA exceeds stragglerFactor x the fastest
  * healthy device's, re-shards the straggler's PENDING micro-batches
  * toward healthy devices. Graceful degradation, not a drop: the
@@ -275,8 +276,8 @@ class MultiDeviceEngine : private MicroBatchArbiter
      * completes with identical numerics — plus `device-slow` events
      * (link/interconnect degradation with scheduled healing, handled
      * by the straggler supervisor) and per-attempt transfer faults on
-     * the per-device links (robustness/retry.h). Other fault kinds
-     * remain the single-device ResilientTrainer's domain.
+     * the per-device links (the trainer's retry protocol). Other
+     * fault kinds remain the single-device ResilientTrainer's domain.
      */
     MultiDeviceStats trainEpoch(
         const std::vector<MultiLayerBatch>& micro_batches,
@@ -306,17 +307,12 @@ class MultiDeviceEngine : private MicroBatchArbiter
         }
 
         DeviceMemoryModel memory;
+        /** Its slowdown() is the ground truth of a consumed
+         * device-slow fault, which the straggler supervisor must NOT
+         * read — it detects from observed link seconds only. */
         TransferModel link;
         std::unique_ptr<FeatureCache> cache;
         bool dead = false;
-
-        /** Ground truth of a consumed device-slow fault (what the
-         * simulator applies); the straggler supervisor must NOT read
-         * these — it detects from observed timings only. */
-        bool degraded = false;
-        double slowFactor = 1.0;
-        /** Last epoch the slowdown covers; -1 = permanent. */
-        int64_t slowUntilEpoch = -1;
     };
 
     /** What run() and the per-micro-batch hooks share in a step. */
@@ -367,13 +363,13 @@ class MultiDeviceEngine : private MicroBatchArbiter
 
     /**
      * Consume pending device-slow faults at the current clock slot:
-     * degrade the victim's host link and the shared interconnect,
-     * and schedule healing after the step's epoch + duration. Picks
+     * degrade the victim's host link for the fault's duration
+     * (TransferModel::degrade) and re-price the interconnect. Picks
      * the highest-indexed live device when the spec names none.
      */
     void consumeDeviceSlow();
 
-    /** Heal devices whose slowdown expired before @p epoch. */
+    /** Heal links whose degradation expired before @p epoch. */
     void healExpiredSlowdowns(int64_t epoch);
 
     /** Re-price the interconnect after degradation changes: a ring

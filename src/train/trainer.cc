@@ -1,5 +1,6 @@
 #include "train/trainer.h"
 
+#include <algorithm>
 #include <future>
 #include <optional>
 #include <string>
@@ -9,9 +10,10 @@
 #include "memory/estimator.h"
 #include "obs/memprof.h"
 #include "obs/metrics.h"
+#include "obs/perf/flight_recorder.h"
 #include "obs/trace.h"
-#include "robustness/retry.h"
 #include "tensor/autograd.h"
+#include "util/fault.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -46,6 +48,68 @@ microBatchSecondsHistogram()
         {0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.128,
          0.256, 0.512, 1.0, 2.0, 4.0, 8.0, 16.0});
     return histogram;
+}
+
+/** Transfer attempts per batch, the first included; the last one is
+ * forced through, so at most kMaxTransferAttempts - 1 fail. */
+constexpr int64_t kMaxTransferAttempts = 8;
+
+/** Backoff after the first failed attempt; it doubles per failure up
+ * to kMaxBackoffSeconds. */
+constexpr double kBaseBackoffSeconds = 100.0e-6;
+constexpr double kMaxBackoffSeconds = 10.0e-3;
+
+/**
+ * The transfer retry protocol (docs/ROBUSTNESS.md, "Retry policy")
+ * for one batch at logical position @p micro_batch: drain the
+ * transfer faults that fire there (scheduled `transfer-fail` events
+ * and `transfer-flaky` draws), charging each failed attempt's latency
+ * and backoff to @p link as simulated time. Exhaustion forces the
+ * transfer through — the simulated fabric never hard-fails a gather —
+ * so transfer faults never change numerics.
+ */
+void
+retryTransferFaults(TransferModel& link, int64_t micro_batch)
+{
+    if (!fault::Injector::active())
+        return;
+    double backoff = kBaseBackoffSeconds;
+    for (int64_t failures = 0;;) {
+        // The attempt ordinal keys the flaky draw, so the outcome of
+        // attempt k at this position is the same on every replay.
+        const bool failed =
+            fault::Injector::takeTransferFailure(micro_batch) ||
+            fault::Injector::takeTransferFlakyFailure(micro_batch,
+                                                      failures);
+        if (!failed)
+            return;
+        ++failures;
+        link.chargeFailedAttempt();
+        link.chargeBackoff(backoff);
+        if (obs::Metrics::enabled()) {
+            static obs::Counter& failure_count =
+                obs::Metrics::counter("retry.failures");
+            static obs::Counter& backoff_us =
+                obs::Metrics::counter("retry.backoff_us");
+            failure_count.increment();
+            backoff_us.add(int64_t(backoff * 1e6));
+        }
+        obs::FlightRecorder::record(obs::FrCategory::Recovery,
+                                    "retry/backoff", micro_batch,
+                                    failures);
+        if (failures + 1 >= kMaxTransferAttempts) {
+            if (obs::Metrics::enabled()) {
+                static obs::Counter& exhausted =
+                    obs::Metrics::counter("retry.exhausted");
+                exhausted.increment();
+            }
+            obs::FlightRecorder::record(obs::FrCategory::Recovery,
+                                        "retry/exhausted", micro_batch,
+                                        failures);
+            return;
+        }
+        backoff = std::min(backoff * 2.0, kMaxBackoffSeconds);
+    }
 }
 
 /** A micro-batch's gathered feature rows on their way to the device. */
@@ -107,12 +171,7 @@ Trainer::chargeTransfer(const TrainDevice& device,
             device.link->noteSavedBytes(cached.bytesSaved);
     }
     if (device.link) {
-        // Retry protocol (robustness/retry.h): scheduled
-        // transfer-fail events and probabilistic transfer-flaky
-        // draws are drained with bounded exponential backoff, each
-        // failed attempt paying link latency + backoff as simulated
-        // time, keyed to the batch's logical position.
-        robustness::runTransferRetries(*device.link, micro_batch);
+        retryTransferFaults(*device.link, micro_batch);
         device.link->transfer(feature_bytes + batch.structureBytes());
     }
 }
@@ -390,85 +449,6 @@ Trainer::accumulateMicroBatches(
         optimizer_.zeroGrad();
     }
     stats.accuracy = double(correct) / double(total_outputs);
-    return stats;
-}
-
-EpochStats
-Trainer::trainMiniBatches(const std::vector<MultiLayerBatch>& batches)
-{
-    BETTY_TRACE_SPAN("train/mini_batch_epoch");
-    EpochStats stats;
-    DeviceMemoryModel* device = own_.memory;
-    if (device)
-        device->resetPeak();
-    const int64_t oom_episodes_before =
-        device ? device->oomEpisodeCount() : 0;
-
-    int64_t total_outputs = 0;
-    int64_t correct = 0;
-    double loss_sum = 0.0;
-    for (const auto& batch : batches) {
-        const int64_t outputs = int64_t(batch.outputNodes().size());
-        if (outputs == 0)
-            continue;
-        stats.inputNodesProcessed += int64_t(batch.inputNodes().size());
-        stats.totalNodesProcessed += batchNodeCount(batch);
-        total_outputs += outputs;
-
-        const int64_t structure_bytes = batch.structureBytes();
-        const int64_t label_bytes = labelBytes(batch);
-        if (device) {
-            device->onAlloc(structure_bytes, obs::MemCategory::Blocks);
-            device->onAlloc(label_bytes, obs::MemCategory::Labels);
-        }
-        {
-            BETTY_TRACE_SPAN("train/micro_batch");
-            // step() runs inside the scope, but optimizer state and
-            // parameter gradients are arena-suspended at allocation —
-            // only the graph temporaries land in the arena.
-            kernels::ArenaScope arena_scope(arena_);
-            Timer timer;
-            optimizer_.zeroGrad();
-            // Mini-batch mode has no micro-batch fault clock; -1 =
-            // only epoch-scoped transfer faults apply.
-            chargeTransfer(own_, batch, -1);
-            ForwardResult fwd = forward(batch, gather(batch, -1));
-            {
-                BETTY_TRACE_SPAN_CAT("train/backward", "compute");
-                obs::MemCategoryScope mem_scope(
-                    obs::MemCategory::Gradients);
-                ag::backward(fwd.loss);
-            }
-            {
-                BETTY_TRACE_SPAN_CAT("train/step", "compute");
-                optimizer_.step();
-            }
-            stats.computeSeconds += timer.seconds();
-            microBatchSecondsHistogram().observe(timer.seconds());
-            loss_sum += double(fwd.loss->value.at(0, 0)) *
-                        double(outputs);
-            correct += fwd.correct;
-        }
-        arena_.reset();
-        if (device) {
-            device->onFree(structure_bytes, obs::MemCategory::Blocks);
-            device->onFree(label_bytes, obs::MemCategory::Labels);
-        }
-    }
-    BETTY_ASSERT(total_outputs > 0, "no output nodes to train on");
-
-    stats.loss = loss_sum / double(total_outputs);
-    stats.accuracy = double(correct) / double(total_outputs);
-    if (own_.link) {
-        stats.transferSeconds = own_.link->seconds();
-        own_.link->reset();
-    }
-    if (device) {
-        stats.peakBytes = device->peakBytes();
-        stats.oom = device->oomOccurred();
-        stats.oomEvents =
-            device->oomEpisodeCount() - oom_episodes_before;
-    }
     return stats;
 }
 

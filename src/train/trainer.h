@@ -1,15 +1,16 @@
 /**
  * @file
- * Training loops: full-batch, mini-batch, and Betty's micro-batch
- * (gradient accumulation) mode.
+ * The training loop: Betty's micro-batch (gradient accumulation)
+ * mode, which with one batch is full-batch training.
  *
  * Micro-batch semantics (paper §4.2, Figure 6): all K micro-batches
  * are forwarded/backwarded against the SAME parameters; per-micro-
  * batch losses are weighted by their share of output nodes so the
  * accumulated gradient equals the full batch's mean-loss gradient;
  * one optimizer step is applied at the end of the batch. Mini-batch
- * mode, by contrast, steps the optimizer after every batch — that is
- * the statistical difference Figures 4/13 and Table 6 measure.
+ * SGD, by contrast, steps the optimizer after every batch — one
+ * trainMicroBatches({batch}) call per batch — and that is the
+ * statistical difference Figures 4/13 and Table 6 measure.
  *
  * The trainer also performs the simulated heterogeneous-memory data
  * movement: per (micro-)batch it gathers the needed feature rows from
@@ -179,6 +180,10 @@ class Trainer
      */
     void setFeatureCache(FeatureCache* cache) { own_.cache = cache; }
 
+    /** The trainer's own device: memory model, host link and feature
+     * cache (each may be null). */
+    const TrainDevice& device() const { return own_; }
+
     /**
      * One gradient-accumulation step over @p micro_batches (Betty
      * micro-batch training; pass a single batch for full-batch
@@ -209,10 +214,6 @@ class Trainer
         const std::vector<MultiLayerBatch>& micro_batches,
         std::vector<TrainDevice>& devices,
         const std::vector<int32_t>& owner);
-
-    /** One epoch of classic mini-batch SGD: optimizer step per batch. */
-    EpochStats trainMiniBatches(
-        const std::vector<MultiLayerBatch>& batches);
 
     /** Forward-only accuracy of the model on @p batch's outputs. */
     double evaluate(const MultiLayerBatch& batch);
@@ -259,8 +260,7 @@ class Trainer
     const Dataset& dataset_;
     GnnModel& model_;
     Optimizer& optimizer_;
-    /** The device trainMicroBatches, trainMiniBatches and evaluate
-     * charge. */
+    /** The device trainMicroBatches and evaluate charge. */
     TrainDevice own_;
     MicroBatchArbiter* arbiter_ = nullptr;
 

@@ -169,12 +169,6 @@ cacheCapacityBytes()
     return gibToBytes(envDouble("BETTY_CACHE_GIB", 0.05));
 }
 
-std::string
-cachePolicyName()
-{
-    return envString("BETTY_CACHE_POLICY", "lru");
-}
-
 int64_t
 traceRingCapacity()
 {

@@ -2,12 +2,12 @@
  * @file
  * Shared parsing for the BETTY_* configuration knobs.
  *
- * The bench harness, train_cli, and the thread pool all read the same
- * environment variables (BETTY_THREADS, BETTY_DEVICES,
- * BETTY_BENCH_SCALE, BETTY_DEVICE_GIB, BETTY_CACHE_GIB,
- * BETTY_CACHE_POLICY), and the CLI
- * surfaces most of them as flags too. This header is the single place
- * that defines their precedence and validation:
+ * The bench harness, train_cli, the thread pool and the observability
+ * collectors all read the same environment variables (BETTY_THREADS,
+ * BETTY_DEVICES, BETTY_BENCH_SCALE, BETTY_DEVICE_GIB, BETTY_CACHE_GIB,
+ * BETTY_TRACE_RING, BETTY_FR_CAPACITY), and the CLI surfaces most of
+ * them as flags too. This header is the single place that defines
+ * their precedence and validation:
  *
  *   flag > environment > built-in default
  *
@@ -15,8 +15,7 @@
  *_variable/flag), never silently coerced: `BETTY_THREADS=abc` used to
  * mean 1 thread via strtol's zero return — now it is a startup error.
  *
- * Layering: util only. Cache-policy values stay strings here; callers
- * that need the CachePolicy enum convert with parseCachePolicy().
+ * Layering: util only.
  */
 #ifndef BETTY_UTIL_ENV_CONFIG_H
 #define BETTY_UTIL_ENV_CONFIG_H
@@ -95,12 +94,6 @@ int64_t deviceCapacityBytes();
 
 /** Feature-cache reservation bytes: BETTY_CACHE_GIB (default 0.05). */
 int64_t cacheCapacityBytes();
-
-/**
- * Replacement-policy name: BETTY_CACHE_POLICY (default "lru").
- * Returned unvalidated — parseCachePolicy() owns the vocabulary.
- */
-std::string cachePolicyName();
 
 /**
  * Per-thread trace ring capacity (events): BETTY_TRACE_RING, >= 1

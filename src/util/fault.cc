@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <mutex>
 
 #include "obs/metrics.h"
 #include "obs/perf/flight_recorder.h"
+#include "util/env_config.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace betty::fault {
@@ -69,26 +71,6 @@ chargeInjected(InjectorState& s, size_t index)
         s.microBatch);
 }
 
-/** Consume the first matching unconsumed event of @p kind; returns
- * its index or -1. Caller holds the mutex. */
-int64_t
-takeOneShot(InjectorState& s, FaultKind kind)
-{
-    if (!s.installed)
-        return -1;
-    for (size_t i = 0; i < s.plan.events.size(); ++i) {
-        const FaultEvent& event = s.plan.events[i];
-        if (event.kind != kind || s.remaining[i] <= 0)
-            continue;
-        if (!matches(event, s.epoch, s.microBatch))
-            continue;
-        s.remaining[i] = 0;
-        chargeInjected(s, i);
-        return int64_t(i);
-    }
-    return -1;
-}
-
 // ------------------------------------------------------------- parsing
 
 bool
@@ -116,26 +98,6 @@ parseKind(const std::string& word, FaultKind& kind)
 }
 
 bool
-parseInt(const std::string& text, int64_t& value)
-{
-    if (text.empty())
-        return false;
-    char* end = nullptr;
-    value = std::strtoll(text.c_str(), &end, 10);
-    return end && *end == '\0';
-}
-
-bool
-parseDouble(const std::string& text, double& value)
-{
-    if (text.empty())
-        return false;
-    char* end = nullptr;
-    value = std::strtod(text.c_str(), &end);
-    return end && *end == '\0';
-}
-
-bool
 fail(std::string* error, const std::string& message)
 {
     if (error)
@@ -156,12 +118,10 @@ parseEvent(const std::string& clause, FaultEvent& event,
     std::string tail = clause.substr(at + 1);
 
     // kind[=value]
-    double value = 0.0;
+    std::string value_text;
     bool has_value = false;
     if (const size_t eq = head.find('='); eq != std::string::npos) {
-        if (!parseDouble(head.substr(eq + 1), value))
-            return fail(error, "'" + clause + "': bad value '" +
-                                   head.substr(eq + 1) + "'");
+        value_text = head.substr(eq + 1);
         has_value = true;
         head = head.substr(0, eq);
     }
@@ -171,7 +131,12 @@ parseEvent(const std::string& clause, FaultEvent& event,
                         "' (oom, capacity-drop, transfer-fail, "
                         "alloc-scale, corrupt-features, "
                         "device-drop, device-slow, transfer-flaky)");
-    event.value = value;
+    // Finite numbers only: a NaN factor would pass every range check
+    // below. A device index is parsed as an integer instead.
+    if (has_value && event.kind != FaultKind::DeviceDrop &&
+        !envcfg::parseDouble(value_text, &event.value))
+        return fail(error, "'" + clause + "': bad value '" +
+                               value_text + "'");
 
     // :key=value modifiers (after the position).
     std::string position = tail;
@@ -190,21 +155,21 @@ parseEvent(const std::string& clause, FaultEvent& event,
                                        "': modifier '" + mod +
                                        "' is not key=value");
             const std::string key = mod.substr(0, eq);
+            const std::string text = mod.substr(eq + 1);
             if (key == "retries") {
-                if (!parseInt(mod.substr(eq + 1), event.retries) ||
+                if (!envcfg::parseInt(text, &event.retries) ||
                     event.retries < 1)
                     return fail(error, "'" + clause +
                                            "': bad retries count");
             } else if (key == "device") {
-                if (!parseInt(mod.substr(eq + 1), event.device) ||
+                if (!envcfg::parseInt(text, &event.device) ||
                     event.device < 0)
                     return fail(error,
                                 "'" + clause +
                                     "': bad device index (needs a "
                                     "whole index >= 0)");
             } else if (key == "duration") {
-                if (!parseInt(mod.substr(eq + 1),
-                              event.durationEpochs) ||
+                if (!envcfg::parseInt(text, &event.durationEpochs) ||
                     event.durationEpochs < 0)
                     return fail(error,
                                 "'" + clause +
@@ -225,13 +190,14 @@ parseEvent(const std::string& clause, FaultEvent& event,
     std::string epoch_text = position.substr(5);
     if (const size_t dot = epoch_text.find(".mb");
         dot != std::string::npos) {
-        if (!parseInt(epoch_text.substr(dot + 3), event.microBatch) ||
+        if (!envcfg::parseInt(epoch_text.substr(dot + 3),
+                              &event.microBatch) ||
             event.microBatch < 0)
             return fail(error,
                         "'" + clause + "': bad micro-batch index");
         epoch_text = epoch_text.substr(0, dot);
     }
-    if (!parseInt(epoch_text, event.epoch) || event.epoch < 1)
+    if (!envcfg::parseInt(epoch_text, &event.epoch) || event.epoch < 1)
         return fail(error, "'" + clause + "': bad epoch number");
 
     // Kind-specific value validation.
@@ -254,20 +220,20 @@ parseEvent(const std::string& clause, FaultEvent& event,
                                    "': corrupt-features needs a "
                                    "fraction in (0, 1]");
         break;
-      case FaultKind::DeviceDrop:
-        // Optional value: a whole non-negative device index. No
-        // value means "drop the highest-indexed live device", which
-        // the engine encodes as -1.
-        if (has_value) {
-            if (event.value < 0.0 ||
-                event.value != double(int64_t(event.value)))
-                return fail(error, "'" + clause +
-                                       "': device-drop needs a whole "
-                                       "device index >= 0");
-        } else {
-            event.value = -1.0;
-        }
+      case FaultKind::DeviceDrop: {
+        // Optional value: a whole device index that fits a device
+        // count. No value means "drop the highest-indexed live
+        // device", which the engine encodes as -1.
+        int64_t index = -1;
+        if (has_value &&
+            (!envcfg::parseInt(value_text, &index) || index < 0 ||
+             index > std::numeric_limits<int32_t>::max()))
+            return fail(error, "'" + clause +
+                                   "': device-drop needs a whole "
+                                   "device index >= 0");
+        event.value = double(index);
         break;
+      }
       case FaultKind::DeviceSlow:
         if (!has_value || event.value <= 1.0)
             return fail(error, "'" + clause +
@@ -432,38 +398,26 @@ Injector::beginMicroBatch(int64_t index)
     s.microBatch = index;
 }
 
-bool
-Injector::takeInjectedOom()
+std::optional<FaultEvent>
+Injector::take(FaultKind kind)
 {
+    BETTY_ASSERT(kind != FaultKind::TransferFail &&
+                     kind != FaultKind::TransferFlaky,
+                 "transfer faults fire per attempt, not via take()");
     InjectorState& s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    return takeOneShot(s, FaultKind::InjectOom) >= 0;
-}
-
-bool
-Injector::takeCapacityDrop(double* factor)
-{
-    InjectorState& s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    const int64_t index = takeOneShot(s, FaultKind::CapacityDrop);
-    if (index < 0)
-        return false;
-    if (factor)
-        *factor = s.plan.events[size_t(index)].value;
-    return true;
-}
-
-bool
-Injector::takeAllocScale(double* scale)
-{
-    InjectorState& s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    const int64_t index = takeOneShot(s, FaultKind::AllocScale);
-    if (index < 0)
-        return false;
-    if (scale)
-        *scale = s.plan.events[size_t(index)].value;
-    return true;
+    if (!s.installed)
+        return std::nullopt;
+    for (size_t i = 0; i < s.plan.events.size(); ++i) {
+        const FaultEvent& event = s.plan.events[i];
+        if (event.kind != kind || s.remaining[i] <= 0 ||
+            !matches(event, s.epoch, s.microBatch))
+            continue;
+        s.remaining[i] = 0;
+        chargeInjected(s, i);
+        return event;
+    }
+    return std::nullopt;
 }
 
 bool
@@ -519,51 +473,6 @@ Injector::takeTransferFlakyFailure(int64_t micro_batch,
         }
     }
     return false;
-}
-
-bool
-Injector::takeDeviceDrop(int64_t* device)
-{
-    InjectorState& s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    const int64_t index = takeOneShot(s, FaultKind::DeviceDrop);
-    if (index < 0)
-        return false;
-    if (device)
-        *device = int64_t(s.plan.events[size_t(index)].value);
-    return true;
-}
-
-bool
-Injector::takeDeviceSlow(double* factor, int64_t* device,
-                         int64_t* duration_epochs)
-{
-    InjectorState& s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    const int64_t index = takeOneShot(s, FaultKind::DeviceSlow);
-    if (index < 0)
-        return false;
-    const FaultEvent& event = s.plan.events[size_t(index)];
-    if (factor)
-        *factor = event.value;
-    if (device)
-        *device = event.device;
-    if (duration_epochs)
-        *duration_epochs = event.durationEpochs;
-    return true;
-}
-
-bool
-Injector::takeCorruptFeatures(double* fraction)
-{
-    InjectorState& s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    const int64_t index = takeOneShot(s, FaultKind::CorruptFeatures);
-    if (index < 0)
-        return false;
-    if (fraction)
-        *fraction = s.plan.events[size_t(index)].value;
-    return true;
 }
 
 std::vector<int64_t>

@@ -59,6 +59,7 @@
 #define BETTY_UTIL_FAULT_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,7 +120,8 @@ struct FaultEvent
     int64_t microBatch = -1;
 
     /** Kind-dependent magnitude: capacity factor, allocation scale,
-     * corrupt-row fraction, slowdown factor, or flaky probability. */
+     * corrupt-row fraction, slowdown factor, flaky probability, or
+     * the dropped device's index (-1 = none named). */
     double value = 0.0;
 
     /** TransferFail: how many consecutive attempts fail. */
@@ -158,9 +160,9 @@ struct FaultPlan
 
 /**
  * Process-global fault clock + event queue. The trainer advances the
- * clock (beginEpoch/beginMicroBatch); injection sites issue one-shot
- * consuming queries that fire when an unconsumed event matches the
- * clock position. All entry points are thread-safe. The transfer
+ * clock (beginEpoch/beginMicroBatch); injection sites issue consuming
+ * queries that fire when an unconsumed event matches the clock
+ * position. All entry points are thread-safe. The transfer
  * queries take the micro-batch's *logical* position as an argument
  * instead of trusting the clock, so a transfer fault lands on its
  * micro-batch whoever advances the clock, and whenever.
@@ -189,17 +191,16 @@ class Injector
 
     /** @} */
 
-    /** @name One-shot consuming queries */
+    /** @name Consuming queries */
     /** @{ */
 
-    /** True if an InjectOom event fires at the clock position. */
-    static bool takeInjectedOom();
-
-    /** True (with the factor) if a CapacityDrop fires here. */
-    static bool takeCapacityDrop(double* factor);
-
-    /** True (with the scale) if an AllocScale fires here. */
-    static bool takeAllocScale(double* scale);
+    /**
+     * The first unconsumed event of @p kind that fires at the clock
+     * position, consumed and returned; nullopt when none does. For
+     * every kind but the two transfer kinds, which fire per attempt
+     * through the queries below.
+     */
+    static std::optional<FaultEvent> take(FaultKind kind);
 
     /**
      * True while a TransferFail event has failed attempts left for
@@ -220,26 +221,6 @@ class Injector
      */
     static bool takeTransferFlakyFailure(int64_t micro_batch,
                                          int64_t attempt);
-
-    /** True (with the row fraction) if a CorruptFeatures event fires
-     * at the current epoch's epoch-scoped slot. */
-    static bool takeCorruptFeatures(double* fraction);
-
-    /**
-     * True if a DeviceDrop fires at the clock position. @p device
-     * receives the spec's device index, or -1 when the spec named no
-     * device (the engine then drops the highest-indexed live one).
-     */
-    static bool takeDeviceDrop(int64_t* device);
-
-    /**
-     * True if a DeviceSlow fires at the clock position. @p factor
-     * receives the slowdown (> 1), @p device the victim index or -1
-     * for "engine's choice", @p duration_epochs how many epochs the
-     * degradation lasts (0 = permanent).
-     */
-    static bool takeDeviceSlow(double* factor, int64_t* device,
-                               int64_t* duration_epochs);
 
     /** @} */
 

@@ -137,8 +137,11 @@ ThreadPool::tryPop(size_t index, std::function<void()>& task)
 void
 ThreadPool::workerLoop(size_t index)
 {
-    obs::Trace::nameCurrentLane("pool/worker-" +
-                                std::to_string(index + 1));
+    // A fixed lane per worker, taken before anything is recorded:
+    // lane ids must not depend on which thread starts first.
+    const int32_t worker = int32_t(index) + 1;
+    obs::Trace::setLane(obs::Trace::kPoolWorkerLaneBase + worker,
+                        "pool/worker-" + std::to_string(worker));
     while (true) {
         std::function<void()> task;
         if (tryPop(index, task)) {

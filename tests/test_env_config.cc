@@ -178,12 +178,10 @@ TEST(Knobs, DefaultsMatchTheDocumentedValues)
     ScopedEnv s("BETTY_BENCH_SCALE", nullptr);
     ScopedEnv d("BETTY_DEVICE_GIB", nullptr);
     ScopedEnv c("BETTY_CACHE_GIB", nullptr);
-    ScopedEnv p("BETTY_CACHE_POLICY", nullptr);
     EXPECT_EQ(threads(), 1);
     EXPECT_DOUBLE_EQ(benchScale(), 1.0);
     EXPECT_EQ(deviceCapacityBytes(), gibToBytes(0.25));
     EXPECT_EQ(cacheCapacityBytes(), gibToBytes(0.05));
-    EXPECT_EQ(cachePolicyName(), "lru");
     ScopedEnv r("BETTY_TRACE_RING", nullptr);
     EXPECT_EQ(traceRingCapacity(), 1 << 16);
 }

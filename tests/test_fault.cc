@@ -112,6 +112,27 @@ TEST(FaultPlanParse, TypedErrors)
     EXPECT_NE(error.find("unknown modifier"), std::string::npos);
 }
 
+TEST(FaultPlanParse, RejectsNonFiniteAndOutOfRangeNumbers)
+{
+    // A NaN or infinite magnitude passes no range check by comparison
+    // alone, and a device index must not round-trip through a double.
+    const std::string specs[] = {
+        "capacity-drop=nan@epoch2",
+        "device-slow=inf@epoch1",
+        "alloc-scale=nan@epoch1",
+        "transfer-flaky=nan@epoch1",
+        "corrupt-features=inf@epoch1",
+        "device-drop=1e300@epoch1",
+        "device-drop=1.0@epoch1",
+        "device-drop=4294967296@epoch1",
+        "oom@epoch99999999999999999999",
+    };
+    for (const std::string& spec : specs) {
+        FaultPlan plan;
+        EXPECT_FALSE(FaultPlan::parse(spec, plan, nullptr)) << spec;
+    }
+}
+
 TEST(FaultPlanParse, DeviceDropGrammar)
 {
     FaultPlan plan;
@@ -251,21 +272,22 @@ TEST(Injector, DeviceDropFiresOnceAtTheClockPosition)
         nullptr));
     Injector::install(plan);
 
-    int64_t device = -2;
     Injector::beginEpoch(1);
-    EXPECT_FALSE(Injector::takeDeviceDrop(&device));
+    EXPECT_FALSE(Injector::take(FaultKind::DeviceDrop));
 
     Injector::beginEpoch(2);
-    ASSERT_TRUE(Injector::takeDeviceDrop(&device));
-    EXPECT_EQ(device, -1); // no index named in the spec
-    EXPECT_FALSE(Injector::takeDeviceDrop(&device)); // one-shot
+    auto drop = Injector::take(FaultKind::DeviceDrop);
+    ASSERT_TRUE(drop);
+    EXPECT_EQ(drop->value, -1.0); // no index named in the spec
+    EXPECT_FALSE(Injector::take(FaultKind::DeviceDrop)); // one-shot
 
     Injector::beginEpoch(3);
     Injector::beginMicroBatch(0);
-    EXPECT_FALSE(Injector::takeDeviceDrop(&device));
+    EXPECT_FALSE(Injector::take(FaultKind::DeviceDrop));
     Injector::beginMicroBatch(1);
-    ASSERT_TRUE(Injector::takeDeviceDrop(&device));
-    EXPECT_EQ(device, 1);
+    drop = Injector::take(FaultKind::DeviceDrop);
+    ASSERT_TRUE(drop);
+    EXPECT_EQ(drop->value, 1.0);
     EXPECT_EQ(Injector::faultsInjected(FaultKind::DeviceDrop), 2);
 }
 
@@ -276,16 +298,14 @@ TEST(Injector, InactiveQueriesAreNoops)
     EXPECT_FALSE(Injector::active());
     Injector::beginEpoch(1);
     Injector::beginMicroBatch(0);
-    double value = 0.0;
-    EXPECT_FALSE(Injector::takeInjectedOom());
-    EXPECT_FALSE(Injector::takeCapacityDrop(&value));
-    EXPECT_FALSE(Injector::takeAllocScale(&value));
+    EXPECT_FALSE(Injector::take(FaultKind::InjectOom));
+    EXPECT_FALSE(Injector::take(FaultKind::CapacityDrop));
+    EXPECT_FALSE(Injector::take(FaultKind::AllocScale));
     EXPECT_FALSE(Injector::takeTransferFailure(0));
     EXPECT_FALSE(Injector::takeTransferFlakyFailure(0, 0));
-    EXPECT_FALSE(Injector::takeCorruptFeatures(&value));
-    int64_t device = -1;
-    int64_t duration = 0;
-    EXPECT_FALSE(Injector::takeDeviceSlow(&value, &device, &duration));
+    EXPECT_FALSE(Injector::take(FaultKind::CorruptFeatures));
+    EXPECT_FALSE(Injector::take(FaultKind::DeviceDrop));
+    EXPECT_FALSE(Injector::take(FaultKind::DeviceSlow));
     EXPECT_EQ(Injector::faultsInjected(), 0);
 }
 
@@ -297,17 +317,18 @@ TEST(Injector, FiresExactlyAtTheClockPosition)
     Injector::install(plan);
     ASSERT_TRUE(Injector::active());
 
+    const FaultKind oom = FaultKind::InjectOom;
     Injector::beginEpoch(1);
     Injector::beginMicroBatch(1);
-    EXPECT_FALSE(Injector::takeInjectedOom()); // wrong epoch
+    EXPECT_FALSE(Injector::take(oom)); // wrong epoch
 
     Injector::beginEpoch(2);
-    EXPECT_FALSE(Injector::takeInjectedOom()); // epoch-scoped slot
+    EXPECT_FALSE(Injector::take(oom)); // epoch-scoped slot
     Injector::beginMicroBatch(0);
-    EXPECT_FALSE(Injector::takeInjectedOom()); // wrong micro-batch
+    EXPECT_FALSE(Injector::take(oom)); // wrong micro-batch
     Injector::beginMicroBatch(1);
-    EXPECT_TRUE(Injector::takeInjectedOom()); // fires
-    EXPECT_FALSE(Injector::takeInjectedOom()); // one-shot: consumed
+    EXPECT_TRUE(Injector::take(oom)); // fires
+    EXPECT_FALSE(Injector::take(oom)); // one-shot: consumed
     EXPECT_EQ(Injector::faultsInjected(), 1);
     EXPECT_EQ(Injector::faultsInjected(FaultKind::InjectOom), 1);
     EXPECT_EQ(Injector::faultsInjected(FaultKind::CapacityDrop), 0);
@@ -322,12 +343,12 @@ TEST(Injector, EpochScopedEventFiresBeforeMicroBatches)
     Injector::install(plan);
 
     Injector::beginEpoch(1);
-    double factor = 0.0;
-    ASSERT_TRUE(Injector::takeCapacityDrop(&factor));
-    EXPECT_DOUBLE_EQ(factor, 0.25);
+    const auto drop = Injector::take(FaultKind::CapacityDrop);
+    ASSERT_TRUE(drop);
+    EXPECT_DOUBLE_EQ(drop->value, 0.25);
     // Not again at a micro-batch position.
     Injector::beginMicroBatch(0);
-    EXPECT_FALSE(Injector::takeCapacityDrop(&factor));
+    EXPECT_FALSE(Injector::take(FaultKind::CapacityDrop));
 }
 
 TEST(Injector, TransferFailConsumesPerAttempt)
@@ -428,13 +449,13 @@ TEST(Injector, ReinstallResetsConsumption)
     Injector::install(plan);
     Injector::beginEpoch(1);
     Injector::beginMicroBatch(0);
-    ASSERT_TRUE(Injector::takeInjectedOom());
+    ASSERT_TRUE(Injector::take(FaultKind::InjectOom));
 
     Injector::install(plan); // fresh clock, fresh queue
     EXPECT_EQ(Injector::faultsInjected(), 0);
     Injector::beginEpoch(1);
     Injector::beginMicroBatch(0);
-    EXPECT_TRUE(Injector::takeInjectedOom());
+    EXPECT_TRUE(Injector::take(FaultKind::InjectOom));
 }
 
 TEST(Injector, CorruptRowPlanIsDeterministicPerEpoch)

@@ -123,10 +123,10 @@ TEST(FeatureCacheProperty,
 
     for (int64_t epoch = 1; epoch <= 6; ++epoch) {
         fault::Injector::beginEpoch(epoch);
-        double factor = 1.0;
-        if (fault::Injector::takeCapacityDrop(&factor))
+        if (const auto drop = fault::Injector::take(
+                fault::FaultKind::CapacityDrop))
             device.setCapacity(
-                int64_t(double(device.capacity()) * factor));
+                int64_t(double(device.capacity()) * drop->value));
         // Recovery: give back exactly enough reservation for the
         // training working set to fit (release-before-refuse).
         if (device.liveBytes() > device.capacity()) {
@@ -265,6 +265,20 @@ TEST(FeatureCacheProperty, PinTruncatesToCapacity)
     cache.access({100, 101});
     EXPECT_EQ(cache.residentRows(), 4);
     EXPECT_EQ(cache.stats().evictions, 0);
+}
+
+TEST(FeatureCacheProperty, PinCountsOnlyTheRowsItMadeResident)
+{
+    // The caller charges pin()'s count to the link, so rows that were
+    // already resident — already charged as misses — must not count.
+    FeatureCache cache(nullptr, 8 * kRowBytes, kRowBytes,
+                       CachePolicy::LruPinned);
+    cache.access({1, 2});
+    EXPECT_EQ(cache.pin({1, 2, 3, 4}), 2);
+    EXPECT_EQ(cache.pin({3, 5}), 1);
+    EXPECT_EQ(cache.pinnedRows(), 5);
+    FeatureCache lru(nullptr, 8 * kRowBytes, kRowBytes);
+    EXPECT_EQ(lru.pin({1, 2}), 0);
 }
 
 TEST(FeatureCacheProperty, ShrinkToReturnsBytesAndCountsRelease)

@@ -11,6 +11,7 @@
  * perturbing — parameters are bit-identical with recording on or
  * off.
  */
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
@@ -225,7 +226,7 @@ TEST_F(FlightRecorderTest, FaultInjectedRunLeavesTheRecoveryStory)
         Trainer trainer(dataset, model, adam, &device, &transfer);
         BettyPartitioner partitioner;
         ResilientTrainer resilient(trainer, model.memorySpec(),
-                                   partitioner, &device);
+                                   partitioner);
         const auto result = resilient.trainEpoch(full, 1, 1);
         EXPECT_FALSE(result.skipped);
         EXPECT_EQ(result.plan.k, 2);
@@ -274,6 +275,19 @@ TEST_F(FlightRecorderTest, FaultInjectedRunLeavesTheRecoveryStory)
     // lands on bit-identical parameters.
     runEpoch(false);
     EXPECT_EQ(last_hash_, hash_with_recorder);
+}
+
+TEST(FlightRecorderConfig, MalformedCapacityVariableIsFatal)
+{
+    // The ring is sized by the first record of a process, so the death
+    // test re-runs in a fresh process, where no ring exists yet.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    setenv("BETTY_FR_CAPACITY", "8k", 1);
+    EXPECT_DEATH(FlightRecorder::record(FrCategory::Mark, "fr/first", 0,
+                                        0),
+                 "BETTY_FR_CAPACITY");
+    unsetenv("BETTY_FR_CAPACITY");
+    ::testing::GTEST_FLAG(death_test_style) = "fast";
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <limits>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace betty {
 namespace {
@@ -130,6 +132,55 @@ TEST_F(ObsTest, LaneScopeOverridesAndRestores)
     const auto laned = eventsNamed("obs_test/laned");
     ASSERT_EQ(laned.size(), 1u);
     EXPECT_EQ(laned[0].lane, 1007);
+}
+
+TEST_F(ObsTest, LanesDoNotDependOnThreadStartUpOrder)
+{
+    obs::Trace::setEnabled(true);
+    // A thread outside any pool takes the next free lane when it
+    // first records; pool workers have fixed lanes and take none.
+    int32_t before = -1;
+    std::thread([&] { before = obs::Trace::currentLane(); }).join();
+
+    std::vector<int32_t> worker_lanes;
+    int32_t caller = -1;
+    std::thread([&] {
+        {
+            // Both workers record before this thread does.
+            ThreadPool pool(3);
+            std::vector<std::future<int32_t>> lanes;
+            for (int i = 0; i < 16; ++i)
+                lanes.push_back(pool.submit([] {
+                    BETTY_TRACE_SPAN("obs_test/worker");
+                    return obs::Trace::currentLane();
+                }));
+            for (auto& lane : lanes)
+                worker_lanes.push_back(lane.get());
+        }
+        caller = obs::Trace::currentLane();
+    }).join();
+    EXPECT_EQ(caller, before + 1);
+
+    const int32_t base = obs::Trace::kPoolWorkerLaneBase;
+    for (const int32_t lane : worker_lanes) {
+        EXPECT_GE(lane, base + 1);
+        EXPECT_LE(lane, base + 2);
+    }
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(obs::Trace::chromeTraceJson(), doc, nullptr));
+    int named_workers = 0;
+    for (const auto& event : doc.find("traceEvents")->array) {
+        const JsonValue* tid = event.find("tid");
+        if (event.find("name")->string != "thread_name" || !tid)
+            continue;
+        const int64_t worker = tid->asInt() - base;
+        if (worker == 1 || worker == 2) {
+            EXPECT_EQ(event.find("args")->find("name")->string,
+                      "pool/worker-" + std::to_string(worker));
+            ++named_workers;
+        }
+    }
+    EXPECT_EQ(named_workers, 2);
 }
 
 TEST_F(ObsTest, MultiThreadSpansAllRetained)

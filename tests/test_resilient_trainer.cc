@@ -126,7 +126,7 @@ struct Env
         Trainer trainer(ds, model, adam, &device, &transfer);
         BettyPartitioner partitioner;
         ResilientTrainer resilient(trainer, model.memorySpec(),
-                                   partitioner, &device, policy);
+                                   partitioner, policy);
         if (mutable_ds)
             resilient.setFeatureSource(&mutable_ds->features);
 
@@ -293,6 +293,54 @@ TEST(ResilientTrainer, TransferFaultRetriesWithoutChangingResults)
     EXPECT_EQ(faulted.result.plan.k, clean.result.plan.k);
     EXPECT_EQ(faulted.result.stats.loss, clean.result.stats.loss);
     EXPECT_EQ(faulted.paramHash, clean.paramHash);
+}
+
+TEST(ResilientTrainer, DeviceSlowDegradesTheTrainersOwnLinkAndHeals)
+{
+    // Wired like train_cli: the link reaches the recovery loop only
+    // through the trainer it wraps.
+    Env& e = env();
+    struct Epochs
+    {
+        std::vector<double> losses;
+        std::vector<double> linkSeconds;
+        uint64_t paramHash = 0;
+        int64_t faultsInjected = 0;
+    };
+    auto run = [&](const std::string& faults) {
+        fault::FaultPlan plan;
+        EXPECT_TRUE(fault::FaultPlan::parse(faults, plan, nullptr));
+        fault::Injector::install(std::move(plan));
+        DeviceMemoryModel device(e.peakAtK1);
+        DeviceMemoryModel::Scope scope(device);
+        GraphSage model(e.sageConfig());
+        Adam adam(model.parameters(), 0.01f);
+        TransferModel transfer;
+        Trainer trainer(e.dataset, model, adam, &device, &transfer);
+        BettyPartitioner partitioner;
+        ResilientTrainer resilient(trainer, model.memorySpec(),
+                                   partitioner);
+        Epochs out;
+        for (int64_t epoch = 1; epoch <= 2; ++epoch) {
+            const ResilientEpochResult result =
+                resilient.trainEpoch(e.full, epoch, 1);
+            EXPECT_FALSE(result.skipped);
+            out.losses.push_back(result.stats.loss);
+            out.linkSeconds.push_back(result.stats.transferSeconds);
+        }
+        out.paramHash = hashParameters(model);
+        out.faultsInjected = resilient.report().faultsInjected;
+        fault::Injector::clear();
+        return out;
+    };
+
+    const Epochs clean = run("");
+    const Epochs slow = run("device-slow=4@epoch1:duration=1");
+    EXPECT_EQ(slow.faultsInjected, 1);
+    EXPECT_GT(slow.linkSeconds[0], clean.linkSeconds[0]);
+    EXPECT_EQ(slow.linkSeconds[1], clean.linkSeconds[1]); // healed
+    EXPECT_EQ(slow.losses, clean.losses);
+    EXPECT_EQ(slow.paramHash, clean.paramHash);
 }
 
 TEST(ResilientTrainer, ExhaustionSkipsTheEpochInsteadOfCrashing)
