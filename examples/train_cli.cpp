@@ -612,11 +612,6 @@ main(int argc, char** argv)
     if (!fault_spec.empty())
         report.setConfig("faults", fault_spec);
 
-    int64_t run_peak_bytes = 0;
-    double total_compute_seconds = 0.0;
-    double total_transfer_seconds = 0.0;
-    double final_test_accuracy = 0.0;
-
     for (int epoch = start_epoch; epoch <= args.epochs; ++epoch) {
         BETTY_TRACE_SPAN("epoch");
         MultiLayerBatch full;
@@ -653,10 +648,6 @@ main(int argc, char** argv)
             epoch_row.transferSeconds = stats.transferSeconds;
             epoch_row.oom = stats.oom;
             report.addEpoch(epoch_row);
-            run_peak_bytes = std::max(run_peak_bytes, stats.peakBytes);
-            total_compute_seconds += stats.computeSeconds;
-            total_transfer_seconds += stats.transferSeconds;
-            final_test_accuracy = test;
             inform("epoch ", epoch, "/", args.epochs,
                    "  K=", result.plan.k, "  loss ",
                    TablePrinter::num(stats.loss, 4), "  acc ",
@@ -704,11 +695,6 @@ main(int argc, char** argv)
             epoch_row.transferSeconds = transfer_seconds;
             epoch_row.oom = stats.oom;
             report.addEpoch(epoch_row);
-            run_peak_bytes =
-                std::max(run_peak_bytes, stats.maxDevicePeakBytes);
-            total_compute_seconds += stats.epochSeconds;
-            total_transfer_seconds += transfer_seconds;
-            final_test_accuracy = test;
             inform("epoch ", epoch, "/", args.epochs, "  K=", plan.k,
                    "  loss ", TablePrinter::num(stats.loss, 4),
                    "  acc ", TablePrinter::num(stats.accuracy, 3),
@@ -801,10 +787,6 @@ main(int argc, char** argv)
     }
     if (!args.memprof_out.empty()) {
         report.setTimeline(device.timeline());
-        report.setPeakBytes(run_peak_bytes);
-        report.setTotalComputeSeconds(total_compute_seconds);
-        report.setTotalTransferSeconds(total_transfer_seconds);
-        report.setFinalTestAccuracy(final_test_accuracy);
         report.setEdgeCut(
             obs::Metrics::gauge("partition.edge_cut").value());
         report.setTransferBytes(

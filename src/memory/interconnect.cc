@@ -42,24 +42,24 @@ InterconnectConfig::parse(const std::string& name,
 
 double
 InterconnectModel::allReduceSeconds(int64_t gradient_bytes,
-                                    int32_t devices) const
+                                    int32_t devices,
+                                    double slowdown) const
 {
     BETTY_ASSERT(gradient_bytes >= 0, "negative gradient bytes");
     if (devices <= 1 || gradient_bytes == 0)
         return 0.0;
     const double steps = 2.0 * double(devices - 1);
     const double shard = double(gradient_bytes) / double(devices);
-    // slowdown_ > 1 models one degraded lane; the ring is bounded by
-    // its slowest link, so the whole collective pays it.
     return steps * (config_.latencySeconds +
-                    shard * slowdown_ / config_.bandwidth);
+                    shard * slowdown / config_.bandwidth);
 }
 
 double
 InterconnectModel::chargeAllReduce(int64_t gradient_bytes,
-                                   int32_t devices)
+                                   int32_t devices, double slowdown)
 {
-    const double seconds = allReduceSeconds(gradient_bytes, devices);
+    const double seconds =
+        allReduceSeconds(gradient_bytes, devices, slowdown);
     if (seconds == 0.0)
         return 0.0;
     seconds_ += seconds;

@@ -61,35 +61,22 @@ class InterconnectModel
 
     /**
      * Ring all-reduce cost of @p gradient_bytes across @p devices,
-     * without charging it (what-if queries, bench tables).
+     * without charging it (what-if queries, bench tables). A ring
+     * moves every shard through every link, so one lane degraded by
+     * @p slowdown (>= 1; the engine passes its slowest live host
+     * link's, TransferModel::degrade) slows the whole collective.
      */
-    double allReduceSeconds(int64_t gradient_bytes,
-                            int32_t devices) const;
+    double allReduceSeconds(int64_t gradient_bytes, int32_t devices,
+                            double slowdown = 1.0) const;
 
     /**
-     * Charge one gradient all-reduce across @p devices; returns the
-     * seconds charged (0 for a single device — nothing to reduce).
-     * Also counts the per-device bytes the ring moved.
+     * Charge one gradient all-reduce across @p devices at
+     * @p slowdown; returns the seconds charged (0 for a single device
+     * — nothing to reduce). Also counts the per-device bytes the ring
+     * moved.
      */
-    double chargeAllReduce(int64_t gradient_bytes, int32_t devices);
-
-    /**
-     * Degrade the fabric to 1/@p factor of its configured bandwidth
-     * (factor >= 1; 1 restores full speed). A ring all-reduce moves
-     * every shard through every link, so one degraded lane slows the
-     * whole collective: the engine passes the largest slowdown among
-     * its live devices' host links (TransferModel::degrade), which is
-     * exactly the straggler behaviour the device-slow fault
-     * simulates. Attribution only.
-     */
-    void
-    setSlowdown(double factor)
-    {
-        slowdown_ = factor < 1.0 ? 1.0 : factor;
-    }
-
-    /** Current slowdown factor (1 = healthy). */
-    double slowdown() const { return slowdown_; }
+    double chargeAllReduce(int64_t gradient_bytes, int32_t devices,
+                           double slowdown);
 
     const InterconnectConfig& config() const { return config_; }
 
@@ -112,7 +99,6 @@ class InterconnectModel
 
   private:
     InterconnectConfig config_;
-    double slowdown_ = 1.0;
     double seconds_ = 0.0;
     int64_t collectives_ = 0;
     int64_t bytes_moved_ = 0;

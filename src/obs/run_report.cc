@@ -1,5 +1,7 @@
 #include "obs/run_report.h"
 
+#include <algorithm>
+
 #include "obs/json.h"
 #include "obs/run_meta.h"
 
@@ -46,8 +48,16 @@ RunReport::toJson() const
         out.key(key).string(value);
     out.endObject();
 
+    // The summary's peak is the largest row's, its totals the sums in
+    // epoch order, its final test accuracy the last row's.
+    int64_t peak_bytes = 0;
+    double compute_seconds = 0.0;
+    double transfer_seconds = 0.0;
     out.key("epochs").beginArray();
     for (const RunReportEpoch& epoch : epochs_) {
+        peak_bytes = std::max(peak_bytes, epoch.peakBytes);
+        compute_seconds += epoch.computeSeconds;
+        transfer_seconds += epoch.transferSeconds;
         out.beginObject();
         out.key("epoch").integer(epoch.epoch);
         out.key("k").integer(epoch.k);
@@ -63,10 +73,11 @@ RunReport::toJson() const
     out.endArray();
 
     out.key("summary").beginObject();
-    out.key("peak_bytes").integer(peakBytes_);
-    out.key("total_compute_seconds").number(totalComputeSeconds_);
-    out.key("total_transfer_seconds").number(totalTransferSeconds_);
-    out.key("final_test_accuracy").number(finalTestAccuracy_);
+    out.key("peak_bytes").integer(peak_bytes);
+    out.key("total_compute_seconds").number(compute_seconds);
+    out.key("total_transfer_seconds").number(transfer_seconds);
+    out.key("final_test_accuracy")
+        .number(epochs_.empty() ? 0.0 : epochs_.back().testAccuracy);
     out.key("edge_cut").integer(edgeCut_);
     out.key("transfer_bytes").integer(transferBytes_);
     out.key("oom_events").integer(oomEvents_);

@@ -127,18 +127,12 @@ class RunReport
         timeline_ = std::move(timeline);
     }
 
-    /** @name Run-level summary figures */
+    /** @name Run-level summary figures (toJson() derives the rest
+     * from the epoch rows) */
     /** @{ */
-    void setPeakBytes(int64_t bytes) { peakBytes_ = bytes; }
     void setEdgeCut(int64_t cut) { edgeCut_ = cut; }
     void setTransferBytes(int64_t bytes) { transferBytes_ = bytes; }
     void setOomEvents(int64_t events) { oomEvents_ = events; }
-    void setFinalTestAccuracy(double acc) { finalTestAccuracy_ = acc; }
-    void setTotalComputeSeconds(double s) { totalComputeSeconds_ = s; }
-    void setTotalTransferSeconds(double s)
-    {
-        totalTransferSeconds_ = s;
-    }
     /** @} */
 
     /** Attach the recovery section (emitted only when set). */
@@ -165,13 +159,9 @@ class RunReport
     std::vector<std::pair<std::string, std::string>> config_;
     std::vector<RunReportEpoch> epochs_;
     std::vector<MemTimelineSample> timeline_;
-    int64_t peakBytes_ = 0;
     int64_t edgeCut_ = 0;
     int64_t transferBytes_ = 0;
     int64_t oomEvents_ = 0;
-    double finalTestAccuracy_ = 0.0;
-    double totalComputeSeconds_ = 0.0;
-    double totalTransferSeconds_ = 0.0;
     RunReportRecovery recovery_;
     bool hasRecovery_ = false;
     RunReportCache cache_;

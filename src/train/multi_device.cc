@@ -1,9 +1,9 @@
 #include "train/multi_device.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/perf/flight_recorder.h"
@@ -23,6 +23,12 @@ constexpr double kStragglerEwmaAlpha = 0.5;
  * healthy reference. */
 constexpr int32_t kMinStragglerSamples = 1;
 
+/** The initial plan's load cap, as a multiple of the mean load. */
+constexpr double kBalanceSlack = 1.2;
+
+/** A re-shard's load cap: none. */
+constexpr double kNoCap = std::numeric_limits<double>::infinity();
+
 /** The sharder's per-batch cost: feature bytes + structure bytes —
  * the dominant memory and transfer load of the batch. */
 int64_t
@@ -33,20 +39,94 @@ shardCost(const MultiLayerBatch& batch, int64_t feature_dim)
            batch.structureBytes();
 }
 
-} // namespace
-
-ShardPlan
-shardVertexCut(const std::vector<MultiLayerBatch>& micros,
-               int32_t num_devices, int64_t feature_dim,
-               double balance_slack)
+/** One past the largest input node id of @p micros. */
+int64_t
+inputIdBound(const std::vector<MultiLayerBatch>& micros)
 {
-    BETTY_ASSERT(num_devices >= 1, "need at least one device");
-    BETTY_ASSERT(balance_slack >= 1.0, "balance slack must be >= 1");
-    ShardPlan plan;
-    plan.assignment.assign(micros.size(), -1);
-    plan.deviceCostBytes.assign(size_t(num_devices), 0);
-    plan.deviceUniqueInputs.assign(size_t(num_devices), 0);
+    int64_t bound = 0;
+    for (const MultiLayerBatch& batch : micros)
+        for (int64_t node : batch.inputNodes())
+            bound = std::max(bound, node + 1);
+    return bound;
+}
 
+/**
+ * The one placement routine, behind the initial plan and every
+ * re-shard. Puts micros[i] for each i of @p order, in that order, on
+ * the candidate device whose working set it overlaps most in input
+ * nodes; ties go to the least load (shardCost), then to the earlier
+ * candidate, which is the lowest id since every caller lists them in
+ * ascending order. Every device starts with the working set and load
+ * of the micro-batches @p owner already gives it. Only candidates
+ * whose load stays within @p cap are eligible; a micro-batch none can
+ * take goes to the least-loaded candidate. @p sets holds one marker
+ * array per device over node ids [0, @p num_ids), reused across
+ * calls.
+ */
+void
+place(const std::vector<MultiLayerBatch>& micros,
+      const std::vector<size_t>& order,
+      const std::vector<int32_t>& candidates, double cap,
+      int64_t feature_dim, int64_t num_ids, std::vector<Markers>& sets,
+      std::vector<int32_t>& owner)
+{
+    std::vector<int64_t> load(sets.size(), 0);
+    for (Markers& set : sets)
+        set.reset(num_ids);
+    auto assign = [&](size_t i, int32_t d) {
+        owner[i] = d;
+        load[size_t(d)] += shardCost(micros[i], feature_dim);
+        for (int64_t node : micros[i].inputNodes())
+            sets[size_t(d)].mark(node, int64_t(i));
+    };
+    for (size_t i = 0; i < micros.size(); ++i)
+        if (owner[i] >= 0)
+            assign(i, owner[i]);
+
+    for (size_t i : order) {
+        // Overlap-first: placing a batch beside the batches it shares
+        // input vertices with is what keeps the halo (and with it the
+        // duplicated feature transfers) small.
+        const int64_t cost = shardCost(micros[i], feature_dim);
+        int32_t best = -1;
+        int64_t best_overlap = -1;
+        for (int32_t d : candidates) {
+            if (double(load[size_t(d)] + cost) > cap)
+                continue;
+            int64_t overlap = 0;
+            for (int64_t node : micros[i].inputNodes())
+                overlap += sets[size_t(d)].seen(node) ? 1 : 0;
+            if (overlap > best_overlap ||
+                (overlap == best_overlap &&
+                 load[size_t(d)] < load[size_t(best)]))
+            {
+                best = d;
+                best_overlap = overlap;
+            }
+        }
+        // Nothing fits under the cap (one huge batch): the least-loaded
+        // candidate bounds the load at total/devices + the largest
+        // single cost.
+        if (best < 0)
+            for (int32_t d : candidates)
+                if (best < 0 || load[size_t(d)] < load[size_t(best)])
+                    best = d;
+        assign(i, best);
+    }
+}
+
+/**
+ * The initial plan: every active micro-batch in LPT order (cost
+ * descending, index ascending — a total order, so the plan is a pure
+ * function of the batches) placed on @p devices under a cap of
+ * kBalanceSlack x the mean load. @p owner must hold no placement yet.
+ */
+void
+planShards(const std::vector<MultiLayerBatch>& micros,
+           const std::vector<int32_t>& devices, int64_t feature_dim,
+           int64_t num_ids, std::vector<Markers>& sets,
+           std::vector<int32_t>& owner)
+{
     std::vector<int64_t> cost(micros.size(), 0);
     std::vector<size_t> order;
     order.reserve(micros.size());
@@ -58,99 +138,80 @@ shardVertexCut(const std::vector<MultiLayerBatch>& micros,
         total_cost += cost[i];
         order.push_back(i);
     }
-    // LPT order with the index as tie-breaker: a total order, so the
-    // plan is a pure function of the batches — never of thread count
-    // or iteration timing.
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
         if (cost[a] != cost[b])
             return cost[a] > cost[b];
         return a < b;
     });
+    place(micros, order, devices,
+          kBalanceSlack * double(total_cost) / double(devices.size()),
+          feature_dim, num_ids, sets, owner);
+}
 
-    const double cap =
-        balance_slack * double(total_cost) / double(num_devices);
-    std::vector<std::unordered_set<int64_t>> inputs;
-    inputs.resize(size_t(num_devices));
-    std::unordered_set<int64_t> global;
-    for (size_t i : order) {
-        // Overlap-first among the devices still under the balance
-        // cap: placing a batch beside the batches it shares input
-        // vertices with is what keeps the halo (and with it the
-        // duplicated feature transfers) small.
-        int32_t best = -1;
-        int64_t best_overlap = -1;
-        for (int32_t d = 0; d < num_devices; ++d) {
-            if (double(plan.deviceCostBytes[size_t(d)] + cost[i]) >
-                cap)
+/**
+ * shardDuplicationFactor over caller-kept marker arrays: @p sets, one
+ * per device, and @p any, across devices, over node ids
+ * [0, @p num_ids).
+ */
+double
+duplicationFactor(const std::vector<MultiLayerBatch>& micros,
+                  const std::vector<int32_t>& assignment,
+                  int64_t num_ids, std::vector<Markers>& sets,
+                  Markers& any)
+{
+    BETTY_ASSERT(assignment.size() == micros.size(),
+                 "assignment does not match the micro-batches");
+    for (Markers& set : sets)
+        set.reset(num_ids);
+    any.reset(num_ids);
+    int64_t replicated = 0;
+    int64_t unique = 0;
+    for (size_t i = 0; i < micros.size(); ++i) {
+        const int32_t d = assignment[i];
+        if (d < 0)
+            continue;
+        Markers& set = sets[size_t(d)];
+        for (int64_t node : micros[i].inputNodes()) {
+            if (set.seen(node))
                 continue;
-            int64_t overlap = 0;
-            const auto& set = inputs[size_t(d)];
-            for (int64_t node : micros[i].inputNodes())
-                overlap += set.count(node) ? 1 : 0;
-            if (overlap > best_overlap ||
-                (overlap == best_overlap && best >= 0 &&
-                 plan.deviceCostBytes[size_t(d)] <
-                     plan.deviceCostBytes[size_t(best)]))
-            {
-                best = d;
-                best_overlap = overlap;
+            set.mark(node, int64_t(i));
+            ++replicated;
+            if (!any.seen(node)) {
+                any.mark(node, d);
+                ++unique;
             }
         }
-        if (best < 0) {
-            // Nothing fits under the cap (one huge batch): fall back
-            // to the least-loaded device, which bounds the load at
-            // total/devices + the largest single cost.
-            for (int32_t d = 0; d < num_devices; ++d)
-                if (best < 0 ||
-                    plan.deviceCostBytes[size_t(d)] <
-                        plan.deviceCostBytes[size_t(best)])
-                    best = d;
-        }
-        plan.assignment[i] = best;
-        plan.deviceCostBytes[size_t(best)] += cost[i];
-        for (int64_t node : micros[i].inputNodes()) {
-            inputs[size_t(best)].insert(node);
-            global.insert(node);
-        }
     }
+    return unique > 0 ? double(replicated) / double(unique) : 1.0;
+}
 
-    int64_t replicated = 0;
-    for (int32_t d = 0; d < num_devices; ++d) {
-        plan.deviceUniqueInputs[size_t(d)] =
-            int64_t(inputs[size_t(d)].size());
-        replicated += plan.deviceUniqueInputs[size_t(d)];
-    }
-    plan.globalUniqueInputs = int64_t(global.size());
-    plan.duplicationFactor =
-        plan.globalUniqueInputs > 0
-            ? double(replicated) / double(plan.globalUniqueInputs)
-            : 1.0;
-    return plan;
+} // namespace
+
+std::vector<int32_t>
+shardVertexCut(const std::vector<MultiLayerBatch>& micros,
+               int32_t num_devices, int64_t feature_dim)
+{
+    BETTY_ASSERT(num_devices >= 1, "need at least one device");
+    std::vector<int32_t> devices(size_t(num_devices), 0);
+    std::iota(devices.begin(), devices.end(), 0);
+    std::vector<Markers> sets(devices.size());
+    std::vector<int32_t> assignment(micros.size(), -1);
+    planShards(micros, devices, feature_dim, inputIdBound(micros), sets,
+               assignment);
+    return assignment;
 }
 
 double
 shardDuplicationFactor(const std::vector<MultiLayerBatch>& micros,
                        const std::vector<int32_t>& assignment)
 {
-    BETTY_ASSERT(assignment.size() == micros.size(),
-                 "assignment does not match the micro-batches");
-    std::unordered_map<int32_t, std::unordered_set<int64_t>> inputs;
-    std::unordered_set<int64_t> global;
-    for (size_t i = 0; i < micros.size(); ++i) {
-        if (assignment[i] < 0)
-            continue;
-        auto& set = inputs[assignment[i]];
-        for (int64_t node : micros[i].inputNodes()) {
-            set.insert(node);
-            global.insert(node);
-        }
-    }
-    if (global.empty())
-        return 1.0;
-    int64_t replicated = 0;
-    for (const auto& entry : inputs)
-        replicated += int64_t(entry.second.size());
-    return double(replicated) / double(global.size());
+    int32_t devices = 0;
+    for (int32_t d : assignment)
+        devices = std::max(devices, d + 1);
+    std::vector<Markers> sets(static_cast<size_t>(devices));
+    Markers any;
+    return duplicationFactor(micros, assignment, inputIdBound(micros),
+                             sets, any);
 }
 
 std::vector<int32_t>
@@ -179,6 +240,7 @@ MultiDeviceEngine::MultiDeviceEngine(const Dataset& dataset,
 {
     BETTY_ASSERT(config_.numDevices >= 1, "need at least one device");
     trainer_.setArbiter(this);
+    inputSets_.resize(size_t(config_.numDevices));
     const int64_t row_bytes =
         dataset_.featureDim() * int64_t(sizeof(float));
     devices_.reserve(size_t(config_.numDevices));
@@ -245,98 +307,40 @@ MultiDeviceEngine::consumeDeviceDrops(size_t first_pending)
         obs::FlightRecorder::record(obs::FrCategory::Recovery,
                                     "multi/device-drop", victim,
                                     int64_t(first_pending));
-        // A dead device leaves the ring; if it was the degraded lane
-        // the collective speeds back up.
-        refreshInterconnectSlowdown();
-
         // Re-shard the victim's pending micro-batches over the
         // survivors. Already-executed batches keep their attribution
         // — their gradients are valid contributions, charged where
         // they actually ran.
-        reshardPending(first_pending, victim, liveDeviceIds(),
-                       "multi/reshard");
+        reshard(first_pending, victim, liveDeviceIds(), "multi/reshard");
     }
 }
 
 int64_t
-MultiDeviceEngine::reshardPending(size_t first_pending, int32_t victim,
-                                  const std::vector<int32_t>& targets,
-                                  const char* reason)
+MultiDeviceEngine::reshard(size_t first_pending, int32_t victim,
+                           const std::vector<int32_t>& targets,
+                           const char* reason)
 {
-    // Same overlap-first greedy as shardVertexCut, seeded with the
-    // targets' current working sets (inputs of everything they own,
-    // executed or pending).
-    const std::vector<MultiLayerBatch>& micros = *step_.micros;
     std::vector<int32_t>& owner = step_.owner;
-    const int64_t dim = dataset_.featureDim();
-    std::unordered_map<int32_t, std::unordered_set<int64_t>> inputs;
-    std::unordered_map<int32_t, int64_t> load;
-    for (int32_t d : targets) {
-        inputs[d];
-        load[d] = 0;
-    }
-    for (size_t i = 0; i < micros.size(); ++i) {
-        const int32_t d = owner[i];
-        if (d < 0 || !inputs.count(d))
-            continue;
-        for (int64_t node : micros[i].inputNodes())
-            inputs[d].insert(node);
-        load[d] += shardCost(micros[i], dim);
-    }
-    int64_t moved = 0;
-    for (size_t index = first_pending; index < micros.size(); ++index) {
-        if (owner[index] != victim)
-            continue;
-        int32_t best = -1;
-        int64_t best_overlap = -1;
-        for (int32_t d : targets) {
-            int64_t overlap = 0;
-            const auto& set = inputs[d];
-            for (int64_t node : micros[index].inputNodes())
-                overlap += set.count(node) ? 1 : 0;
-            if (overlap > best_overlap ||
-                (overlap == best_overlap && best >= 0 &&
-                 load[d] < load[best]))
-            {
-                best = d;
-                best_overlap = overlap;
-            }
-        }
-        owner[index] = best;
-        ++moved;
-        for (int64_t node : micros[index].inputNodes())
-            inputs[best].insert(node);
-        load[best] += shardCost(micros[index], dim);
-        obs::FlightRecorder::record(obs::FrCategory::Recovery,
-                                    reason, int64_t(index), best);
-    }
-    return moved;
-}
-
-void
-MultiDeviceEngine::refreshInterconnectSlowdown()
-{
-    double worst = 1.0;
-    for (const auto& device : devices_)
-        if (!device->dead)
-            worst = std::max(worst, device->link.slowdown());
-    interconnect_.setSlowdown(worst);
+    std::vector<size_t> pending;
+    for (size_t i = first_pending; i < owner.size(); ++i)
+        if (owner[i] == victim)
+            pending.push_back(i);
+    place(*step_.micros, pending, targets, kNoCap, dataset_.featureDim(),
+          dataset_.numNodes(), inputSets_, owner);
+    for (size_t i : pending)
+        obs::FlightRecorder::record(obs::FrCategory::Recovery, reason,
+                                    int64_t(i), owner[i]);
+    return int64_t(pending.size());
 }
 
 void
 MultiDeviceEngine::healExpiredSlowdowns(int64_t epoch)
 {
-    bool changed = false;
-    for (size_t d = 0; d < devices_.size(); ++d) {
-        if (!devices_[d]->link.healBefore(epoch))
-            continue;
-        changed = true;
-        obs::FlightRecorder::record(obs::FrCategory::Recovery,
-                                    "multi/device-heal", int64_t(d),
-                                    epoch);
-    }
-    if (changed)
-        refreshInterconnectSlowdown();
+    for (size_t d = 0; d < devices_.size(); ++d)
+        if (devices_[d]->link.healBefore(epoch))
+            obs::FlightRecorder::record(obs::FrCategory::Recovery,
+                                        "multi/device-heal", int64_t(d),
+                                        epoch);
 }
 
 void
@@ -368,7 +372,6 @@ MultiDeviceEngine::consumeDeviceSlow()
         }
         devices_[size_t(victim)]->link.degrade(
             slow->value, epoch, slow->durationEpochs);
-        refreshInterconnectSlowdown();
         ++step_.stats.deviceSlowFaults;
         obs::FlightRecorder::record(obs::FrCategory::Recovery,
                                     "multi/device-slow", victim,
@@ -408,10 +411,8 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
     MultiDeviceStats& stats = step_.stats;
     stats.batchesPerDevice.assign(num_devices, 0);
     stats.deviceSeconds.assign(num_devices, 0.0);
-    stats.deviceComputeSeconds.assign(num_devices, 0.0);
     stats.deviceTransferSeconds.assign(num_devices, 0.0);
     stats.deviceTransferBytes.assign(num_devices, 0);
-    stats.devicePeakBytes.assign(num_devices, 0);
 
     // Epoch-scoped device drops fire BEFORE sharding: the epoch
     // shards directly over the survivors, which is exactly "running
@@ -422,12 +423,8 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
         consumeDeviceSlow();
     }
 
-    const std::vector<int32_t> live = liveDeviceIds();
-    const ShardPlan plan = shardVertexCut(
-        micros, int32_t(live.size()), dataset_.featureDim());
-    for (size_t i = 0; i < micros.size(); ++i)
-        if (plan.assignment[i] >= 0)
-            step_.owner[i] = live[size_t(plan.assignment[i])];
+    planShards(micros, liveDeviceIds(), dataset_.featureDim(),
+               dataset_.numNodes(), inputSets_, step_.owner);
 
     // Parameter gradients outlive the per-device memory models'
     // scopes; allocate them under the CALLER's observer (where the
@@ -438,13 +435,10 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
 
     std::vector<TrainDevice> set;
     set.reserve(num_devices);
-    std::vector<FeatureCacheStats> cache_before(num_devices);
     for (size_t d = 0; d < num_devices; ++d) {
         DeviceState& state = *devices_[d];
         state.memory.resetPeak();
         state.link.reset();
-        if (state.cache)
-            cache_before[d] = state.cache->stats();
         set.push_back({&state.memory, &state.link, state.cache.get()});
     }
 
@@ -468,8 +462,6 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
         trainer_.accumulateMicroBatches(micros, set, step_.owner);
     stats.loss = accumulated.loss;
     stats.accuracy = accumulated.accuracy;
-    stats.inputNodesProcessed = accumulated.inputNodesProcessed;
-    stats.totalNodesProcessed = accumulated.totalNodesProcessed;
 
     // Deterministic ring all-reduce of the accumulated gradients
     // across the live devices, then one optimizer step. The cost is
@@ -477,52 +469,49 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
     // N-device parameters bit-identical to N=1.
     const std::vector<int32_t> live_after = liveDeviceIds();
     stats.liveDevices = int32_t(live_after.size());
-    for (const auto& device : devices_)
-        if (!device->dead && device->link.slowdown() > 1.0)
-            ++stats.degradedDevices;
     if (live_after.size() > 1) {
         int64_t grad_bytes = 0;
         for (const auto& p : model_.parameters())
             grad_bytes += p->value.bytes();
+        // A ring is bounded by its slowest lane: the slowest live host
+        // link at this moment prices the whole collective.
+        double slowdown = 1.0;
+        for (int32_t d : live_after)
+            slowdown =
+                std::max(slowdown, devices_[size_t(d)]->link.slowdown());
         BETTY_TRACE_SPAN_CAT("multi/allreduce", "transfer");
         stats.allreduceSeconds = interconnect_.chargeAllReduce(
-            grad_bytes, int32_t(live_after.size()));
+            grad_bytes, int32_t(live_after.size()), slowdown);
         obs::FlightRecorder::record(obs::FrCategory::Mark,
                                     "multi/allreduce", grad_bytes,
                                     int64_t(live_after.size()));
     }
+    double optimizer_seconds = 0.0;
     {
         BETTY_TRACE_SPAN_CAT("train/step", "compute");
         Timer timer;
         optimizer_.step();
-        stats.allreduceSeconds += timer.seconds();
+        optimizer_seconds = timer.seconds();
     }
 
     double max_busy = 0.0;
     for (size_t d = 0; d < num_devices; ++d) {
         DeviceState& state = *devices_[d];
-        stats.deviceComputeSeconds[d] = set[d].computeSeconds;
         stats.deviceTransferSeconds[d] = state.link.seconds();
         stats.deviceTransferBytes[d] = state.link.totalBytes();
         stats.deviceSeconds[d] =
-            stats.deviceComputeSeconds[d] + state.link.seconds();
-        stats.devicePeakBytes[d] = state.memory.peakBytes();
+            set[d].computeSeconds + state.link.seconds();
         stats.maxDevicePeakBytes = std::max(stats.maxDevicePeakBytes,
                                             state.memory.peakBytes());
         stats.oom = stats.oom || state.memory.oomOccurred();
         max_busy = std::max(max_busy, stats.deviceSeconds[d]);
-        if (state.cache) {
-            const FeatureCacheStats now = state.cache->stats();
-            stats.cacheHits += now.hits - cache_before[d].hits;
-            stats.cacheMisses += now.misses - cache_before[d].misses;
-            stats.cacheSavedBytes +=
-                now.bytesSaved - cache_before[d].bytesSaved;
-        }
         state.link.reset();
     }
     stats.duplicationFactor =
-        shardDuplicationFactor(micros, step_.owner);
-    stats.epochSeconds = max_busy + stats.allreduceSeconds;
+        duplicationFactor(micros, step_.owner, dataset_.numNodes(),
+                          inputSets_, anyInput_);
+    stats.epochSeconds =
+        max_busy + (stats.allreduceSeconds + optimizer_seconds);
 
     if (obs::Metrics::enabled()) {
         obs::Metrics::gauge("multi.devices")
@@ -536,8 +525,10 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
                 obs::Metrics::counter("multi.device_drops");
             drop_counter.add(stats.deviceDrops);
         }
-        obs::Metrics::gauge("multi.degraded")
-            .set(int64_t(stats.degradedDevices));
+        int64_t degraded = 0;
+        for (int32_t d : live_after)
+            degraded += devices_[size_t(d)]->link.slowdown() > 1.0 ? 1 : 0;
+        obs::Metrics::gauge("multi.degraded").set(degraded);
         if (stats.deviceSlowFaults > 0) {
             static obs::Counter& slow_counter =
                 obs::Metrics::counter("multi.device_slow_faults");
@@ -559,7 +550,7 @@ MultiDeviceEngine::run(const std::vector<MultiLayerBatch>& micros,
             obs::Metrics::gauge(prefix + ".transfer_bytes")
                 .set(stats.deviceTransferBytes[d]);
             obs::Metrics::gauge(prefix + ".peak_bytes")
-                .set(stats.devicePeakBytes[d]);
+                .set(devices_[d]->memory.peakBytes());
         }
     }
     return std::move(stats);
@@ -631,8 +622,7 @@ MultiDeviceEngine::review(size_t index, const MultiLayerBatch&)
         // devices; the straggler keeps what it already ran and stays
         // in the ring.
         step_.stats.stragglerResharded +=
-            reshardPending(index + 1, device, healthy,
-                           "multi/straggler-reshard");
+            reshard(index + 1, device, healthy, "multi/straggler-reshard");
     }
     return true;
 }

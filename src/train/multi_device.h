@@ -11,6 +11,8 @@
  * assignment (shardVertexCut): greedy balanced placement that
  * co-locates micro-batches sharing input (halo) vertices, minimizing
  * the cross-device duplication factor the `multi.*` metrics report.
+ * The same placement routine re-shards after a device drop and off a
+ * straggler.
  * Every device computes gradients for its share against the same
  * parameter snapshot; gradients are then combined with a ring
  * all-reduce priced by memory/interconnect.h before one optimizer
@@ -38,12 +40,12 @@
  *
  * Gray failures: a `device-slow=FACTOR@epochN[:device=D][:duration=E]`
  * fault degrades one device's host link (TransferModel::degrade, which
- * also owns the healing schedule) and with it the shared ring
- * (InterconnectModel::setSlowdown — a ring is bounded by its slowest
- * lane). The engine does NOT use its ground-truth knowledge of the
- * victim to react; instead a straggler supervisor keeps a per-device
- * EWMA of *simulated* per-micro-batch link seconds (deterministic —
- * wall-clock compute is excluded) and,
+ * also owns the healing schedule) and with it the shared ring, which
+ * is priced at its slowest live link when charged (a ring is bounded
+ * by its slowest lane). The engine does NOT use its ground-truth
+ * knowledge of the victim to react; instead a straggler supervisor
+ * keeps a per-device EWMA of *simulated* per-micro-batch link seconds
+ * (deterministic — wall-clock compute is excluded) and,
  * when one device's EWMA exceeds stragglerFactor x the fastest
  * healthy device's, re-shards the straggler's PENDING micro-batches
  * toward healthy devices. Graceful degradation, not a drop: the
@@ -68,6 +70,7 @@
 #include "nn/optim.h"
 #include "sampling/block.h"
 #include "train/trainer.h"
+#include "util/markers.h"
 
 namespace betty {
 
@@ -108,50 +111,28 @@ struct MultiDeviceConfig
  * (paper §4.3); across devices the residual duplication is the halo:
  * every input vertex needed by micro-batches on two devices is
  * gathered and transferred twice. shardVertexCut packs micro-batches
- * that share inputs onto the same device, subject to a load-balance
- * cap.
- */
-struct ShardPlan
-{
-    /** Per-micro-batch device slot in [0, numDevices), or -1 for
-     * micro-batches with no output nodes (never scheduled). */
-    std::vector<int32_t> assignment;
-
-    /** Per-device assigned cost (feature + structure bytes). */
-    std::vector<int64_t> deviceCostBytes;
-
-    /** Per-device count of distinct input vertices. */
-    std::vector<int64_t> deviceUniqueInputs;
-
-    /** Distinct input vertices across all assigned micro-batches. */
-    int64_t globalUniqueInputs = 0;
-
-    /**
-     * Sum over devices of unique inputs divided by the global unique
-     * count: 1.0 = no vertex is replicated across devices; D = every
-     * vertex lives on every device.
-     */
-    double duplicationFactor = 1.0;
-};
-
-/**
- * Greedy balanced vertex-cut sharding (LPT order, overlap-first).
+ * that share inputs onto the same device: largest cost first, each
+ * onto the device it overlaps most in input nodes among those a load
+ * cap of 1.2 x the mean load admits.
+ *
+ * Returns the device slot in [0, num_devices) of every micro-batch,
+ * or -1 for micro-batches with no output nodes (never scheduled).
  * Deterministic: a pure function of the batches and arguments, never
- * of the thread count. Micro-batches with no output nodes get
- * assignment -1. Load-balance bound (tests/test_multi_device.cc):
- * every device's assigned cost is at most
- * max(balance_slack * total / devices, total / devices + max single
- * cost).
+ * of the thread count. Load-balance bound
+ * (tests/test_multi_device.cc): every device's assigned cost is at
+ * most max(1.2 * total / devices, total / devices + max single cost).
  */
-ShardPlan shardVertexCut(const std::vector<MultiLayerBatch>& micros,
-                         int32_t num_devices, int64_t feature_dim,
-                         double balance_slack = 1.2);
+std::vector<int32_t> shardVertexCut(
+    const std::vector<MultiLayerBatch>& micros, int32_t num_devices,
+    int64_t feature_dim);
 
 /**
- * Duplication factor of an arbitrary assignment (same definition as
- * ShardPlan::duplicationFactor; entries < 0 are ignored). The
- * baseline comparator for the greedy sharder: pass the round-robin
- * assignment to get the naive split's factor.
+ * Duplication factor of an assignment (entries < 0 are ignored): the
+ * sum over devices of their distinct input vertices, divided by the
+ * distinct input vertices across all devices. 1.0 = no vertex is
+ * replicated across devices; D = every vertex lives on every device.
+ * The engine reports it for the executed assignment; pass the
+ * round-robin assignment to get the naive split's factor.
  */
 double shardDuplicationFactor(
     const std::vector<MultiLayerBatch>& micros,
@@ -173,15 +154,15 @@ struct MultiDeviceStats
     double accuracy = 0.0;
 
     /**
-     * Simulated parallel epoch time: max over live devices of
-     * (compute + feature transfer) plus the all-reduce and optimizer
+     * Simulated parallel epoch time: max over devices of (compute +
+     * feature transfer) plus the ring all-reduce and the optimizer
      * step. Per-device compute is the measured single-thread wall
      * time of that device's micro-batches (devices would run
-     * concurrently on real hardware).
+     * concurrently on real hardware); so is the optimizer step.
      */
     double epochSeconds = 0.0;
 
-    /** All-reduce + optimizer-step portion of epochSeconds. */
+    /** Simulated ring all-reduce portion of epochSeconds. */
     double allreduceSeconds = 0.0;
 
     /** Largest per-device peak memory, bytes. */
@@ -196,17 +177,11 @@ struct MultiDeviceStats
     /** Per-device busy time (compute + transfer), seconds. */
     std::vector<double> deviceSeconds;
 
-    /** Per-device compute portion of deviceSeconds. */
-    std::vector<double> deviceComputeSeconds;
-
     /** Per-device simulated host-link transfer time, seconds. */
     std::vector<double> deviceTransferSeconds;
 
     /** Per-device bytes moved over the host link. */
     std::vector<int64_t> deviceTransferBytes;
-
-    /** Per-device peak bytes this step. */
-    std::vector<int64_t> devicePeakBytes;
 
     /** Cross-device input-vertex duplication of the executed
      * assignment (after any re-shard). */
@@ -221,25 +196,11 @@ struct MultiDeviceStats
     /** device-slow faults consumed during this step. */
     int64_t deviceSlowFaults = 0;
 
-    /** Live devices still degraded (slowed) after this step. */
-    int32_t degradedDevices = 0;
-
     /** Straggler-supervisor detections during this step. */
     int64_t stragglersDetected = 0;
 
     /** Pending micro-batches the supervisor moved off stragglers. */
     int64_t stragglerResharded = 0;
-
-    /** Aggregate per-device feature-cache counters. */
-    int64_t cacheHits = 0;
-    int64_t cacheMisses = 0;
-    int64_t cacheSavedBytes = 0;
-
-    /** Total first-layer input nodes processed (Table 6 metric). */
-    int64_t inputNodesProcessed = 0;
-
-    /** Total nodes across all blocks of all batches. */
-    int64_t totalNodesProcessed = 0;
 };
 
 /** Drives one model replica set over multiple simulated devices. */
@@ -323,9 +284,9 @@ class MultiDeviceEngine : private MicroBatchArbiter
         std::vector<int32_t> owner;
         bool faultClock = false;
         int64_t epoch = 0;
-        /** Straggler supervisor state: per-device EWMA of simulated
-         * link seconds per micro-batch, its sample count, and whether
-         * the device was flagged. */
+        /** Straggler supervisor state for this step: per-device EWMA
+         * of simulated link seconds per micro-batch, its sample count,
+         * and whether the device was flagged. */
         bool supervise = false;
         std::vector<double> ewma;
         std::vector<int32_t> ewmaSamples;
@@ -364,28 +325,23 @@ class MultiDeviceEngine : private MicroBatchArbiter
     /**
      * Consume pending device-slow faults at the current clock slot:
      * degrade the victim's host link for the fault's duration
-     * (TransferModel::degrade) and re-price the interconnect. Picks
-     * the highest-indexed live device when the spec names none.
+     * (TransferModel::degrade). Picks the highest-indexed live device
+     * when the spec names none.
      */
     void consumeDeviceSlow();
 
     /** Heal links whose degradation expired before @p epoch. */
     void healExpiredSlowdowns(int64_t epoch);
 
-    /** Re-price the interconnect after degradation changes: a ring
-     * all-reduce is bounded by its slowest live lane. */
-    void refreshInterconnectSlowdown();
-
     /**
-     * Move @p victim's micro-batches from @p first_pending on onto
-     * @p targets with the same overlap-first greedy as
-     * shardVertexCut, seeded with the targets' current working sets.
-     * Returns how many moved. Attribution only — numerics never
-     * depend on ownership.
+     * Move @p victim's micro-batches from @p first_pending on, in
+     * index order, onto @p targets with the placement routine and no
+     * load cap, recording each move under @p reason. Returns how many
+     * moved. Attribution only — numerics never depend on ownership.
      */
-    int64_t reshardPending(size_t first_pending, int32_t victim,
-                           const std::vector<int32_t>& targets,
-                           const char* reason);
+    int64_t reshard(size_t first_pending, int32_t victim,
+                    const std::vector<int32_t>& targets,
+                    const char* reason);
 
     const Dataset& dataset_;
     GnnModel& model_;
@@ -396,6 +352,10 @@ class MultiDeviceEngine : private MicroBatchArbiter
     InterconnectModel interconnect_;
     std::vector<std::unique_ptr<DeviceState>> devices_;
     Step step_;
+    /** Input working sets over node ids (util/markers.h): one per
+     * device and one across devices, kept across steps. */
+    std::vector<Markers> inputSets_;
+    Markers anyInput_;
 };
 
 } // namespace betty

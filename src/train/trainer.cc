@@ -459,7 +459,6 @@ Trainer::evaluate(const MultiLayerBatch& batch)
     double accuracy = 0.0;
     {
         kernels::ArenaScope arena_scope(arena_);
-        chargeTransfer(own_, batch, -1);
         const auto features = inputFeatures(batch, gather(batch, -1));
         const auto logits = model_.forward(batch, features);
         const auto labels = loadLabels(batch);

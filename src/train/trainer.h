@@ -215,7 +215,10 @@ class Trainer
         std::vector<TrainDevice>& devices,
         const std::vector<int32_t>& owner);
 
-    /** Forward-only accuracy of the model on @p batch's outputs. */
+    /** Forward-only accuracy of the model on @p batch's outputs.
+     * Charges neither the host link nor the feature cache, so it
+     * leaves the next trainMicroBatches' transfer figures and the
+     * cache's counters and LRU order as they were. */
     double evaluate(const MultiLayerBatch& batch);
 
   private:
@@ -233,7 +236,7 @@ class Trainer
      * Charge the batch's host->device copy to @p device: the cache
      * keeps resident rows off the link, and the retry protocol drains
      * the transfer faults keyed to @p micro_batch, the batch's
-     * program-order position (-1 outside the micro-batch loop).
+     * program-order position in the micro-batch loop.
      */
     void chargeTransfer(const TrainDevice& device,
                         const MultiLayerBatch& batch,
@@ -260,7 +263,7 @@ class Trainer
     const Dataset& dataset_;
     GnnModel& model_;
     Optimizer& optimizer_;
-    /** The device trainMicroBatches and evaluate charge. */
+    /** The device trainMicroBatches charges. */
     TrainDevice own_;
     MicroBatchArbiter* arbiter_ = nullptr;
 

@@ -138,8 +138,10 @@ parseEvent(const std::string& clause, FaultEvent& event,
         return fail(error, "'" + clause + "': bad value '" +
                                value_text + "'");
 
-    // :key=value modifiers (after the position).
+    // :key=value modifiers (after the position). Each belongs to one
+    // kind; a modifier on another kind is refused below.
     std::string position = tail;
+    std::string misplaced;
     if (const size_t colon = tail.find(':');
         colon != std::string::npos) {
         position = tail.substr(0, colon);
@@ -156,11 +158,13 @@ parseEvent(const std::string& clause, FaultEvent& event,
                                        "' is not key=value");
             const std::string key = mod.substr(0, eq);
             const std::string text = mod.substr(eq + 1);
+            FaultKind owner = FaultKind::DeviceSlow;
             if (key == "retries") {
                 if (!envcfg::parseInt(text, &event.retries) ||
                     event.retries < 1)
                     return fail(error, "'" + clause +
                                            "': bad retries count");
+                owner = FaultKind::TransferFail;
             } else if (key == "device") {
                 if (!envcfg::parseInt(text, &event.device) ||
                     event.device < 0)
@@ -180,6 +184,8 @@ parseEvent(const std::string& clause, FaultEvent& event,
                                        "': unknown modifier '" + key +
                                        "'");
             }
+            if (owner != event.kind && misplaced.empty())
+                misplaced = key;
         }
     }
 
@@ -254,6 +260,24 @@ parseEvent(const std::string& clause, FaultEvent& event,
                                    " takes no '=value'");
         break;
     }
+
+    // Refuse what no runtime would consume: a modifier of another
+    // kind, an oom or alloc-scale without the micro-batch whose
+    // admission consumes it, and a corrupt-features pinned to a
+    // micro-batch although it fires at epoch start.
+    const std::string kind_name = faultKindName(event.kind);
+    if (!misplaced.empty())
+        return fail(error, "'" + clause + "': " + kind_name +
+                               " takes no ':" + misplaced + "'");
+    if (event.microBatch < 0 && (event.kind == FaultKind::InjectOom ||
+                                 event.kind == FaultKind::AllocScale))
+        return fail(error, "'" + clause + "': " + kind_name +
+                               " needs a micro-batch ('.mbM')");
+    if (event.microBatch >= 0 &&
+        event.kind == FaultKind::CorruptFeatures)
+        return fail(error, "'" + clause +
+                               "': corrupt-features fires at epoch "
+                               "start and takes no '.mbM'");
     return true;
 }
 

@@ -13,6 +13,12 @@
  *            | corrupt-features | device-drop | device-slow
  *            | transfer-flaky
  *
+ * Only transfer-fail takes `:retries`, and only device-slow takes
+ * `:device` and `:duration`. oom and alloc-scale fire when a
+ * micro-batch is admitted, so they need `.mbM`; corrupt-features
+ * fires at epoch start, so it refuses `.mbM`. The other kinds may be
+ * pinned either way. parse() refuses a spec that breaks these rules.
+ *
  * Examples:
  *   oom@epoch2.mb1                 injected OOM in epoch 2's second
  *                                  micro-batch
@@ -205,10 +211,10 @@ class Injector
     /**
      * True while a TransferFail event has failed attempts left for
      * the current epoch; call once per attempt. @p micro_batch is
-     * the attempt's logical (program-order) position — pass -1 for
-     * gathers outside the micro-batch loop (evaluation) — so a
-     * `.mbM`-pinned schedule lands on exactly that micro-batch even
-     * when a pool worker gathers ahead of the clock.
+     * the attempt's logical (program-order) position in the
+     * micro-batch loop, so a `.mbM`-pinned schedule lands on exactly
+     * that micro-batch even when a pool worker gathers ahead of the
+     * clock.
      */
     static bool takeTransferFailure(int64_t micro_batch);
 

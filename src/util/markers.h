@@ -1,13 +1,16 @@
 /**
  * @file
  * Generation-stamped marker arrays, an implementation detail of the
- * sampler and the micro-batch walk rather than an API for callers.
+ * sampler, the micro-batch walk and the multi-device sharder rather
+ * than an API for callers.
  *
  * The sampler numbers a block's sources over graph node ids, and the
  * micro-batch walk numbers them over a full block's local indices.
- * Both need "has id s been placed yet, and where?" for ids in [0, n),
- * cleared before every pass, at a cost proportional to the pass and
- * not to n.
+ * The sharder (train/multi_device.cc) keeps one array per device as
+ * that device's input working set over graph node ids, for the
+ * placement overlap counts and the duplication factor. All need "has
+ * id s been placed yet, and where?" for ids in [0, n), cleared before
+ * every pass, at a cost proportional to the pass and not to n.
  */
 #ifndef BETTY_UTIL_MARKERS_H
 #define BETTY_UTIL_MARKERS_H

@@ -6,6 +6,7 @@
  * plan.
  */
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,7 +64,7 @@ TEST(FaultPlanParse, EmptySpecIsEmptyPlan)
 TEST(FaultPlanParse, PlanUntouchedOnFailure)
 {
     FaultPlan plan;
-    ASSERT_TRUE(FaultPlan::parse("oom@epoch1", plan, nullptr));
+    ASSERT_TRUE(FaultPlan::parse("oom@epoch1.mb0", plan, nullptr));
     ASSERT_EQ(plan.events.size(), 1u);
     EXPECT_FALSE(FaultPlan::parse("garbage", plan, nullptr));
     EXPECT_EQ(plan.events.size(), 1u); // still the old plan
@@ -131,6 +132,44 @@ TEST(FaultPlanParse, RejectsNonFiniteAndOutOfRangeNumbers)
         FaultPlan plan;
         EXPECT_FALSE(FaultPlan::parse(spec, plan, nullptr)) << spec;
     }
+}
+
+TEST(FaultPlanParse, RejectsWhatNoRuntimeConsumes)
+{
+    // Each modifier belongs to one kind; oom and alloc-scale fire only
+    // when a micro-batch is admitted, corrupt-features only at epoch
+    // start.
+    const std::pair<std::string, std::string> specs[] = {
+        {"oom@epoch1", "needs a micro-batch"},
+        {"alloc-scale=3@epoch1", "needs a micro-batch"},
+        {"corrupt-features=0.5@epoch1.mb1", "takes no '.mbM'"},
+        {"device-drop@epoch1:device=0", "takes no ':device'"},
+        {"device-drop=1@epoch2:duration=2", "takes no ':duration'"},
+        {"capacity-drop=0.5@epoch1:device=1", "takes no ':device'"},
+        {"oom@epoch1.mb0:retries=2", "takes no ':retries'"},
+        {"transfer-flaky=0.2@epoch1:retries=2", "takes no ':retries'"},
+        {"transfer-fail@epoch1:duration=1", "takes no ':duration'"},
+        {"device-slow=4@epoch1:retries=2", "takes no ':retries'"},
+    };
+    for (const auto& [spec, message] : specs) {
+        FaultPlan plan;
+        std::string error;
+        EXPECT_FALSE(FaultPlan::parse(spec, plan, &error)) << spec;
+        EXPECT_NE(error.find(message), std::string::npos)
+            << spec << ": " << error;
+    }
+
+    // Where each kind is consumed, it parses.
+    FaultPlan plan;
+    std::string error;
+    EXPECT_TRUE(FaultPlan::parse(
+        "oom@epoch1.mb0;alloc-scale=3@epoch1.mb2;"
+        "corrupt-features=0.5@epoch1;transfer-fail@epoch1.mb1:retries=2;"
+        "device-slow=4@epoch1.mb3:device=1:duration=2;"
+        "capacity-drop=0.5@epoch2.mb1;device-drop@epoch2.mb0",
+        plan, &error))
+        << error;
+    EXPECT_EQ(plan.events.size(), 7u);
 }
 
 TEST(FaultPlanParse, DeviceDropGrammar)

@@ -112,15 +112,15 @@ TEST_P(ShardVertexCut, EveryActiveBatchAssignedExactlyOnce)
     const auto micros = microBatchesFor(makeGraph(), 8);
     ASSERT_GT(micros.size(), 1u);
     for (const int32_t devices : {1, 2, 4, 8}) {
-        const ShardPlan plan =
+        const std::vector<int32_t> assignment =
             shardVertexCut(micros, devices, kDim);
-        ASSERT_EQ(plan.assignment.size(), micros.size());
+        ASSERT_EQ(assignment.size(), micros.size());
         for (size_t i = 0; i < micros.size(); ++i) {
             if (micros[i].outputNodes().empty()) {
-                EXPECT_EQ(plan.assignment[i], -1);
+                EXPECT_EQ(assignment[i], -1);
             } else {
-                EXPECT_GE(plan.assignment[i], 0);
-                EXPECT_LT(plan.assignment[i], devices);
+                EXPECT_GE(assignment[i], 0);
+                EXPECT_LT(assignment[i], devices);
             }
         }
     }
@@ -140,18 +140,21 @@ TEST_P(ShardVertexCut, LoadWithinBalanceBound)
     }
     for (const int32_t devices : {2, 4, 8}) {
         const double slack = 1.2;
-        const ShardPlan plan =
-            shardVertexCut(micros, devices, kDim, slack);
-        ASSERT_EQ(int32_t(plan.deviceCostBytes.size()), devices);
+        const std::vector<int32_t> assignment =
+            shardVertexCut(micros, devices, kDim);
+        std::vector<int64_t> loads(size_t(devices), 0);
         int64_t recomputed_total = 0;
-        for (size_t i = 0; i < micros.size(); ++i)
-            if (plan.assignment[i] >= 0)
-                recomputed_total += shardCost(micros[i], kDim);
+        for (size_t i = 0; i < micros.size(); ++i) {
+            if (assignment[i] < 0)
+                continue;
+            loads[size_t(assignment[i])] += shardCost(micros[i], kDim);
+            recomputed_total += shardCost(micros[i], kDim);
+        }
         EXPECT_EQ(recomputed_total, total);
         const double per_device = double(total) / double(devices);
         const double bound = std::max(
             slack * per_device, per_device + double(max_single));
-        for (const int64_t load : plan.deviceCostBytes)
+        for (const int64_t load : loads)
             EXPECT_LE(double(load), bound + 1.0)
                 << "devices=" << devices;
     }
@@ -161,44 +164,51 @@ TEST_P(ShardVertexCut, DuplicationNoWorseThanRoundRobin)
 {
     const auto micros = microBatchesFor(makeGraph(), 8);
     for (const int32_t devices : {2, 4, 8}) {
-        const ShardPlan plan =
-            shardVertexCut(micros, devices, kDim);
+        const double factor = shardDuplicationFactor(
+            micros, shardVertexCut(micros, devices, kDim));
         const double round_robin = shardDuplicationFactor(
             micros, roundRobinAssignment(micros, devices));
-        EXPECT_GE(plan.duplicationFactor, 1.0);
-        EXPECT_LE(plan.duplicationFactor, double(devices));
-        EXPECT_LE(plan.duplicationFactor, round_robin + 1e-12)
-            << "devices=" << devices;
+        EXPECT_GE(factor, 1.0);
+        EXPECT_LE(factor, double(devices));
+        EXPECT_LE(factor, round_robin + 1e-12) << "devices=" << devices;
     }
 }
 
 TEST_P(ShardVertexCut, ReportedFactorMatchesDefinition)
 {
     const auto micros = microBatchesFor(makeGraph(), 8);
-    const ShardPlan plan = shardVertexCut(micros, 4, kDim);
-    ASSERT_GT(plan.globalUniqueInputs, 0);
-    int64_t replicated = 0;
-    for (const int64_t unique : plan.deviceUniqueInputs)
-        replicated += unique;
-    EXPECT_DOUBLE_EQ(plan.duplicationFactor,
-                     double(replicated) /
-                         double(plan.globalUniqueInputs));
-    EXPECT_DOUBLE_EQ(plan.duplicationFactor,
-                     shardDuplicationFactor(micros, plan.assignment));
+    const std::vector<int32_t> assignment =
+        shardVertexCut(micros, 4, kDim);
+    // The definition, counted with sets: per-device distinct inputs,
+    // summed, over distinct inputs across all devices.
+    std::vector<std::unordered_set<int64_t>> per_device(4);
+    std::unordered_set<int64_t> global;
+    for (size_t i = 0; i < micros.size(); ++i) {
+        if (assignment[i] < 0)
+            continue;
+        for (int64_t node : micros[i].inputNodes()) {
+            per_device[size_t(assignment[i])].insert(node);
+            global.insert(node);
+        }
+    }
+    ASSERT_FALSE(global.empty());
+    size_t replicated = 0;
+    for (const auto& inputs : per_device)
+        replicated += inputs.size();
+    EXPECT_DOUBLE_EQ(shardDuplicationFactor(micros, assignment),
+                     double(replicated) / double(global.size()));
 }
 
 TEST_P(ShardVertexCut, DeterministicAcrossThreadCounts)
 {
     const auto micros = microBatchesFor(makeGraph(), 8);
     ThreadPool::setGlobalThreads(1);
-    const ShardPlan serial = shardVertexCut(micros, 4, kDim);
+    const std::vector<int32_t> serial = shardVertexCut(micros, 4, kDim);
     ThreadPool::setGlobalThreads(8);
-    const ShardPlan threaded = shardVertexCut(micros, 4, kDim);
+    const std::vector<int32_t> threaded =
+        shardVertexCut(micros, 4, kDim);
     ThreadPool::setGlobalThreads(1);
-    EXPECT_EQ(serial.assignment, threaded.assignment);
-    EXPECT_EQ(serial.deviceCostBytes, threaded.deviceCostBytes);
-    EXPECT_EQ(serial.deviceUniqueInputs, threaded.deviceUniqueInputs);
-    EXPECT_EQ(serial.globalUniqueInputs, threaded.globalUniqueInputs);
+    EXPECT_EQ(serial, threaded);
 }
 
 INSTANTIATE_TEST_SUITE_P(Graphs, ShardVertexCut,
@@ -332,15 +342,15 @@ TEST(MultiDevice, AllreduceChargedByTheRingFormula)
     config.interconnect.latencySeconds = 0.0;
     MultiDeviceEngine engine(env.dataset, model, adam, config);
     const auto stats = engine.trainMicroBatches(env.micros);
-    // allreduceSeconds = ring cost + optimizer-step wall time, so it
-    // must be at least the analytic ring term.
+    // allreduceSeconds is the ring's simulated cost alone: exactly the
+    // analytic term, with no wall-clock time mixed in.
     int64_t grad_bytes = 0;
     for (const auto& param : model.parameters())
         grad_bytes += param->value.bytes();
     const double ring =
         engine.interconnect().allReduceSeconds(grad_bytes, 4);
     EXPECT_GT(ring, 0.0);
-    EXPECT_GE(stats.allreduceSeconds, ring);
+    EXPECT_EQ(stats.allreduceSeconds, ring);
     EXPECT_EQ(engine.interconnect().collectives(), 1);
     EXPECT_GT(engine.interconnect().bytesMoved(), 0);
 }

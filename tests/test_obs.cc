@@ -700,7 +700,6 @@ TEST_F(ObsTest, RunReportJsonRoundTrip)
     sample.live[size_t(obs::MemCategory::Blocks)] = 12;
     sample.totalLive = 42;
     report.setTimeline({sample});
-    report.setPeakBytes(2048);
     report.setOomEvents(1);
 
     JsonValue doc;

@@ -3,8 +3,11 @@
  * Integration tests for the Trainer: learning actually happens, stats
  * are populated, device/transfer accounting works, mini-batch loops.
  */
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "cache/feature_cache.h"
 #include "data/catalog.h"
 #include "sampling/neighbor_sampler.h"
 #include "train/trainer.h"
@@ -183,6 +186,46 @@ TEST(Trainer, EvaluateReturnsFraction)
     const double acc = trainer.evaluate(env.full);
     EXPECT_GE(acc, 0.0);
     EXPECT_LE(acc, 1.0);
+}
+
+TEST(Trainer, EvaluateChargesNeitherLinkNorCache)
+{
+    Env env;
+    const size_t num_test =
+        std::min<size_t>(60, env.dataset.testNodes.size());
+    ASSERT_GT(num_test, 0u);
+    const MultiLayerBatch test_batch = env.sampler.sample(
+        std::vector<int64_t>(env.dataset.testNodes.begin(),
+                             env.dataset.testNodes.begin() +
+                                 int64_t(num_test)));
+    GraphSage model(env.sageConfig());
+    Adam adam(model.parameters(), 0.01f);
+
+    // An evaluation between two identical steps shows in neither
+    // step's transfer seconds.
+    TransferModel transfer;
+    Trainer trainer(env.dataset, model, adam, nullptr, &transfer);
+    const double first =
+        trainer.trainMicroBatches({env.full}).transferSeconds;
+    EXPECT_GT(first, 0.0);
+    trainer.evaluate(test_batch);
+    EXPECT_EQ(trainer.trainMicroBatches({env.full}).transferSeconds,
+              first);
+
+    // Nor does it look rows up in the feature cache.
+    DeviceMemoryModel device;
+    FeatureCache cache(&device, 64 * env.dataset.featureDim() *
+                                    int64_t(sizeof(float)),
+                       env.dataset.featureDim() * int64_t(sizeof(float)));
+    trainer.setFeatureCache(&cache);
+    trainer.trainMicroBatches({env.full});
+    const FeatureCacheStats before = cache.stats();
+    trainer.evaluate(test_batch);
+    const FeatureCacheStats after = cache.stats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.evictions, before.evictions);
+    EXPECT_EQ(after.bytesSaved, before.bytesSaved);
 }
 
 TEST(Trainer, GatTrains)
