@@ -11,16 +11,16 @@
  *    sampling, micro-batch extraction, and the memory estimator —
  *    the pipeline stages whose overhead the paper's future-work
  *    section proposes to optimize.
- *  - Kernels (docs/KERNELS.md): the fused gather-aggregate, the
- *    bump-arena allocator, and the three GEMM variants on the shapes
- *    perfbench's workloads run, each measured on BOTH dispatch
- *    backends. Every GEMM shape is timed on 1 and on 4 pool lanes
- *    (the binary resizes the global pool itself; --threads sets the
- *    lanes of everything else). The run ends with an aligned sweep
- *    table: per kernel and lane count, the avx2-vs-scalar speedup
- *    and, on 4 lanes, the speedup over 1 lane. On hardware or builds
- *    without AVX2 the avx2 rows fall back to scalar
- *    (kernels/dispatch.h) and the table says so.
+ *  - Kernels (docs/KERNELS.md): the fused gather-aggregate and the
+ *    three GEMM variants on the shapes perfbench's workloads run, and
+ *    the bump-arena allocator. Every kernel shape is measured on BOTH
+ *    dispatch backends, on 1 and on 4 pool lanes (the binary resizes
+ *    the global pool itself; --threads sets the lanes of everything
+ *    else). The run ends with an aligned sweep table: per kernel and
+ *    lane count, the avx2-vs-scalar speedup and, on 4 lanes, the
+ *    speedup over 1 lane. On hardware or builds without AVX2 the
+ *    avx2 rows fall back to scalar (kernels/dispatch.h) and the table
+ *    says so.
  *
  *   bench_micro_kernels [--trace-out=FILE] [--metrics-out=FILE]
  *                       [--json=FILE] [--threads=N]
@@ -194,42 +194,136 @@ componentScenarios()
 }
 
 // ---------------------------------------------------------------
-// Kernel scenarios: each workload registered twice, once per
-// dispatch backend, over identical inputs.
+// Kernel scenarios: the shapes perfbench's workloads run, each timed
+// under both dispatch backends on 1 and on 4 pool lanes, over
+// identical inputs.
 
-/** Synthetic CSR block sized like a first-layer REG micro-batch. */
-struct GatherWork
+/** Lane counts every kernel shape is timed at. */
+constexpr int32_t kSweepLanes[] = {1, 4};
+
+/** Kernel shapes in registration order: the sweep table's rows. */
+std::vector<std::string> g_sweep_shapes;
+
+/** Scenario name of @p base under @p mode on @p lanes pool lanes. */
+std::string
+sweepScenarioName(const std::string& base, kernels::KernelMode mode,
+                  int32_t lanes)
 {
-    int64_t rows = 40000;
-    int64_t cols = 64;
-    int64_t segments = 8192;
+    return base + "_" + kernels::kernelModeName(mode) + "_" +
+           std::to_string(lanes) + "lane";
+}
+
+/**
+ * Register one kernel shape under both backends at each lane count.
+ * @p setup builds its inputs (once); teardown restores the scalar
+ * backend and the pool's @p base_lanes.
+ */
+void
+pushSweepScenarios(std::vector<Scenario>* scenarios,
+                   const std::string& base,
+                   const std::string& description,
+                   const std::function<void()>& setup,
+                   const std::function<void()>& run, int32_t base_lanes)
+{
+    g_sweep_shapes.push_back(base);
+    for (const int32_t lanes : kSweepLanes) {
+        for (const kernels::KernelMode mode :
+             {kernels::KernelMode::Scalar, kernels::KernelMode::Avx2}) {
+            scenarios->push_back(Scenario{
+                sweepScenarioName(base, mode, lanes),
+                description + " [" + kernels::kernelModeName(mode) +
+                    " backend, " + std::to_string(lanes) +
+                    (lanes == 1 ? " lane]" : " lanes]"),
+                [setup, mode, lanes] {
+                    setup();
+                    kernels::setKernelMode(mode);
+                    ThreadPool::setGlobalThreads(lanes);
+                },
+                run, [base_lanes] {
+                    kernels::setKernelMode(kernels::KernelMode::Scalar);
+                    ThreadPool::setGlobalThreads(base_lanes);
+                }});
+        }
+    }
+}
+
+/**
+ * A workload's layer-1 mean aggregation: its catalog dataset, one
+ * batch sampled with the workload's fanouts and batch size, and the
+ * input features of that batch's first block.
+ */
+struct AggregateShape
+{
+    /** Scenario base name; the sweep table's kernel column. */
+    const char* name;
+    const char* description;
+    const char* dataset;
+    std::vector<int64_t> fanouts;
+    int64_t batchSize;
+};
+
+const AggregateShape kAggregateShapes[] = {
+    {"aggregate_cora_l1",
+     "mean aggregation, cora_wide layer 1 (1433 columns)", "cora_like",
+     {10, 10}, 128},
+    {"aggregate_reddit_l1",
+     "mean aggregation, reddit_4dev_cache layer 1 (602 columns)",
+     "reddit_like", {10, 10}, 256},
+    {"aggregate_products_l1",
+     "mean aggregation, products_tight layer 1 (100 columns)",
+     "products_like", {5, 5, 5}, 512},
+};
+
+/** One AggregateShape's block and gathered features, built once. */
+struct AggregateWork
+{
     std::vector<float> x;
+    int64_t rows = 0;
+    int64_t cols = 0;
     std::vector<int64_t> sources;
     std::vector<int64_t> offsets;
     std::vector<float> out;
+    /** Calls per timed repeat: about 50M edge-columns per repeat. */
+    int iterations = 1;
 
     void
-    build()
+    build(const AggregateShape& shape)
     {
         if (!x.empty())
             return;
-        Rng rng(1234);
+        const Dataset ds = benchutil::loadBenchDataset(shape.dataset, 1.0);
+        NeighborSampler sampler(ds.graph, shape.fanouts, 7);
+        const size_t count = std::min(ds.trainNodes.size(),
+                                      size_t(shape.batchSize));
+        const std::vector<int64_t> seeds(ds.trainNodes.begin(),
+                                         ds.trainNodes.begin() + count);
+        const MultiLayerBatch batch = sampler.sample(seeds);
+        // Layer 1 aggregates the input features over the first block.
+        const Block& block = batch.blocks.front();
+        rows = block.numSrc();
+        cols = ds.featureDim();
         x.resize(size_t(rows * cols));
-        for (auto& v : x)
-            v = float(rng.uniformReal(-1.0, 1.0));
-        offsets.push_back(0);
-        for (int64_t s = 0; s < segments; ++s) {
-            const int64_t degree = 2 + int64_t(rng.uniformInt(13));
-            for (int64_t e = 0; e < degree; ++e)
-                sources.push_back(int64_t(rng.uniformInt(
-                    uint64_t(rows))));
-            offsets.push_back(int64_t(sources.size()));
-        }
-        out.assign(size_t(segments * cols), 0.0f);
+        kernels::gatherRows(ds.features.data(), ds.numNodes(), cols,
+                            block.srcNodes().data(), rows, x.data());
+        sources = block.edgeSources();
+        offsets = block.edgeOffsets();
+        out.assign(size_t(block.numDst() * cols), 0.0f);
+        const int64_t work = (block.numEdges() + block.numDst()) * cols;
+        iterations = int(std::max<int64_t>(1, 50000000 / work));
+    }
+
+    void
+    run()
+    {
+        for (int iter = 0; iter < iterations; ++iter)
+            kernels::gatherAggregate(x.data(), rows, cols, sources.data(),
+                                     offsets.data(),
+                                     int64_t(offsets.size()) - 1,
+                                     kernels::Reduce::Mean, out.data());
     }
 };
 
-GatherWork g_gather;
+AggregateWork g_aggregate[std::size(kAggregateShapes)];
 
 /** A GEMM entry point and shape that a perfbench workload runs. */
 struct GemmShape
@@ -244,9 +338,10 @@ struct GemmShape
 
 /**
  * Layer shapes measured from perfbench's traced GEMM spans: cora's
- * 2866-wide layer-1 input (self and neighbour features side by side)
- * and products' layers 1 and 2 — forward gemm, weight-gradient
- * gemmTransA and input-gradient gemmTransB.
+ * 2866-wide layer-1 input (self and neighbour features side by side),
+ * products' layers 1 and 2, and its 47-class output layer 3 —
+ * forward gemm, weight-gradient gemmTransA and input-gradient
+ * gemmTransB.
  */
 const GemmShape kGemmShapes[] = {
     {"gemm_cora_l1", "gemm 250x2866x64, cora_wide layer 1 forward",
@@ -263,10 +358,12 @@ const GemmShape kGemmShapes[] = {
     {"gemm_transb_products_l2",
      "gemmTransB 200x64x128, products_tight layer 2 input gradient",
      kernels::gemmTransB, 200, 64, 128},
+    {"gemm_products_l3", "gemm 38x128x47, products_tight layer 3 forward",
+     kernels::gemm, 38, 128, 47},
+    {"gemm_transa_products_l3",
+     "gemmTransA 128x38x47, products_tight layer 3 weight gradient",
+     kernels::gemmTransA, 128, 38, 47},
 };
-
-/** Lane counts every GEMM shape is timed at. */
-constexpr int32_t kGemmLanes[] = {1, 4};
 
 /** Dense operands for one GemmShape (no zero-skip), built once. */
 struct GemmWork
@@ -305,91 +402,23 @@ struct GemmWork
 
 GemmWork g_gemm[std::size(kGemmShapes)];
 
-/** Scenario name of @p base under @p mode on @p lanes pool lanes. */
-std::string
-gemmScenarioName(const std::string& base, kernels::KernelMode mode,
-                 int32_t lanes)
-{
-    return base + "_" + kernels::kernelModeName(mode) + "_" +
-           std::to_string(lanes) + "lane";
-}
-
-/** Register one kernel workload under both backends. */
-void
-pushKernelPair(std::vector<Scenario>* scenarios,
-               const std::string& base,
-               const std::string& description,
-               std::function<void()> setup, std::function<void()> fn)
-{
-    for (const kernels::KernelMode mode :
-         {kernels::KernelMode::Scalar, kernels::KernelMode::Avx2}) {
-        const std::string name =
-            base + "_" + kernels::kernelModeName(mode);
-        scenarios->push_back(Scenario{
-            name, description + " [" + kernels::kernelModeName(mode) +
-                      " backend]",
-            [setup, mode] {
-                setup();
-                kernels::setKernelMode(mode);
-            },
-            fn, [] {
-                kernels::setKernelMode(kernels::KernelMode::Scalar);
-            }});
-    }
-}
-
-/** Register every GEMM shape under both backends at each lane count;
- * teardown restores the pool to @p base_lanes. */
-void
-pushGemmScenarios(std::vector<Scenario>* scenarios, int32_t base_lanes)
-{
-    for (size_t i = 0; i < std::size(kGemmShapes); ++i) {
-        const GemmShape& shape = kGemmShapes[i];
-        for (const int32_t lanes : kGemmLanes) {
-            for (const kernels::KernelMode mode :
-                 {kernels::KernelMode::Scalar,
-                  kernels::KernelMode::Avx2}) {
-                scenarios->push_back(Scenario{
-                    gemmScenarioName(shape.name, mode, lanes),
-                    std::string(shape.description) + " [" +
-                        kernels::kernelModeName(mode) + " backend, " +
-                        std::to_string(lanes) +
-                        (lanes == 1 ? " lane]" : " lanes]"),
-                    [i, mode, lanes] {
-                        g_gemm[i].build(kGemmShapes[i]);
-                        kernels::setKernelMode(mode);
-                        ThreadPool::setGlobalThreads(lanes);
-                    },
-                    [i] { g_gemm[i].run(kGemmShapes[i]); },
-                    [base_lanes] {
-                        kernels::setKernelMode(
-                            kernels::KernelMode::Scalar);
-                        ThreadPool::setGlobalThreads(base_lanes);
-                    }});
-            }
-        }
-    }
-}
-
 std::vector<Scenario>
 kernelScenarios()
 {
     std::vector<Scenario> scenarios;
+    const int32_t base_lanes = ThreadPool::globalThreads();
 
-    pushKernelPair(
-        &scenarios, "gather_aggregate",
-        "fused gather + mean-aggregate, 8192 segments x 64 features",
-        [] { g_gather.build(); },
-        [] {
-            for (int iter = 0; iter < 10; ++iter)
-                kernels::gatherAggregate(
-                    g_gather.x.data(), g_gather.rows, g_gather.cols,
-                    g_gather.sources.data(), g_gather.offsets.data(),
-                    g_gather.segments, kernels::Reduce::Mean,
-                    g_gather.out.data());
-        });
-
-    pushGemmScenarios(&scenarios, ThreadPool::globalThreads());
+    for (size_t i = 0; i < std::size(kAggregateShapes); ++i)
+        pushSweepScenarios(
+            &scenarios, kAggregateShapes[i].name,
+            kAggregateShapes[i].description,
+            [i] { g_aggregate[i].build(kAggregateShapes[i]); },
+            [i] { g_aggregate[i].run(); }, base_lanes);
+    for (size_t i = 0; i < std::size(kGemmShapes); ++i)
+        pushSweepScenarios(
+            &scenarios, kGemmShapes[i].name, kGemmShapes[i].description,
+            [i] { g_gemm[i].build(kGemmShapes[i]); },
+            [i] { g_gemm[i].run(kGemmShapes[i]); }, base_lanes);
 
     // Allocation discipline: the arena's pointer-bump against the
     // same request stream on the general-purpose heap.
@@ -456,26 +485,15 @@ printSweepTable(benchutil::ObsSession& obs_session)
                      "avx2 speedup", "lane speedup scalar",
                      "lane speedup avx2"});
 
-    const double gather_scalar = meanSeconds("gather_aggregate_scalar");
-    const double gather_avx2 = meanSeconds("gather_aggregate_avx2");
-    if (gather_avx2 > 0.0)
-        obs_session.result("gather_aggregate.speedup",
-                           gather_scalar / gather_avx2);
-    table.addRow({"gather_aggregate", "1",
-                  TablePrinter::num(gather_scalar, 6),
-                  TablePrinter::num(gather_avx2, 6),
-                  speedup(gather_scalar, gather_avx2), "-", "-"});
-
     // Per shape: "<name>.speedup" is avx2 over scalar on 1 lane,
     // "<name>.lane_speedup.<backend>" is 1 lane over 4 lanes.
-    for (const GemmShape& shape : kGemmShapes) {
-        const std::string base = shape.name;
+    for (const std::string& base : g_sweep_shapes) {
         auto mean = [&base](kernels::KernelMode mode, int32_t lanes) {
-            return meanSeconds(gemmScenarioName(base, mode, lanes));
+            return meanSeconds(sweepScenarioName(base, mode, lanes));
         };
         const double scalar_1 = mean(kernels::KernelMode::Scalar, 1);
         const double avx2_1 = mean(kernels::KernelMode::Avx2, 1);
-        for (const int32_t lanes : kGemmLanes) {
+        for (const int32_t lanes : kSweepLanes) {
             const double scalar_s =
                 mean(kernels::KernelMode::Scalar, lanes);
             const double avx2_s = mean(kernels::KernelMode::Avx2, lanes);

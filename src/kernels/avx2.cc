@@ -57,90 +57,159 @@ addRounded(float* c, __m256d sum)
     _mm_storeu_ps(c, _mm_add_ps(_mm_loadu_ps(c), _mm256_cvtpd_ps(sum)));
 }
 
+/**
+ * crow[j, n) += A's row · B over the whole k loop, where arow[kk · step]
+ * is that row's k-th entry: 32-column register tiles, then 8-column
+ * ones, then the scalar tail. Each C tile stays in registers across
+ * all of k, so each element is written once instead of k times and B
+ * streams through cache row by row. The aval == 0 skip (ReLU
+ * sparsity) is preserved.
+ */
+inline void
+gemmRow(const float* arow, int64_t step, const float* b, float* crow,
+        int64_t k, int64_t n, int64_t j)
+{
+    for (; j + 32 <= n; j += 32) {
+        float* ctile = crow + j;
+        __m256 c0 = _mm256_loadu_ps(ctile);
+        __m256 c1 = _mm256_loadu_ps(ctile + 8);
+        __m256 c2 = _mm256_loadu_ps(ctile + 16);
+        __m256 c3 = _mm256_loadu_ps(ctile + 24);
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const float aval = arow[kk * step];
+            if (aval == 0.0f)
+                continue;
+            const __m256 av = _mm256_set1_ps(aval);
+            const float* btile = b + kk * n + j;
+            c0 = mulAdd(c0, av, _mm256_loadu_ps(btile));
+            c1 = mulAdd(c1, av, _mm256_loadu_ps(btile + 8));
+            c2 = mulAdd(c2, av, _mm256_loadu_ps(btile + 16));
+            c3 = mulAdd(c3, av, _mm256_loadu_ps(btile + 24));
+        }
+        _mm256_storeu_ps(ctile, c0);
+        _mm256_storeu_ps(ctile + 8, c1);
+        _mm256_storeu_ps(ctile + 16, c2);
+        _mm256_storeu_ps(ctile + 24, c3);
+    }
+    for (; j + 8 <= n; j += 8) {
+        __m256 c0 = _mm256_loadu_ps(crow + j);
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const float aval = arow[kk * step];
+            if (aval == 0.0f)
+                continue;
+            c0 = mulAdd(c0, _mm256_set1_ps(aval),
+                        _mm256_loadu_ps(b + kk * n + j));
+        }
+        _mm256_storeu_ps(crow + j, c0);
+    }
+    if (j < n) {
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const float aval = arow[kk * step];
+            if (aval == 0.0f)
+                continue;
+            const float* brow = b + kk * n;
+            for (int64_t jj = j; jj < n; ++jj)
+                crow[jj] += aval * brow[jj];
+        }
+    }
+}
+
 } // namespace
 
 void
 gemmAvx2(const float* a, const float* b, float* c, int64_t m,
          int64_t k, int64_t n)
 {
-    // Register-blocked i-k-j: a 32-column C tile stays in four ymm
-    // accumulators across the whole k reduction, so each C element is
-    // written once instead of k times and B streams through cache
-    // row-by-row. The aval == 0 skip (ReLU sparsity) is preserved.
-    for (int64_t i = 0; i < m; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n;
-        int64_t j = 0;
-        for (; j + 32 <= n; j += 32) {
-            float* ctile = crow + j;
-            __m256 c0 = _mm256_loadu_ps(ctile);
-            __m256 c1 = _mm256_loadu_ps(ctile + 8);
-            __m256 c2 = _mm256_loadu_ps(ctile + 16);
-            __m256 c3 = _mm256_loadu_ps(ctile + 24);
-            for (int64_t kk = 0; kk < k; ++kk) {
-                const float aval = arow[kk];
-                if (aval == 0.0f)
-                    continue;
-                const __m256 av = _mm256_set1_ps(aval);
-                const float* btile = b + kk * n + j;
-                c0 = mulAdd(c0, av, _mm256_loadu_ps(btile));
-                c1 = mulAdd(c1, av, _mm256_loadu_ps(btile + 8));
-                c2 = mulAdd(c2, av, _mm256_loadu_ps(btile + 16));
-                c3 = mulAdd(c3, av, _mm256_loadu_ps(btile + 24));
-            }
-            _mm256_storeu_ps(ctile, c0);
-            _mm256_storeu_ps(ctile + 8, c1);
-            _mm256_storeu_ps(ctile + 16, c2);
-            _mm256_storeu_ps(ctile + 24, c3);
+    for (int64_t i = 0; i < m; ++i)
+        gemmRow(a + i * k, 1, b, c + i * n, k, n, 0);
+}
+
+namespace {
+
+/** Bit r set when a[r] is ±0.0, for r < 4 (a NaN is not zero). */
+inline int
+zeroMask4(const float* a)
+{
+    return _mm_movemask_ps(
+        _mm_cmpeq_ps(_mm_loadu_ps(a), _mm_setzero_ps()));
+}
+
+/**
+ * Rows [i, i + 4) and columns [j, j + 16) of gemmTransA's C, held in
+ * eight ymm accumulators for the whole k loop and stored once. Per k
+ * it loads two vectors of B's row k and broadcasts the four contiguous
+ * floats a[k·m + i ...]. A zero in A (either sign) skips its row's
+ * update for that k, as in the scalar reference, so an Inf or NaN in
+ * B never reaches C and a -0.0 in C stays -0.0.
+ */
+inline void
+transATile4x16(const float* a, const float* b, float* c, int64_t m,
+               int64_t k, int64_t n, int64_t i, int64_t j)
+{
+    float* c0 = c + i * n + j;
+    float* c1 = c0 + n;
+    float* c2 = c1 + n;
+    float* c3 = c2 + n;
+    __m256 c00 = _mm256_loadu_ps(c0), c01 = _mm256_loadu_ps(c0 + 8);
+    __m256 c10 = _mm256_loadu_ps(c1), c11 = _mm256_loadu_ps(c1 + 8);
+    __m256 c20 = _mm256_loadu_ps(c2), c21 = _mm256_loadu_ps(c2 + 8);
+    __m256 c30 = _mm256_loadu_ps(c3), c31 = _mm256_loadu_ps(c3 + 8);
+    for (int64_t kk = 0; kk < k; ++kk) {
+        const float* ak = a + kk * m + i;
+        const __m256 b0 = _mm256_loadu_ps(b + kk * n + j);
+        const __m256 b1 = _mm256_loadu_ps(b + kk * n + j + 8);
+        const int zeros = zeroMask4(ak);
+        if (!(zeros & 1)) {
+            const __m256 av = _mm256_broadcast_ss(ak);
+            c00 = mulAdd(c00, av, b0);
+            c01 = mulAdd(c01, av, b1);
         }
-        for (; j + 8 <= n; j += 8) {
-            __m256 c0 = _mm256_loadu_ps(crow + j);
-            for (int64_t kk = 0; kk < k; ++kk) {
-                const float aval = arow[kk];
-                if (aval == 0.0f)
-                    continue;
-                c0 = mulAdd(c0, _mm256_set1_ps(aval),
-                            _mm256_loadu_ps(b + kk * n + j));
-            }
-            _mm256_storeu_ps(crow + j, c0);
+        if (!(zeros & 2)) {
+            const __m256 av = _mm256_broadcast_ss(ak + 1);
+            c10 = mulAdd(c10, av, b0);
+            c11 = mulAdd(c11, av, b1);
         }
-        if (j < n) {
-            for (int64_t kk = 0; kk < k; ++kk) {
-                const float aval = arow[kk];
-                if (aval == 0.0f)
-                    continue;
-                const float* brow = b + kk * n;
-                for (int64_t jj = j; jj < n; ++jj)
-                    crow[jj] += aval * brow[jj];
-            }
+        if (!(zeros & 4)) {
+            const __m256 av = _mm256_broadcast_ss(ak + 2);
+            c20 = mulAdd(c20, av, b0);
+            c21 = mulAdd(c21, av, b1);
+        }
+        if (!(zeros & 8)) {
+            const __m256 av = _mm256_broadcast_ss(ak + 3);
+            c30 = mulAdd(c30, av, b0);
+            c31 = mulAdd(c31, av, b1);
         }
     }
+    _mm256_storeu_ps(c0, c00);
+    _mm256_storeu_ps(c0 + 8, c01);
+    _mm256_storeu_ps(c1, c10);
+    _mm256_storeu_ps(c1 + 8, c11);
+    _mm256_storeu_ps(c2, c20);
+    _mm256_storeu_ps(c2 + 8, c21);
+    _mm256_storeu_ps(c3, c30);
+    _mm256_storeu_ps(c3 + 8, c31);
 }
+
+} // namespace
 
 void
 gemmTransAAvx2(const float* a, const float* b, float* c, int64_t m,
                int64_t k, int64_t n, int64_t row_lo, int64_t row_hi)
 {
-    // k-outer like the scalar reference (C rows accumulate in memory
-    // across the k loop — per-element k order preserved).
-    for (int64_t kk = 0; kk < k; ++kk) {
-        const float* arow = a + kk * m;
-        const float* brow = b + kk * n;
-        for (int64_t i = row_lo; i < row_hi; ++i) {
-            const float aval = arow[i];
-            if (aval == 0.0f)
-                continue;
-            const __m256 av = _mm256_set1_ps(aval);
-            float* crow = c + i * n;
-            int64_t j = 0;
-            for (; j + 8 <= n; j += 8)
-                _mm256_storeu_ps(crow + j,
-                                 mulAdd(_mm256_loadu_ps(crow + j), av,
-                                        _mm256_loadu_ps(brow + j)));
-            for (; j < n; ++j)
-                crow[j] += aval * brow[j];
-        }
+    // Output row i is column i of the stored A (k x m), read down its
+    // stride m. Four rows at a time take 4 x 16 register tiles; their
+    // last n % 16 columns, and the rows left over, take gemm's one-row
+    // loop. Every element still sees its k terms in order.
+    int64_t i = row_lo;
+    for (; i + 4 <= row_hi; i += 4) {
+        int64_t j = 0;
+        for (; j + 16 <= n; j += 16)
+            transATile4x16(a, b, c, m, k, n, i, j);
+        for (int64_t r = i; j < n && r < i + 4; ++r)
+            gemmRow(a + r, m, b, c + r * n, k, n, j);
     }
+    for (; i < row_hi; ++i)
+        gemmRow(a + i, m, b, c + i * n, k, n, 0);
 }
 
 void
@@ -222,8 +291,6 @@ gatherAggregateAvx2(const float* x, int64_t rows, int64_t cols,
                 __m256i idx = _mm256_set1_epi32(-1);
                 for (int64_t e = begin; e < end; ++e) {
                     const int64_t src = sourceRow(sources, e);
-                    BETTY_ASSERT(src >= 0 && src < rows,
-                                 "source index out of range");
                     const __m256 v =
                         _mm256_loadu_ps(x + src * cols + j);
                     const __m256 first = _mm256_castsi256_ps(
@@ -294,10 +361,8 @@ gatherAggregateAvx2(const float* x, int64_t rows, int64_t cols,
             __m256 a2 = _mm256_setzero_ps();
             __m256 a3 = _mm256_setzero_ps();
             for (int64_t e = begin; e < end; ++e) {
-                const int64_t src = sourceRow(sources, e);
-                BETTY_ASSERT(src >= 0 && src < rows,
-                             "source index out of range");
-                const float* xtile = x + src * cols + j;
+                const float* xtile =
+                    x + sourceRow(sources, e) * cols + j;
                 a0 = mulAdd(a0, sv, _mm256_loadu_ps(xtile));
                 a1 = mulAdd(a1, sv, _mm256_loadu_ps(xtile + 8));
                 a2 = mulAdd(a2, sv, _mm256_loadu_ps(xtile + 16));

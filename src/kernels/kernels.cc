@@ -95,7 +95,7 @@ sourceRow(const int64_t* sources, int64_t e)
 } // namespace
 
 void
-gatherAggregateScalar(const float* x, int64_t rows, int64_t cols,
+gatherAggregateScalar(const float* x, int64_t /*rows*/, int64_t cols,
                       const int64_t* sources, const int64_t* offsets,
                       int64_t segments, Reduce reduce, float* out,
                       int64_t* argmax)
@@ -107,8 +107,6 @@ gatherAggregateScalar(const float* x, int64_t rows, int64_t cols,
                 int64_t best_row = -1;
                 for (int64_t e = offsets[s]; e < offsets[s + 1]; ++e) {
                     const int64_t src = sourceRow(sources, e);
-                    BETTY_ASSERT(src >= 0 && src < rows,
-                                 "source index out of range");
                     const float v = x[src * cols + j];
                     if (best_row < 0 || v > best) {
                         best = v;
@@ -132,10 +130,7 @@ gatherAggregateScalar(const float* x, int64_t rows, int64_t cols,
             continue;
         const float scale = mean ? 1.0f / float(deg) : 1.0f;
         for (int64_t e = offsets[s]; e < offsets[s + 1]; ++e) {
-            const int64_t src = sourceRow(sources, e);
-            BETTY_ASSERT(src >= 0 && src < rows,
-                         "source index out of range");
-            const float* xrow = x + src * cols;
+            const float* xrow = x + sourceRow(sources, e) * cols;
             for (int64_t j = 0; j < cols; ++j)
                 orow[j] += scale * xrow[j];
         }
@@ -224,7 +219,39 @@ forEachRowBlock(int64_t m, int64_t k, int64_t n, const Rows& rows)
         0, m, grain, [&rows](int64_t lo, int64_t hi) { rows(lo, hi); });
 }
 
+/**
+ * Edge-column work, (edges + segments) · cols, of one parallel block
+ * of gatherAggregate. A compile-time constant, so block boundaries
+ * depend only on the shape (docs/PARALLELISM.md rule 1).
+ */
+constexpr int64_t kAggregateBlockWork = int64_t(1) << 17;
+
+/** Panics unless every edge of a gatherAggregate call reads a row of
+ * x in [0, rows). Null sources read rows offsets[0] .. offsets[segments]. */
+void
+checkSources(const int64_t* sources, const int64_t* offsets,
+             int64_t segments, int64_t rows)
+{
+    const int64_t begin = offsets[0], end = offsets[segments];
+    bool in_range = true;
+    if (!sources)
+        in_range = begin >= end || (begin >= 0 && end <= rows);
+    else
+        // One unsigned compare per edge also rejects negatives.
+        for (int64_t e = begin; e < end; ++e)
+            in_range &= uint64_t(sources[e]) < uint64_t(rows);
+    BETTY_ASSERT(in_range, "source index out of range");
+}
+
 } // namespace
+
+int64_t
+aggregateBlockSegments(int64_t segments, int64_t edges, int64_t cols)
+{
+    const int64_t blocks = std::max<int64_t>(
+        1, (edges + segments) * cols / kAggregateBlockWork);
+    return std::max<int64_t>(1, (segments + blocks - 1) / blocks);
+}
 
 int64_t
 gemmBlockRows(int64_t k, int64_t n)
@@ -327,15 +354,34 @@ gatherAggregate(const float* x, int64_t rows, int64_t cols,
     static obs::Counter& calls = obs::Metrics::counter("kernel.agg.calls");
     static obs::Counter& edges = obs::Metrics::counter("kernel.agg.edges");
     calls.add(1);
-    edges.add(segments > 0 ? offsets[segments] : 0);
+    if (segments <= 0)
+        return;
+    const int64_t edge_count = offsets[segments];
+    edges.add(edge_count);
+    checkSources(sources, offsets, segments, rows);
+    // Blocks of whole segments: each output row has one owner and sees
+    // its edges in order. Offsets are absolute edge positions, so every
+    // block shares sources (and the identity of null sources).
+    [[maybe_unused]] const bool avx2 = useAvx2();
+    const auto run = [=](int64_t lo, int64_t hi) {
+        int64_t* block_argmax = argmax ? argmax + lo * cols : nullptr;
 #ifdef BETTY_KERNELS_HAVE_AVX2
-    if (useAvx2())
-        return detail::gatherAggregateAvx2(x, rows, cols, sources,
-                                           offsets, segments, reduce,
-                                           out, argmax);
+        if (avx2)
+            return detail::gatherAggregateAvx2(
+                x, rows, cols, sources, offsets + lo, hi - lo, reduce,
+                out + lo * cols, block_argmax);
 #endif
-    detail::gatherAggregateScalar(x, rows, cols, sources, offsets,
-                                  segments, reduce, out, argmax);
+        detail::gatherAggregateScalar(x, rows, cols, sources,
+                                      offsets + lo, hi - lo, reduce,
+                                      out + lo * cols, block_argmax);
+    };
+    const int64_t grain =
+        aggregateBlockSegments(segments, edge_count, cols);
+    if (segments <= grain)
+        return run(0, segments);
+    ThreadPool::global().parallelFor(
+        0, segments, grain,
+        [&run](int64_t lo, int64_t hi) { run(lo, hi); });
 }
 
 void

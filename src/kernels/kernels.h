@@ -15,7 +15,9 @@
  * never along the reduction axis; every multiply-add rounds twice
  * (no FMA); gemmTransB sums each element in one double, in k order;
  * and gemm / gemmTransA skip the terms of zero entries of A, so an
- * Inf or NaN opposite such a zero never reaches C.
+ * Inf or NaN opposite such a zero never reaches C. gemmTransA holds a
+ * tile of C in registers across all of k and makes that skip per
+ * (row, k), exactly as the reference does.
  */
 #ifndef BETTY_KERNELS_KERNELS_H
 #define BETTY_KERNELS_KERNELS_H
@@ -70,6 +72,14 @@ int64_t gemmBlockRows(int64_t k, int64_t n);
  * records the winning source row per (segment, column) in
  * @p argmax (segments * cols entries, -1 for empty segments) for
  * the backward pass.
+ *
+ * Every source row is checked against [0, rows) once per call, on
+ * the calling thread, under either backend; null sources stand for
+ * the identity (edge e reads row e). The segments are then split
+ * into blocks of aggregateBlockSegments() whole segments that run on
+ * ThreadPool::global(); a call of one block runs inline. Each output
+ * row has one owner and sees its edges in order, so results are
+ * bit-identical at any lane count.
  */
 /** @{ */
 
@@ -79,7 +89,20 @@ void gatherAggregate(const float* x, int64_t rows, int64_t cols,
                      Reduce reduce, float* out,
                      int64_t* argmax = nullptr);
 
-/** Backward of Sum/Mean: grad_x[sources[e],:] += scale * grad_out[s,:]. */
+/**
+ * Segments per parallel block of a gatherAggregate call over
+ * @p segments segments, @p edges edges and @p cols columns: about
+ * (edges + segments) · cols / 2^17 blocks of equal segment count.
+ */
+int64_t aggregateBlockSegments(int64_t segments, int64_t edges,
+                               int64_t cols);
+
+/**
+ * Backward of Sum/Mean: grad_x[sources[e],:] += scale * grad_out[s,:].
+ * Runs on the calling thread, since two segments may share a source
+ * row. It does not check @p sources: the autograd ops pass the
+ * sources and offsets their forward gatherAggregate call checked.
+ */
 void gatherAggregateBackward(const float* grad_out, int64_t cols,
                              const int64_t* sources,
                              const int64_t* offsets,

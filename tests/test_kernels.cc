@@ -12,9 +12,10 @@
  *
  * Every equivalence test skips (vacuously passes) on hardware or
  * toolchains without AVX2 — the dispatch tier covers that fallback.
- * The lane-count tier runs each available backend: a GEMM split over
- * the pool's lanes must be bit-identical to the same backend on one
- * lane.
+ * The lane-count tier runs each available backend: a GEMM or a
+ * forward aggregation split over the pool's lanes must be
+ * bit-identical to the same backend on one lane. A source index out
+ * of range must panic under either backend at any width.
  */
 #include <algorithm>
 #include <cmath>
@@ -147,18 +148,51 @@ TEST_F(KernelEquivalence, GemmRandomShapesBitExact)
 
 TEST_F(KernelEquivalence, GemmTransABitExact)
 {
+    // Every m in [1, 15] and n in [1, 41] runs the AVX2 kernel's 4-row
+    // by 16-column register tile, its leftover rows and its column
+    // tails (8-column tiles and the scalar remainder). A third of A is
+    // +0.0 or -0.0, and some B rows hold Inf and NaN, so a tile that
+    // applied the update of a zero would put a NaN where the reference
+    // keeps a finite value, or turn a -0.0 of C into +0.0. A few NaNs
+    // in A are not zeros: their updates must run.
     Rng rng(102);
-    for (int trial = 0; trial < 30; ++trial) {
-        const int64_t m = rng.uniformInt(17) + 1;
-        const int64_t k = rng.uniformInt(33) + 1;
-        const int64_t n = rng.uniformInt(40) + 1;
-        auto a = randomValues(rng, k * m);
-        auto b = randomValues(rng, k * n);
-        auto [ref, got] = runBothBackends(
-            size_t(m * n), [&](float* out) {
-                kernels::gemmTransA(a.data(), b.data(), out, m, k, n);
-            });
-        expectBitExact(ref, got);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::nanf("");
+    for (int64_t m = 1; m <= 15; ++m) {
+        for (int64_t n = 1; n <= 41; ++n) {
+            SCOPED_TRACE(testing::Message() << "m=" << m << " n=" << n);
+            const int64_t k = rng.uniformInt(9) + 2;
+            auto a = randomValues(rng, k * m); // stored k x m
+            for (auto& v : a) {
+                const int64_t pick = rng.uniformInt(6);
+                if (pick < 2)
+                    v = pick == 0 ? 0.0f : -0.0f;
+            }
+            if (rng.uniformInt(4) == 0)
+                a[size_t(rng.uniformInt(k * m))] = nan;
+            auto b = randomValues(rng, k * n);
+            // B's row 0 is Inf and row k - 1 NaN; A's matching rows
+            // are zero in every other output row, so those C rows
+            // stay finite only if the zeros are skipped.
+            for (int64_t j = 0; j < n; ++j) {
+                b[size_t(j)] = j % 2 ? inf : -inf;
+                b[size_t((k - 1) * n + j)] = nan;
+            }
+            for (int64_t i = 0; i < m; i += 2) {
+                a[size_t(i)] = i % 4 ? -0.0f : 0.0f;
+                a[size_t((k - 1) * m + i)] = 0.0f;
+            }
+            auto seed_c = randomValues(rng, m * n);
+            for (size_t e = 0; e < seed_c.size(); e += 3)
+                seed_c[e] = -0.0f;
+            auto [ref, got] = runBothBackends(
+                size_t(m * n), [&](float* out) {
+                    std::copy(seed_c.begin(), seed_c.end(), out);
+                    kernels::gemmTransA(a.data(), b.data(), out, m, k,
+                                        n);
+                });
+            expectBitExact(ref, got);
+        }
     }
 }
 
@@ -504,66 +538,265 @@ TEST_F(GemmLanes, BitIdenticalAtEveryLaneCountUnderEachBackend)
 {
     // On 1 lane the split result must equal the same rows computed
     // inline block by block; on 2, 3 and 8 lanes, the 1-lane result.
-    // n = 45 covers the AVX2 32-column tile, an 8-lane block and a
-    // scalar tail; k = 37 leaves a remainder in gemmTransB's dot.
-    const int64_t k = 37, n = 45;
-    const int64_t block = kernels::gemmBlockRows(k, n);
-    ASSERT_GT(block, 2);
-    // Below one block, one block and one row less (both inline), one
-    // row more than a block, and many blocks with a remainder.
-    const std::vector<int64_t> shapes = {block / 2, block - 1, block,
-                                         block + 1, 5 * block + 7};
+    // n = 45 covers the AVX2 32- and 16-column tiles, an 8-lane block
+    // and a scalar tail; odd k leave a remainder in gemmTransB's dot.
+    // The three depths give blocks of 323, 314 and 277 rows: none is a
+    // multiple of gemmTransA's 4-row tile, so every block ends in rows
+    // of its one-row loop, each with a different count.
+    const int64_t n = 45;
     std::vector<kernels::KernelMode> modes = {kernels::KernelMode::Scalar};
     if (avx2Available())
         modes.push_back(kernels::KernelMode::Avx2);
-
-    Rng rng(110);
-    auto a = randomValues(rng, shapes.back() * k);
-    // Half of A is exact zeros, so the zero-skip of gemm and
-    // gemmTransA takes both arms inside every block.
-    for (size_t i = 0; i < a.size(); i += 2)
-        a[i] = 0.0f;
-    const auto b = randomValues(rng, k * n);
-
     obs::Metrics::setEnabled(true);
     const obs::Counter& parallel_fors =
         obs::Metrics::counter("pool.parallel_fors");
-    std::map<std::tuple<int, int, int64_t>, std::vector<float>> serial;
-    for (const int32_t lanes : {1, 2, 3, 8}) {
-        ThreadPool::setGlobalThreads(lanes);
-        for (const kernels::KernelMode mode : modes) {
-            kernels::setKernelMode(mode);
-            for (const GemmVariant variant :
-                 {GemmVariant::Plain, GemmVariant::TransA,
-                  GemmVariant::TransB}) {
-                for (const int64_t m : shapes) {
-                    SCOPED_TRACE(testing::Message()
-                                 << kernels::kernelModeName(mode)
-                                 << " variant " << int(variant)
-                                 << " m=" << m << " lanes=" << lanes);
-                    const int64_t before = parallel_fors.value();
-                    auto c = runGemm(variant, a, b, m, k, n, m);
-                    // Non-vacuous: shapes past one block really went
-                    // through the pool, the rest ran inline.
-                    if (m > block) {
-                        EXPECT_GT(parallel_fors.value(), before);
-                    } else {
-                        EXPECT_EQ(parallel_fors.value(), before);
-                    }
-                    const auto key =
-                        std::make_tuple(int(mode), int(variant), m);
-                    if (lanes == 1) {
-                        // One call per block: each runs inline.
-                        expectBitExact(
-                            runGemm(variant, a, b, m, k, n, block), c);
-                        serial[key] = std::move(c);
-                    } else {
-                        expectBitExact(serial.at(key), c);
+
+    Rng rng(110);
+    for (const int64_t k : {36, 37, 42}) {
+        const int64_t block = kernels::gemmBlockRows(k, n);
+        ASSERT_GT(block, 2);
+        ASSERT_NE(block % 4, 0) << "k=" << k;
+        // Below one block, one block and one row less (both inline),
+        // one row more than a block, and many blocks with a remainder.
+        const std::vector<int64_t> shapes = {block / 2, block - 1, block,
+                                             block + 1, 5 * block + 7};
+        auto a = randomValues(rng, shapes.back() * k);
+        // Half of A is exact zeros, so the zero-skip of gemm and
+        // gemmTransA takes both arms inside every block.
+        for (size_t i = 0; i < a.size(); i += 2)
+            a[i] = 0.0f;
+        const auto b = randomValues(rng, k * n);
+
+        std::map<std::tuple<int, int, int64_t>, std::vector<float>> serial;
+        for (const int32_t lanes : {1, 2, 3, 8}) {
+            ThreadPool::setGlobalThreads(lanes);
+            for (const kernels::KernelMode mode : modes) {
+                kernels::setKernelMode(mode);
+                for (const GemmVariant variant :
+                     {GemmVariant::Plain, GemmVariant::TransA,
+                      GemmVariant::TransB}) {
+                    for (const int64_t m : shapes) {
+                        SCOPED_TRACE(testing::Message()
+                                     << kernels::kernelModeName(mode)
+                                     << " variant " << int(variant)
+                                     << " k=" << k << " m=" << m
+                                     << " lanes=" << lanes);
+                        const int64_t before = parallel_fors.value();
+                        auto c = runGemm(variant, a, b, m, k, n, m);
+                        // Non-vacuous: shapes past one block really
+                        // went through the pool, the rest ran inline.
+                        if (m > block) {
+                            EXPECT_GT(parallel_fors.value(), before);
+                        } else {
+                            EXPECT_EQ(parallel_fors.value(), before);
+                        }
+                        const auto key =
+                            std::make_tuple(int(mode), int(variant), m);
+                        if (lanes == 1) {
+                            // One call per block: each runs inline.
+                            expectBitExact(
+                                runGemm(variant, a, b, m, k, n, block),
+                                c);
+                            serial[key] = std::move(c);
+                        } else {
+                            expectBitExact(serial.at(key), c);
+                        }
                     }
                 }
             }
         }
     }
+}
+
+/** Aggregation outputs: the rows, and argmax for Max. */
+struct AggregateResult
+{
+    std::vector<float> out;
+    std::vector<int64_t> argmax;
+};
+
+/**
+ * gatherAggregate over the first @p segments segments of a CSR block,
+ * one call per @p segments_per_call segments. Offsets are absolute, so
+ * each call passes the same sources (null for the identity) and its
+ * own slice of offsets, out and argmax.
+ */
+AggregateResult
+runAggregate(const std::vector<float>& x, int64_t rows, int64_t cols,
+             const int64_t* sources, const std::vector<int64_t>& offsets,
+             int64_t segments, kernels::Reduce reduce,
+             int64_t segments_per_call)
+{
+    const bool is_max = reduce == kernels::Reduce::Max;
+    AggregateResult r{std::vector<float>(size_t(segments * cols), 0.25f),
+                      std::vector<int64_t>(
+                          is_max ? size_t(segments * cols) : 0, -2)};
+    for (int64_t lo = 0; lo < segments; lo += segments_per_call) {
+        const int64_t count = std::min(segments_per_call, segments - lo);
+        kernels::gatherAggregate(
+            x.data(), rows, cols, sources, offsets.data() + lo, count,
+            reduce, r.out.data() + lo * cols,
+            is_max ? r.argmax.data() + lo * cols : nullptr);
+    }
+    return r;
+}
+
+/** The lane-count tier of the aggregation kernels. */
+class AggregateLanes : public GemmLanes
+{
+};
+
+TEST_F(AggregateLanes, BitIdenticalAtEveryLaneCountUnderEachBackend)
+{
+    // gatherAggregate splits its segments into blocks over the pool:
+    // on 1 lane the result must equal the same segments aggregated one
+    // block per call, and on 2, 3 and 8 lanes the 1-lane result, for
+    // Sum, Mean and Max (argmax too), with sources and with the
+    // identity that segmentMax passes. 45 columns cover the AVX2
+    // 32-column tile, an 8-lane block and a scalar tail. Both blocks
+    // have empty and one-edge segments.
+    const int64_t rows = 12000, cols = 45, max_segments = 8000;
+    Rng rng(112);
+    const auto x = randomValues(rng, rows * cols);
+    const auto [sources, offsets] = randomCsr(rng, max_segments, rows);
+    // For the identity, segment s reads the next s % 4 rows of x.
+    std::vector<int64_t> identity_offsets{0};
+    for (int64_t s = 0; s < max_segments; ++s)
+        identity_offsets.push_back(identity_offsets.back() + s % 4);
+    ASSERT_LE(identity_offsets.back(), rows);
+
+    // Below one block, the largest one-block shape, just past it, and
+    // many blocks whose last one is short.
+    const auto shapes_for = [&](const std::vector<int64_t>& off) {
+        const auto grain = [&](int64_t segments) {
+            return kernels::aggregateBlockSegments(
+                segments, off[size_t(segments)], cols);
+        };
+        int64_t first_split = 2;
+        while (grain(first_split) >= first_split)
+            ++first_split;
+        int64_t many = max_segments;
+        while (many % grain(many) == 0)
+            --many;
+        EXPECT_LT(4 * grain(many), many);
+        return std::vector<int64_t>{first_split / 3, first_split - 1,
+                                    first_split, many};
+    };
+
+    std::vector<kernels::KernelMode> modes = {kernels::KernelMode::Scalar};
+    if (avx2Available())
+        modes.push_back(kernels::KernelMode::Avx2);
+    obs::Metrics::setEnabled(true);
+    const obs::Counter& parallel_fors =
+        obs::Metrics::counter("pool.parallel_fors");
+    for (const kernels::KernelMode mode : modes) {
+        kernels::setKernelMode(mode);
+        for (const kernels::Reduce reduce :
+             {kernels::Reduce::Sum, kernels::Reduce::Mean,
+              kernels::Reduce::Max}) {
+            for (const bool identity : {false, true}) {
+                const int64_t* src = identity ? nullptr : sources.data();
+                const auto& off = identity ? identity_offsets : offsets;
+                for (const int64_t segments : shapes_for(off)) {
+                    const int64_t grain = kernels::aggregateBlockSegments(
+                        segments, off[size_t(segments)], cols);
+                    AggregateResult serial;
+                    for (const int32_t lanes : {1, 2, 3, 8}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << kernels::kernelModeName(mode)
+                                     << " reduce " << int(reduce)
+                                     << " identity " << identity
+                                     << " segments=" << segments
+                                     << " lanes=" << lanes);
+                        ThreadPool::setGlobalThreads(lanes);
+                        const int64_t before = parallel_fors.value();
+                        auto r = runAggregate(x, rows, cols, src, off,
+                                              segments, reduce, segments);
+                        // Non-vacuous: split shapes went through the
+                        // pool, one-block shapes ran inline.
+                        if (segments > grain) {
+                            EXPECT_GT(parallel_fors.value(), before);
+                        } else {
+                            EXPECT_EQ(parallel_fors.value(), before);
+                        }
+                        if (lanes == 1) {
+                            // One call per block: each runs inline.
+                            serial = runAggregate(x, rows, cols, src, off,
+                                                  segments, reduce, grain);
+                        }
+                        expectBitExact(serial.out, r.out);
+                        EXPECT_EQ(serial.argmax, r.argmax);
+                    }
+                }
+            }
+        }
+    }
+
+    // The backward stays on the calling thread: two segments may
+    // share a source row, so a split by segments would race on it.
+    const auto grad_out = randomValues(rng, max_segments * cols);
+    std::vector<float> grad_x(size_t(rows * cols), 0.0f);
+    for (const kernels::KernelMode mode : modes) {
+        kernels::setKernelMode(mode);
+        for (const bool mean : {false, true}) {
+            const int64_t before = parallel_fors.value();
+            kernels::gatherAggregateBackward(
+                grad_out.data(), cols, sources.data(), offsets.data(),
+                max_segments, mean, grad_x.data());
+            EXPECT_EQ(parallel_fors.value(), before);
+        }
+    }
+}
+
+TEST(AggregateSources, OutOfRangeSourcePanicsUnderEitherBackendAtAnyWidth)
+{
+    // gatherAggregate checks every source once per call, before any
+    // block runs, so a bad index panics under either backend and at
+    // any width, not only where a vector loop happens to read it.
+    const int64_t rows = 4;
+    const std::vector<int64_t> sources{0, 3, 7, 1};
+    const std::vector<int64_t> offsets{0, 2, 4};
+    std::vector<kernels::KernelMode> modes = {kernels::KernelMode::Scalar};
+    if (avx2Available())
+        modes.push_back(kernels::KernelMode::Avx2);
+    for (const kernels::KernelMode mode : modes) {
+        for (const kernels::Reduce reduce :
+             {kernels::Reduce::Sum, kernels::Reduce::Mean,
+              kernels::Reduce::Max}) {
+            for (const int64_t cols : {1, 7, 8, 16, 31, 32, 33}) {
+                SCOPED_TRACE(testing::Message()
+                             << kernels::kernelModeName(mode)
+                             << " reduce " << int(reduce)
+                             << " cols=" << cols);
+                const std::vector<float> x(size_t(rows * cols), 1.0f);
+                std::vector<float> out(size_t(2 * cols));
+                std::vector<int64_t> argmax(size_t(2 * cols));
+                EXPECT_DEATH(
+                    {
+                        kernels::setKernelMode(mode);
+                        kernels::gatherAggregate(
+                            x.data(), rows, cols, sources.data(),
+                            offsets.data(), 2, reduce, out.data(),
+                            argmax.data());
+                    },
+                    "source index out of range");
+            }
+        }
+        // The identity reads rows offsets[0] .. offsets[segments].
+        const std::vector<float> x(size_t(rows * 8), 1.0f);
+        const std::vector<int64_t> past_rows{0, 3, 5};
+        std::vector<float> out(16);
+        EXPECT_DEATH(
+            {
+                kernels::setKernelMode(mode);
+                kernels::gatherAggregate(x.data(), rows, 8, nullptr,
+                                         past_rows.data(), 2,
+                                         kernels::Reduce::Sum,
+                                         out.data());
+            },
+            "source index out of range");
+    }
+    kernels::resetKernelModeForTest();
 }
 
 /** Shared fixture for the end-to-end parity tests. */
